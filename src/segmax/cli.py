@@ -20,14 +20,10 @@ import click
 
 from .errors import (
     BenchBudgetError,
-    CarrierError,
     DistributivityError,
-    ReduceLawError,
     SegmaxError,
-    ShapeMismatchError,
     SizeGuardError,
     TermSyntaxError,
-    UnknownLawError,
 )
 from .horner import (
     SEMIRINGS,
@@ -62,22 +58,24 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+# Exit status per exception type; an exception takes the entry of the
+# nearest class along its MRO, so every other SegmaxError is a usage error.
+_EXIT_CODES = {
+    DistributivityError: EXIT_GATE,
+    SizeGuardError: EXIT_GUARD,
+    BenchBudgetError: EXIT_BUDGET,
+    OverflowError: EXIT_OVERFLOW,
+    SegmaxError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+}
+
+
 def _run(body) -> None:
     try:
         body()
-    except DistributivityError as e:
-        _fail(EXIT_GATE, str(e))
-    except SizeGuardError as e:
-        _fail(EXIT_GUARD, str(e))
-    except BenchBudgetError as e:
-        _fail(EXIT_BUDGET, str(e))
-    except OverflowError as e:
-        _fail(EXIT_OVERFLOW, str(e))
-    except (TermSyntaxError, ShapeMismatchError, CarrierError, ReduceLawError,
-            UnknownLawError, ValueError) as e:
-        _fail(EXIT_USAGE, str(e))
-    except SegmaxError as e:
-        _fail(EXIT_USAGE, str(e))
+    except tuple(_EXIT_CODES) as e:
+        code = next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
+        _fail(code, str(e))
 
 
 def _read_source(inline: str | None, path: str | None) -> str:

@@ -23,7 +23,3 @@ def checked_add(a: int, b: int) -> int:
 
 def checked_mul(a: int, b: int) -> int:
     return check_i64(a * b, "product")
-
-
-def checked_neg(a: int) -> int:
-    return check_i64(-a, "negation")

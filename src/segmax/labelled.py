@@ -3,7 +3,10 @@
 A Labelled pairs a value with a skeleton constructor whose label slots
 have been erased -- only the tag and the (recursively labelled) children
 remain.  The skeleton's tag sequence mirrors the source term, so a
-labelled structure has exactly one value per source node.
+labelled structure has exactly one value per source node.  The class
+lives in shapes, beside Node, so that the same two iterative walks
+serve both: iter_labelled is the preorder walk and map_labelled the
+post-order one.
 
 subterms labels every node of a term with the subterm rooted there (the
 generic counterpart of `tails`), and scan_generic labels every node with
@@ -14,17 +17,10 @@ the fold of that subterm, computed in a single pass:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .schemes import Algebra, fold, para
-from .shapes import Node, ShapeKind, Term
-
-
-class Labelled(NamedTuple):
-    value: Any
-    shape: ShapeKind
-    tag: str
-    children: tuple
+from .shapes import Labelled, Node, Term, postorder, preorder
 
 
 def root(l: Labelled):
@@ -34,12 +30,7 @@ def root(l: Labelled):
 
 def iter_labelled(l: Labelled) -> Iterator[Labelled]:
     """Preorder iterator over all nodes of a labelled structure."""
-    stack = [l]
-    while stack:
-        x = stack.pop()
-        yield x
-        for c in reversed(x.children):
-            stack.append(c)
+    return preorder(l)
 
 
 def preorder_values(l: Labelled) -> list:
@@ -56,20 +47,7 @@ def value_count(l: Labelled) -> int:
 
 def map_labelled(f: Callable, l: Labelled) -> Labelled:
     """Apply f to every value, keeping the skeleton."""
-    stack: list[tuple[Labelled, bool]] = [(l, False)]
-    vals: list[Labelled] = []
-    while stack:
-        x, ready = stack.pop()
-        if ready:
-            k = len(x.children)
-            kids = tuple(vals[len(vals) - k :])
-            del vals[len(vals) - k :]
-            vals.append(Labelled(f(x.value), x.shape, x.tag, kids))
-        else:
-            stack.append((x, True))
-            for c in reversed(x.children):
-                stack.append((c, False))
-    return vals[0]
+    return postorder(l, lambda x, kids: Labelled(f(x.value), x.shape, x.tag, kids))
 
 
 def subterms(t: Term) -> Labelled:

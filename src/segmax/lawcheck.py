@@ -75,6 +75,7 @@ from .shapes import (
     _EmptyMark,
     bimap_node,
     parse_pruned,
+    preorder,
     print_pruned,
 )
 
@@ -337,9 +338,7 @@ def _candidates(v):
 
 
 def _has_empty(t) -> bool:
-    if not isinstance(t, Node):
-        return True
-    return any(_has_empty(c) for c in t.children)
+    return any(not isinstance(x, Node) for x in preorder(t))
 
 
 def _rewrite_ints(v, k: int):

@@ -15,6 +15,7 @@ reductions each kind admits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from typing import Any, Callable, Iterable, NamedTuple
@@ -153,16 +154,15 @@ class ReduceOp(NamedTuple):
     element_ok: Callable | None = None
 
 
-_LAWS_OK: set = set()
 _SAMPLE_DOMAIN = (-3, -1, 0, 1, 2, 5)
 
 
-def _check_reduce_laws(op: ReduceOp, kind: CollectionKind, elements: tuple, trials: int) -> None:
-    key = (op, kind)
-    if key in _LAWS_OK:
-        return
+# The verdict depends on (op, kind, trials) alone, never on the data
+# being reduced, so it is computed once per key; a failure raises and is
+# not cached.
+@functools.cache
+def _check_reduce_laws(op: ReduceOp, kind: CollectionKind, trials: int) -> None:
     pool = [v for v in _SAMPLE_DOMAIN if op.element_ok is None or op.element_ok(v)]
-    pool.extend(e for e in elements[:4] if isinstance(e, int) and e not in pool)
     seen = 0
     for a, b, c in itertools.product(pool, repeat=3):
         if seen >= trials:
@@ -184,7 +184,6 @@ def _check_reduce_laws(op: ReduceOp, kind: CollectionKind, elements: tuple, tria
                     f"'{op.name}' is not idempotent at {a}; "
                     "required for set reductions"
                 )
-    _LAWS_OK.add(key)
 
 
 def reduce(op: ReduceOp, x: Collection, *, check: bool = True, trials: int = 64) -> Any:
@@ -202,7 +201,7 @@ def reduce(op: ReduceOp, x: Collection, *, check: bool = True, trials: int = 64)
                     raise ReduceLawError(
                         f"element {e!r} outside the domain of '{op.name}'"
                     )
-        _check_reduce_laws(op, x.kind, x.items, trials)
+        _check_reduce_laws(op, x.kind, trials)
     acc = op.unit
     for e in x.items:
         acc = op.fn(acc, e)

@@ -1,18 +1,20 @@
 """Alternative formulations kept purely as cross-check oracles.
 
-These are the "other route" for dual-route laws: top-down (unfold-style)
-rebuildings of subterms and scan, the literal monadic composition behind
-prune, and the lifted definition of the list distributor.  They favour
-obviousness over efficiency (no sharing, recursive), so they are only
-run on the small terms the law generators produce.
+These are the "other route" for dual-route laws and tests: top-down
+(unfold-style) rebuildings of subterms and scan, the literal monadic
+compositions behind prune and segs, and the lifted definition of the
+list distributor.  They favour obviousness over efficiency (no sharing,
+recursive), so they are only run on the small terms the law generators
+and tests produce.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .labelled import Labelled
+from .labelled import Labelled, preorder_values, subterms
 from .monads import Collection, CollectionKind, collection, join_c, map_c, opt, singleton
+from .pruning import DEFAULT_GUARD, _check_guard, prune, segs_count
 from .schemes import Algebra, distribute_node, fold
 from .shapes import EMPTY, Node, Term
 
@@ -48,6 +50,16 @@ def prune_recursive(t: Term, kind: CollectionKind) -> Collection:
     items = [EMPTY]
     items.extend(Node(t.shape, t.tag, t.labels, picked) for picked in product(*kids))
     return collection(kind, items)
+
+
+def segs_generic_literal(t: Term, kind: CollectionKind = CollectionKind.BAG,
+                         guard: int | None = DEFAULT_GUARD) -> Collection:
+    """segs spelled with the collection combinators,
+    join . map prune . contents . subterms; a cross-check for the fused
+    enumeration in pruning.segs_generic."""
+    _check_guard(segs_count(t), guard)
+    subs = collection(kind, preorder_values(subterms(t)))
+    return join_c(map_c(lambda s: prune(s, kind, guard), subs))
 
 
 def _lift_m2(f, mx: Collection, my: Collection) -> Collection:

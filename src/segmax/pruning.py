@@ -23,13 +23,14 @@ through the kind's canonical union.
 from __future__ import annotations
 
 import itertools
-from typing import Callable
 
 from .errors import SizeGuardError
 from .labelled import preorder_values, subterms
-from .monads import Collection, CollectionKind, collection, join_c, map_c
+from .monads import Collection, CollectionKind, collection
 from .schemes import Algebra, fold
-from .shapes import EMPTY, Node, Term, parse_pruned, print_pruned  # noqa: F401
+from .shapes import (  # noqa: F401
+    EMPTY, Node, Term, parse_pruned, postorder, print_pruned, zip_slots,
+)
 
 DEFAULT_GUARD = 10**6
 
@@ -73,31 +74,22 @@ def prune(t: Term, kind: CollectionKind = CollectionKind.BAG,
 def pruned_fold(b, alg: Algebra, p) -> object:
     """Fold a pruned term: the empty marker is worth b, and every real
     node is evaluated by alg over its recursively evaluated children."""
-    stack: list[tuple[object, bool]] = [(p, False)]
-    vals: list = []
-    while stack:
-        node, ready = stack.pop()
-        if not isinstance(node, Node):
-            vals.append(b)
-        elif ready:
-            k = len(node.children)
-            kids = tuple(vals[len(vals) - k :])
-            del vals[len(vals) - k :]
-            vals.append(alg(Node(node.shape, node.tag, node.labels, kids)))
-        else:
-            stack.append((node, True))
-            for c in reversed(node.children):
-                stack.append((c, False))
-    return vals[0]
-
-
-def _segs_counts(t: Term) -> list[int]:
-    return [prune_count(s) for s in preorder_values(subterms(t))]
+    return postorder(p, lambda n, kids: alg(Node(n.shape, n.tag, n.labels, kids)), b)
 
 
 def segs_count(t: Term) -> int:
-    """Number of generic segments: total prunings over all subterms."""
-    return sum(_segs_counts(t))
+    """Number of generic segments: total prunings over all subterms.
+
+    One fold of the pair (prune count, running total) -- the scan lemma
+    applied to prune_count, summed as it goes."""
+    def alg(n: Node) -> tuple[int, int]:
+        count, total = 1, 0
+        for c, s in n.children:
+            count *= c
+            total += s
+        return 1 + count, total + 1 + count
+
+    return fold(alg, t)[1]
 
 
 def _segs_items(t: Term, guard: int | None) -> list:
@@ -118,28 +110,10 @@ def segs_generic(t: Term, kind: CollectionKind = CollectionKind.BAG,
     return collection(kind, _segs_items(t, guard))
 
 
-def segs_generic_literal(t: Term, kind: CollectionKind = CollectionKind.BAG,
-                         guard: int | None = DEFAULT_GUARD) -> Collection:
-    """The same composition spelled with the collection combinators;
-    kept as a cross-check for the fused enumeration above."""
-    _check_guard(segs_count(t), guard)
-    subs = collection(kind, preorder_values(subterms(t)))
-    return join_c(map_c(lambda s: prune(s, kind, guard), subs))
-
-
 def is_pruning_of(p, t: Term) -> bool:
     """Positional containment: p equals t except that some subterms are
     replaced by the empty marker."""
-    stack = [(p, t)]
-    while stack:
-        x, y = stack.pop()
-        if not isinstance(x, Node):
-            continue
-        if (x.tag, x.labels) != (y.tag, y.labels):
-            return False
-        stack.extend(zip(x.children, y.children))
-    return True
-
-
-def map_pruned(f: Callable, c: Collection) -> Collection:
-    return map_c(f, c)
+    return all(
+        not isinstance(x, Node) or (x.tag, x.labels) == (y.tag, y.labels)
+        for x, y in zip_slots(p, t)
+    )

@@ -13,8 +13,9 @@ distributors are the positional traversals the generic developments
 build on: every constructor exposes a fixed left-to-right sequence of
 element positions (labels first, then children).
 
-All traversals here are iterative, so deeply right-nested terms (long
-list-shaped chains) do not hit the interpreter recursion limit.
+fold and para are instances of the post-order walk in shapes, so
+deeply right-nested terms (long list-shaped chains) do not hit the
+interpreter recursion limit; unfold_bounded keeps its own explicit stack.
 """
 
 from __future__ import annotations
@@ -24,51 +25,25 @@ from typing import Any, Callable
 
 from .errors import DepthExceededError, KindMismatchError
 from .monads import Collection, CollectionKind, collection
-from .shapes import Node, Term, _label, iter_nodes
+from .shapes import Node, Term, _label, iter_nodes, postorder
 
 Algebra = Callable[[Node], Any]
-Coalgebra = Callable[[Any], Node]
 
 
 def fold(alg: Algebra, t: Term):
     """Catamorphism: bottom-up replacement of every node by alg's value."""
-    stack: list[tuple[Node, bool]] = [(t, False)]
-    vals: list = []
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            k = len(node.children)
-            kids = tuple(vals[len(vals) - k :])
-            del vals[len(vals) - k :]
-            vals.append(alg(Node(node.shape, node.tag, node.labels, kids)))
-        else:
-            stack.append((node, True))
-            for c in reversed(node.children):
-                stack.append((c, False))
-    return vals[0]
+    return postorder(t, lambda n, kids: alg(Node(n.shape, n.tag, n.labels, kids)))
 
 
 def para(palg: Callable[[Node], Any], t: Term):
     """Paramorphism: like fold, but each child slot holds the pair
     (recursive result, original child subterm)."""
-    stack: list[tuple[Node, bool]] = [(t, False)]
-    vals: list = []
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            k = len(node.children)
-            rec = vals[len(vals) - k :]
-            del vals[len(vals) - k :]
-            kids = tuple(zip(rec, node.children))
-            vals.append(palg(Node(node.shape, node.tag, node.labels, kids)))
-        else:
-            stack.append((node, True))
-            for c in reversed(node.children):
-                stack.append((c, False))
-    return vals[0]
+    return postorder(
+        t, lambda n, kids: palg(Node(n.shape, n.tag, n.labels, tuple(zip(kids, n.children))))
+    )
 
 
-def unfold_bounded(coalg: Coalgebra, seed, max_depth: int) -> Term:
+def unfold_bounded(coalg: Callable[[Any], Node], seed, max_depth: int) -> Term:
     """Anamorphism with a depth guard.
 
     Seeds are expanded layer by layer; a child seed that would have to be

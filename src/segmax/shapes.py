@@ -13,7 +13,20 @@ same Node class carries subterms (making a Term), intermediate fold
 results, collections, or (carrier, subterm) pairs, depending on which
 operation is walking the structure.  The left-to-right order of label
 and child slots is significant: it defines the element positions used
-by contents and by the distributors.
+by contents and by the distributors.  A Labelled is the same skeleton
+with one value per node in place of the label slots.
+
+Folds and walks over either structure are instances of two iterative
+kernels, so terms nested as deep as a list is long never reach the
+interpreter's recursion limit:
+
+    postorder(x, step, leaf)   step(node, results of its child slots)
+    preorder(x)                every slot, each node before its children
+
+Both descend through the child slots of Nodes and Labelleds; any other
+slot (the EMPTY marker, a payload) is a leaf, worth `leaf` to postorder.
+Equality walks two structures' corresponding slots together (zip_slots),
+and struct_key flattens a term into its preorder token tuple.
 
 Terms are immutable values (NamedTuples all the way down), so they are
 safe to share freely, including across threads.
@@ -50,47 +63,119 @@ SIGNATURES: dict[ShapeKind, dict[str, CtorSig]] = {
 }
 
 
+def _same(self, other):
+    """Structural equality of two Nodes or two Labelleds, by one
+    iterative walk over their corresponding slots."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for x, y in zip_slots(self, other):
+        if type(x) in _TREES:  # a Labelled's value comes as a pair of its own
+            if (type(y) is not type(x) or x.shape is not y.shape or x.tag != y.tag
+                    or len(x.children) != len(y.children)
+                    or (type(x) is Node and x.labels != y.labels)):
+                return False
+        elif type(y) in _TREES or x != y:  # payloads in child slots
+            return False
+    return True
+
+
+# Equality and hashing are iterative: list-shaped terms nest as deep as
+# they are long, which would blow the interpreter's recursion limit under
+# the tuple comparison and hash.  object.__ne__ inverts __eq__.
 class Node(NamedTuple):
     shape: ShapeKind
     tag: str
     labels: tuple
     children: tuple
 
-    # structural equality, iteratively: list-shaped terms nest as deep
-    # as they are long, which would blow the interpreter's recursion
-    # limit under the default tuple comparison
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Node):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            a_node = isinstance(a, Node)
-            if a_node != isinstance(b, Node):
-                return False
-            if not a_node:
-                if a != b:  # non-term payloads in child slots
-                    return False
-                continue
-            if (
-                a.shape is not b.shape
-                or a.tag != b.tag
-                or a.labels != b.labels
-                or len(a.children) != len(b.children)
-            ):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+    __eq__ = _same
+    __ne__ = object.__ne__
 
-    def __ne__(self, other):
-        res = self.__eq__(other)
-        return res if res is NotImplemented else not res
+    def __hash__(self):
+        return hash(struct_key(self))
 
-    __hash__ = tuple.__hash__
+
+class Labelled(NamedTuple):
+    """A value per node: a skeleton constructor (tag and labelled
+    children, no label slots) carrying one value."""
+
+    value: Any
+    shape: ShapeKind
+    tag: str
+    children: tuple
+
+    __eq__ = _same
+    __ne__ = object.__ne__
+
+    # the root value and the tag skeleton, which equal structures share
+    def __hash__(self):
+        return hash((self.value, tuple(x.tag for x in preorder(self))))
+
+
+_TREES = frozenset((Node, Labelled))  # tested by exact type: the walks are hot
+
+
+def zip_slots(a, b) -> Iterator[tuple]:
+    """Corresponding slots of a and b in preorder, each pair of distinct
+    objects once (so the walk stays linear where the sides share parts).
+
+    Once a pair of two Nodes, or of two Labelleds, has been taken, the
+    pairs of their child slots (and of Labelled values) follow; any other
+    pair is a leaf.  Children are zipped: a consumer that needs equal
+    arities checks them before taking the next pair.
+    """
+    stack = [(a, b)]
+    seen: set = set()
+    while stack:
+        x, y = stack.pop()
+        pair = (id(x), id(y))
+        if x is y or pair in seen:
+            continue
+        seen.add(pair)
+        yield x, y
+        if type(x) is type(y) and type(x) in _TREES:
+            stack.extend(zip(x.children[::-1], y.children[::-1]))
+            if type(x) is Labelled:
+                stack.append((x.value, y.value))
+
+
+_AFTER = object()  # stack mark: the node below it has its children's results
+
+
+def postorder(x, step: Callable, leaf=None):
+    """Fold x bottom-up: every Node or Labelled y becomes
+    step(y, results of y's child slots), and every other slot is worth
+    leaf."""
+    stack = [x]
+    vals: list = []
+    while stack:
+        y = stack.pop()
+        if y is _AFTER:
+            y = stack.pop()
+            k = len(vals) - len(y.children)
+            kids = tuple(vals[k:])
+            del vals[k:]
+            vals.append(step(y, kids))
+        elif type(y) not in _TREES:
+            vals.append(leaf)
+        elif y.children:
+            stack.append(y)
+            stack.append(_AFTER)
+            stack += y.children[::-1]
+        else:
+            vals.append(step(y, ()))
+    return vals[0]
+
+
+def preorder(x) -> Iterator:
+    """Every slot of x, top-down and left to right: each Node or
+    Labelled before its child slots; any other slot as it stands."""
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        yield y
+        if type(y) in _TREES:
+            stack += y.children[::-1]
 
 
 # A Term is a Node whose child slots hold Terms of the same shape.
@@ -389,43 +474,28 @@ def print_pruned(p) -> str:
 # canonical order and measurements
 
 def struct_key(x) -> tuple:
-    """Total-order key for terms and pruned terms.
+    """Total-order key for terms and pruned terms: the flat preorder
+    token tuple, 0 for an empty slot and 1, tag, *labels for a node.
 
-    Lexicographic over the preorder token sequence: the empty marker
-    sorts before any node; nodes compare by tag, then labels
-    (numerically), then children left to right.
+    It sorts exactly as the nested key (empty before any node; nodes by
+    tag, then labels numerically, then children left to right) would,
+    because a tag fixes its arities, so no encoding is a prefix of
+    another.  Python compares flat tuples without recursion.
     """
-    if not isinstance(x, Node):
-        return (0,)
-    stack: list[tuple[Any, bool]] = [(x, False)]
-    vals: list[tuple] = []
-    while stack:
-        y, done = stack.pop()
-        if not isinstance(y, Node):
-            vals.append((0,))
-            continue
-        if done:
-            k = len(y.children)
-            kids = tuple(vals[len(vals) - k :])
-            del vals[len(vals) - k :]
-            vals.append((1, y.tag, y.labels, kids))
+    key: list = []
+    for y in preorder(x):
+        if isinstance(y, Node):
+            key.append(1)
+            key.append(y.tag)
+            key.extend(y.labels)
         else:
-            stack.append((y, True))
-            for c in reversed(y.children):
-                stack.append((c, False))
-    return vals[0]
+            key.append(0)
+    return tuple(key)
 
 
 def iter_nodes(t: Term) -> Iterator[Node]:
     """Preorder iterator over all nodes (empty markers are skipped)."""
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if not isinstance(x, Node):
-            continue
-        yield x
-        for c in reversed(x.children):
-            stack.append(c)
+    return (y for y in preorder(t) if isinstance(y, Node))
 
 
 def term_size(t: Term) -> int:
@@ -435,14 +505,4 @@ def term_size(t: Term) -> int:
 
 def term_depth(t: Term) -> int:
     """Length of the longest root-to-leaf node chain."""
-    best = 0
-    stack = [(t, 1)]
-    while stack:
-        x, d = stack.pop()
-        if not isinstance(x, Node):
-            continue
-        if d > best:
-            best = d
-        for c in x.children:
-            stack.append((c, d + 1))
-    return best
+    return postorder(t, lambda _n, kids: 1 + max(kids, default=0), 0)

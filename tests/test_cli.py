@@ -1,9 +1,11 @@
 import json
 import random
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from segmax import list_term, print_term
 from segmax.cli import main
 
 EX3 = "4,-5,6,-3,2,0,-4,5,-6,5"
@@ -97,6 +99,29 @@ def test_prune_fixtures(runner):
     res = invoke(runner, "prune", "--shape", "list", "--count",
                  "--input", "(cons 1 (cons 2 nil))")
     assert res.output.strip() == "4"
+
+
+def test_prune_of_a_long_list(runner):
+    n = 1000
+    xs = print_term(list_term(range(n)))
+    res = invoke(runner, "prune", "--shape", "list", "--json", "--input", xs)
+    assert res.exit_code == 0
+    assert len(json.loads(res.output)["items"]) == n + 2
+
+
+def test_brute_guard_refuses_a_long_list_quickly(runner):
+    xs = print_term(list_term(x % 7 for x in range(20_000)))
+    t0 = time.perf_counter()
+    res = invoke(runner, "tree", "--via", "brute", "--shape", "list", "--input", xs)
+    assert res.exit_code == 5
+    assert time.perf_counter() - t0 < 10
+
+
+def test_tree_sum_at_the_64_bit_edge(runner):
+    for via in ("scan", "brute"):
+        res = invoke(runner, "tree", "--shape", "etree", "--semiring", "plus-times",
+                     "--via", via, "--input", "(tip 9223372036854775806)")
+        assert (res.exit_code, res.output.strip()) == (0, "9223372036854775807")
 
 
 def test_prune_json(runner):

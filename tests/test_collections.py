@@ -15,6 +15,7 @@ from segmax import (
     dist_list,
     empty,
     join_c,
+    list_term,
     map_c,
     opt,
     reduce,
@@ -22,8 +23,8 @@ from segmax import (
     to_text,
     union,
 )
-from segmax.ints import I64_MIN
-from segmax.monads import MAX_REDUCE, SUM_REDUCE, zero_axiom_holds
+from segmax.ints import I64_MAX, I64_MIN
+from segmax.monads import MAX_REDUCE, SUM_REDUCE, _check_reduce_laws, zero_axiom_holds
 from segmax.oracles import dist_list_lifted
 
 kinds = st.sampled_from(list(CollectionKind))
@@ -122,6 +123,21 @@ def test_reduce_preconditions_enforced():
         reduce(first, _bag(1, 2))
     with pytest.raises(ReduceLawError):
         reduce(MAX_REDUCE, _bag(I64_MIN))  # bottom sentinel is not data
+
+
+def test_reduce_verdict_does_not_depend_on_the_first_call():
+    # the sampled laws run on a fixed domain, so data near the 64-bit edge
+    # neither trips them nor changes a later call's verdict
+    edge = _bag(I64_MAX - 1, -5)
+    for first in (edge, _bag(1, 2)):
+        _check_reduce_laws.cache_clear()
+        reduce(SUM_REDUCE, first)
+        assert reduce(SUM_REDUCE, edge) == I64_MAX - 6
+
+
+def test_set_of_equal_deep_terms_has_one_item():
+    twins = [list_term(range(2000)), list_term(range(2000))]
+    assert len(collection(CollectionKind.SET, twins).items) == 1
 
 
 def test_reduce_singleton_and_split():

@@ -133,3 +133,10 @@ def _iter(l):
         x = stack.pop()
         yield x
         stack.extend(x.children)
+
+
+def test_deep_labelled_structures_compare_iteratively():
+    t = list_term(range(10_000))
+    assert subterms(t) == subterms_para(t)
+    assert not subterms(t) != subterms_para(t)
+    assert scan_generic(sum_alg, t) != scan_generic(ALGEBRAS["size"], t)

@@ -23,8 +23,7 @@ from segmax import (
     segs_generic,
 )
 from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
-from segmax.oracles import prune_recursive, prune_via_fold
-from segmax.pruning import segs_generic_literal
+from segmax.oracles import prune_recursive, prune_via_fold, segs_generic_literal
 from segmax.shapes import Node
 
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
@@ -164,6 +163,11 @@ def test_segs_fixtures():
     c = segs_generic(leaf(4))
     assert [print_pruned(p) for p in c.items] == ["E", "(leaf 4)"]
     assert len(segs_generic(EX7).items) == 22 == segs_count(EX7)
+
+
+def test_segs_count_is_linear_on_long_lists():
+    n = 1500
+    assert segs_count(list_term([1] * n)) == (n + 2) * (n + 3) // 2 - 1
 
 
 def test_segs_literal_composition_agrees():

@@ -1,12 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 
+import segmax
 from conftest import any_term, terms
 from segmax import (
     EMPTY,
+    CollectionKind,
     Node,
     ShapeKind,
     ShapeMismatchError,
@@ -22,11 +27,13 @@ from segmax import (
     parse_term,
     print_pruned,
     print_term,
+    prune,
+    prune_count,
     term_depth,
     term_size,
     tip,
 )
-from segmax.lawcheck import gen_term
+from segmax.lawcheck import gen_term, gen_term_capped
 from segmax.shapes import SIGNATURES, struct_key
 
 EX7 = "(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))"
@@ -158,6 +165,49 @@ def test_struct_key_orders_empty_first_and_totally():
     ordered = sorted(items, key=struct_key)
     assert ordered[0] is EMPTY
     assert sorted(items, key=struct_key) == sorted(reversed(items), key=struct_key)
+
+
+def _nested_key(x) -> tuple:
+    """The nested key struct_key replaced, kept as the order reference:
+    (0,) for an empty slot, (1, tag, labels, child keys) for a node."""
+    if not isinstance(x, Node):
+        return (0,)
+    return (1, x.tag, x.labels, tuple(_nested_key(c) for c in x.children))
+
+
+def test_flat_struct_key_orders_as_the_nested_key():
+    rng = random.Random(23)
+    items = []
+    for shape in ShapeKind:
+        for _ in range(40):
+            t = gen_term_capped(rng, shape, prune_count, 60, max_depth=4, lo=-2, hi=2)
+            items.extend(prune(t, CollectionKind.LIST).items)
+    rng.shuffle(items)
+    flat = sorted(items, key=struct_key)
+    assert [_nested_key(x) for x in flat] == sorted(_nested_key(x) for x in items)
+    for _ in range(5000):
+        a, b = rng.choice(items), rng.choice(items)
+        ka, kb, na, nb = struct_key(a), struct_key(b), _nested_key(a), _nested_key(b)
+        assert (ka < kb, ka == kb) == (na < nb, na == nb)
+
+
+def test_deep_terms_hash_and_compare_in_a_subprocess():
+    # hashing a deep term used to overflow the C stack and kill the
+    # interpreter, so the check runs in a child process
+    code = (
+        "from segmax import list_term, scan_generic, subterms\n"
+        "from segmax.lawcheck import ALGEBRAS\n"
+        "t, u = list_term(range(100_000)), list_term(range(100_000))\n"
+        "assert t == u and not t != u and hash(t) == hash(u)\n"
+        "hash(scan_generic(ALGEBRAS['size'], t))\n"
+        "hash(subterms(t))\n"
+        "print('ok')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(segmax.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr
 
 
 @given(terms(ShapeKind.LIST))
