@@ -15,6 +15,7 @@ import random
 import statistics
 import sys
 import time
+from decimal import Decimal
 
 import click
 
@@ -199,8 +200,8 @@ def prune(shape: str, monad: str, count_only: bool, inline: str | None,
     def body() -> None:
         t = _parse_tree(_read_source(inline, path), ShapeKind(shape))
         if count_only:
-            n = prune_count(t)
-            click.echo(json.dumps({"count": n}) if as_json else str(n))
+            digits = str(Decimal(prune_count(t)))  # str(int) stops at 4,300 digits
+            click.echo('{"count": ' + digits + "}" if as_json else digits)
             return
         c = prune_term(t, CollectionKind(monad))
         if as_json:

@@ -6,6 +6,8 @@ mapping) can tell input problems, law-gate refusals, and resource guards
 apart.
 """
 
+from decimal import Decimal
+
 
 class SegmaxError(Exception):
     """Base class for all package-specific errors."""
@@ -50,7 +52,8 @@ class SizeGuardError(SegmaxError):
     """A pruning enumeration would exceed the configured element guard."""
 
     def __init__(self, size: int, guard: int):
-        super().__init__(f"collection of {size} elements exceeds guard {guard}")
+        # Decimal, unlike str(), prints counts past 4,300 digits
+        super().__init__(f"collection of {Decimal(size)} elements exceeds guard {guard}")
         self.size = size
         self.guard = guard
 

@@ -22,15 +22,18 @@ with mul from a seed b, and the Horner fold adds b at every node:
 
 which equals reducing the products of all prunings, and summing it over
 every subterm (one scan) equals reducing over all generic segments.
+
+A semiring's add is a collection reduction, lawful for the collection
+kinds whose laws monads.reduce_law_failure finds unbroken.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product
 from typing import Callable, NamedTuple
 
 from .errors import CarrierError, DistributivityError
-from .ints import I64_MAX, I64_MIN, check_i64, checked_add, checked_mul
+from .ints import I64_MAX, check_i64, checked_add, checked_mul
 from .labelled import preorder_values, scan_generic
 from .monads import (
     MAX_REDUCE,
@@ -41,6 +44,7 @@ from .monads import (
     ReduceOp,
     collection,
     reduce,
+    reduce_law_failure,
 )
 from .pruning import DEFAULT_GUARD, _segs_items, prune, pruned_fold
 from .schemes import Algebra, contents_node, contents_term, fold
@@ -48,70 +52,49 @@ from .shapes import Term
 
 
 class Semiring(NamedTuple):
-    """Carrier descriptor: add with unit add_unit, mul with unit
-    mul_unit, mul distributing over add.  add_idempotent records whether
-    a `add` a == a, which decides set-monad compatibility.  carrier_ok
-    guards the usable data range (sentinels and the boolean carrier)."""
+    """A semiring is its reduction plus a multiplication: add is
+    reduce_op.fn, and mul, with unit mul_unit, distributes over it.
+    reduce_op.element_ok is the carrier."""
 
     name: str
-    add: Callable[[int, int], int]
-    add_unit: int
+    reduce_op: ReduceOp
     mul: Callable[[int, int], int]
     mul_unit: int
-    add_idempotent: bool
-    reduce_op: ReduceOp
-    carrier_ok: Callable[[int], bool]
 
 
-MAX_PLUS = Semiring(
-    "max-plus", max, I64_MIN, checked_add, 0, True, MAX_REDUCE,
-    lambda v: v > I64_MIN,
-)
-MIN_PLUS = Semiring(
-    "min-plus", min, I64_MAX, checked_add, 0, True, MIN_REDUCE,
-    lambda v: v < I64_MAX,
-)
-PLUS_TIMES = Semiring(
-    "plus-times", checked_add, 0, checked_mul, 1, False, SUM_REDUCE,
-    lambda v: True,
-)
-BOOL_OR_AND = Semiring(
-    "bool-or-and", lambda a, b: a | b, 0, lambda a, b: a & b, 1, True, OR_REDUCE,
-    lambda v: v in (0, 1),
-)
+MAX_PLUS = Semiring("max-plus", MAX_REDUCE, checked_add, 0)
+MIN_PLUS = Semiring("min-plus", MIN_REDUCE, checked_add, 0)
+PLUS_TIMES = Semiring("plus-times", SUM_REDUCE, checked_mul, 1)
+BOOL_OR_AND = Semiring("bool-or-and", OR_REDUCE, lambda a, b: a & b, 1)
 
 SEMIRINGS = {s.name: s for s in (MAX_PLUS, MIN_PLUS, PLUS_TIMES, BOOL_OR_AND)}
 
 
 def check_semiring(s: Semiring, samples) -> None:
-    """Sampled semiring laws: associativity of both operators, units,
-    and two-sided distributivity of mul over add."""
-    xs = [v for v in samples if s.carrier_ok(v)]
-    for a in xs:
-        if s.add(s.add_unit, a) != a or s.add(a, s.add_unit) != a:
-            raise CarrierError(f"{s.name}: add unit fails at {a}")
-        if s.mul(s.mul_unit, a) != a or s.mul(a, s.mul_unit) != a:
+    """Sampled semiring laws: add passes the reduction sampler's bag
+    laws; on the samples in add's domain, mul is associative with unit
+    mul_unit and distributes over add on both sides."""
+    failure = reduce_law_failure(s.reduce_op, CollectionKind.BAG)
+    if failure is not None:
+        raise CarrierError(f"{s.name}: {failure}")
+    ok, add, mul, one = s.reduce_op.element_ok, s.reduce_op.fn, s.mul, s.mul_unit
+    xs = [v for v in samples if ok is None or ok(v)]
+    for a, b, c in product(xs, repeat=3):
+        if mul(one, a) != a or mul(a, one) != a:
             raise CarrierError(f"{s.name}: mul unit fails at {a}")
-    for a in xs:
-        for b in xs:
-            for c in xs:
-                if s.add(s.add(a, b), c) != s.add(a, s.add(b, c)):
-                    raise CarrierError(f"{s.name}: add not associative")
-                if s.mul(s.mul(a, b), c) != s.mul(a, s.mul(b, c)):
-                    raise CarrierError(f"{s.name}: mul not associative")
-                if s.mul(a, s.add(b, c)) != s.add(s.mul(a, b), s.mul(a, c)):
-                    raise CarrierError(f"{s.name}: left distributivity fails")
-                if s.mul(s.add(b, c), a) != s.add(s.mul(b, a), s.mul(c, a)):
-                    raise CarrierError(f"{s.name}: right distributivity fails")
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            raise CarrierError(f"{s.name}: mul not associative")
+        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+            raise CarrierError(f"{s.name}: left distributivity fails")
+        if mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
+            raise CarrierError(f"{s.name}: right distributivity fails")
 
 
 def ensure_distributive(s: Semiring, kind: CollectionKind, force: bool = False) -> None:
     """Gate: set-valued reduction distributes over idempotent set union,
-    so it requires an idempotent add.  force runs anyway (used to
-    demonstrate the failure)."""
-    if force:
-        return
-    if kind is CollectionKind.SET and not s.add_idempotent:
+    so add must pass the sampled set-reduction laws.  force runs anyway
+    (used to demonstrate the failure)."""
+    if not force and kind is CollectionKind.SET and reduce_law_failure(s.reduce_op, kind):
         raise DistributivityError(
             f"semiring '{s.name}' has a non-idempotent add; "
             "its reduction is not well-defined on sets (use --force to run anyway)"
@@ -217,7 +200,7 @@ def mss_linear(xs: list) -> int:
 def horner_list(s: Semiring, xs: list):
     """add-reduction of the mul-products of all prefixes, as one fold:
     foldr step mul_unit where step u z = mul_unit `add` (u `mul` z)."""
-    return foldr_list(lambda u, z: s.add(s.mul_unit, s.mul(u, z)), s.mul_unit, xs)
+    return foldr_list(lambda u, z: s.reduce_op.fn(s.mul_unit, s.mul(u, z)), s.mul_unit, xs)
 
 
 def poly_horner(coeffs: list, x: int) -> int:
@@ -242,17 +225,18 @@ def generic_product_alg(s: Semiring, b) -> Algebra:
 
 def horner_alg(s: Semiring, b) -> Algebra:
     """One Horner step: b `add` product-of-contents."""
-    f = generic_product_alg(s, b)
+    f, add = generic_product_alg(s, b), s.reduce_op.fn
 
     def alg(n):
-        return s.add(b, f(n))
+        return add(b, f(n))
 
     return alg
 
 
 def _check_carrier(s: Semiring, t: Term) -> None:
-    for v in contents_term(t):
-        if not s.carrier_ok(v):
+    ok = s.reduce_op.element_ok
+    for v in contents_term(t) if ok else ():
+        if not ok(v):
             raise CarrierError(f"label {v} outside the carrier of '{s.name}'")
 
 
@@ -264,12 +248,11 @@ def horner_generic(s: Semiring, b, t: Term):
 
 
 def horner_generic_brute(s: Semiring, b, t: Term,
-                         kind: CollectionKind = CollectionKind.BAG,
-                         guard: int | None = DEFAULT_GUARD):
+                         kind: CollectionKind = CollectionKind.BAG):
     """The composition horner_generic fuses: reduce the pruned-term
     products over all prunings."""
     f = generic_product_alg(s, b)
-    vals = collection(kind, (pruned_fold(b, f, p) for p in prune(t, kind, guard).items))
+    vals = collection(kind, (pruned_fold(b, f, p) for p in prune(t, kind).items))
     return reduce(s.reduce_op, vals)
 
 
@@ -279,8 +262,7 @@ BRUTE = "brute"
 
 def mss_generic(s: Semiring, b, t: Term, via: str = SCAN,
                 kind: CollectionKind = CollectionKind.BAG,
-                force: bool = False,
-                guard: int | None = DEFAULT_GUARD):
+                force: bool = False):
     """Best segment value over all generic segments of t.
 
     The scan route reduces the contents of one Horner scan; the brute
@@ -297,7 +279,7 @@ def mss_generic(s: Semiring, b, t: Term, via: str = SCAN,
         vals = preorder_values(scan_generic(horner_alg(s, b), t))
     elif via == BRUTE:
         f = generic_product_alg(s, b)
-        vals = [pruned_fold(b, f, p) for p in _segs_items(t, guard)]
+        vals = [pruned_fold(b, f, p) for p in _segs_items(t, DEFAULT_GUARD)]
     else:
         raise ValueError(f"unknown route {via!r}")
     return reduce(s.reduce_op, collection(kind, vals), check=not force)

@@ -54,6 +54,7 @@ from .monads import (
     join_c,
     map_c,
     reduce,
+    reduce_law_failure,
     singleton,
     union,
 )
@@ -125,11 +126,10 @@ RELABELS: dict[str, Callable[[int], int]] = {
 }
 
 REDUCERS = {"max": MAX_REDUCE, "min": MIN_REDUCE, "sum": SUM_REDUCE}
-# sum is not idempotent, so it is not a lawful set reduction
+# the reducers passing each kind's sampled laws (sum is not idempotent)
 REDUCERS_FOR_KIND = {
-    CollectionKind.LIST: ("max", "min", "sum"),
-    CollectionKind.BAG: ("max", "min", "sum"),
-    CollectionKind.SET: ("max", "min"),
+    kind: tuple(n for n, op in REDUCERS.items() if reduce_law_failure(op, kind) is None)
+    for kind in CollectionKind
 }
 
 
@@ -666,10 +666,7 @@ def _horner_list_violated(inp: dict) -> bool:
     s = SEMIRINGS[inp["semiring"]]
     xs = inp["xs"]
     prods = [foldr_list(s.mul, s.mul_unit, seg) for seg in inits_list(xs)]
-    expected = prods[0]
-    for p in prods[1:]:
-        expected = s.add(expected, p)
-    return horner_list(s, xs) != expected
+    return horner_list(s, xs) != reduce(s.reduce_op, collection(CollectionKind.LIST, prods))
 
 
 _law("horner-list", HOLDS,
@@ -852,7 +849,7 @@ _law("delta-respects-contents", HOLDS,
 def _horner_b_samples(rng: random.Random, s: Semiring) -> int:
     if s.name == "max-plus":
         return rng.choice([0, 0, -1, -3])
-    return rng.choice([s.mul_unit, s.add(s.mul_unit, s.mul_unit)])
+    return rng.choice([s.mul_unit, s.reduce_op.fn(s.mul_unit, s.mul_unit)])
 
 
 def _gen_horner_generic(rng: random.Random) -> dict:

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .errors import KindMismatchError, ReduceLawError
-from .ints import I64_MAX, I64_MIN
+from .ints import I64_MAX, I64_MIN, checked_add
 from .shapes import Node, _EmptyMark, struct_key
 
 
@@ -141,11 +141,12 @@ class ReduceOp(NamedTuple):
     """A binary operator with unit, used as a collection reduction.
 
     For a reduction to be well-defined the operator must be associative
-    (all kinds), commutative (bags and sets), and idempotent (sets).
-    These are semantic preconditions; reduce() checks them by sampling
-    and refuses to compute when a sample fails.  element_ok guards the
-    operator's data domain (e.g. max over 64-bit words requires elements
-    strictly above the bottom sentinel).
+    with identity unit (all kinds), commutative (bags and sets), and
+    idempotent (sets).  These are semantic preconditions;
+    reduce_law_failure samples them, and reduce() refuses to compute
+    when a sample fails.  element_ok guards the operator's data domain
+    (e.g. max over 64-bit words requires elements strictly above the
+    bottom sentinel).
     """
 
     name: str
@@ -155,38 +156,31 @@ class ReduceOp(NamedTuple):
 
 
 _SAMPLE_DOMAIN = (-3, -1, 0, 1, 2, 5)
+_TRIALS = 64
 
 
-# The verdict depends on (op, kind, trials) alone, never on the data
-# being reduced, so it is computed once per key; a failure raises and is
-# not cached.
 @functools.cache
-def _check_reduce_laws(op: ReduceOp, kind: CollectionKind, trials: int) -> None:
+def reduce_law_failure(op: ReduceOp, kind: CollectionKind) -> str | None:
+    """The first sampled law that op breaks as a reduction of kind, or
+    None; memoised, as it depends on (op, kind) alone.  The one check of
+    reduction laws: reduce, the distributivity gate, check_semiring and
+    the law registry's reducers all read it."""
     pool = [v for v in _SAMPLE_DOMAIN if op.element_ok is None or op.element_ok(v)]
-    seen = 0
-    for a, b, c in itertools.product(pool, repeat=3):
-        if seen >= trials:
-            break
-        seen += 1
-        if op.fn(op.fn(a, b), c) != op.fn(a, op.fn(b, c)):
-            raise ReduceLawError(f"'{op.name}' is not associative at ({a},{b},{c})")
-    if kind in (CollectionKind.BAG, CollectionKind.SET):
-        for a, b in itertools.islice(itertools.product(pool, repeat=2), trials):
-            if op.fn(a, b) != op.fn(b, a):
-                raise ReduceLawError(
-                    f"'{op.name}' is not commutative at ({a},{b}); "
-                    f"required for {kind.value} reductions"
-                )
+    f, u = op.fn, op.unit
+    laws = [("associative", 3, lambda a, b, c: f(f(a, b), c) == f(a, f(b, c))),
+            ("unital", 1, lambda a: f(u, a) == a == f(a, u))]
+    if kind is not CollectionKind.LIST:
+        laws.append(("commutative", 2, lambda a, b: f(a, b) == f(b, a)))
     if kind is CollectionKind.SET:
-        for a in pool:
-            if op.fn(a, a) != a:
-                raise ReduceLawError(
-                    f"'{op.name}' is not idempotent at {a}; "
-                    "required for set reductions"
-                )
+        laws.append(("idempotent", 1, lambda a: f(a, a) == a))
+    for law, arity, holds in laws:
+        for xs in itertools.islice(itertools.product(pool, repeat=arity), _TRIALS):
+            if not holds(*xs):
+                return f"'{op.name}' is not {law} at {xs} ({kind.value} reduction)"
+    return None
 
 
-def reduce(op: ReduceOp, x: Collection, *, check: bool = True, trials: int = 64) -> Any:
+def reduce(op: ReduceOp, x: Collection, *, check: bool = True) -> Any:
     """Fold the collection with op, starting from its unit.
 
     reduce(empty) = unit, reduce(singleton a) = a, and
@@ -201,7 +195,9 @@ def reduce(op: ReduceOp, x: Collection, *, check: bool = True, trials: int = 64)
                     raise ReduceLawError(
                         f"element {e!r} outside the domain of '{op.name}'"
                     )
-        _check_reduce_laws(op, x.kind, trials)
+        failure = reduce_law_failure(op, x.kind)
+        if failure is not None:
+            raise ReduceLawError(failure)
     acc = op.unit
     for e in x.items:
         acc = op.fn(acc, e)
@@ -224,13 +220,7 @@ MAX_REDUCE = ReduceOp("max", max, I64_MIN, _above_bottom)
 MIN_REDUCE = ReduceOp("min", min, I64_MAX, _below_top)
 
 
-def _checked_plus(a: int, b: int) -> int:
-    from .ints import checked_add
-
-    return checked_add(a, b)
-
-
-SUM_REDUCE = ReduceOp("sum", _checked_plus, 0)
+SUM_REDUCE = ReduceOp("sum", checked_add, 0)
 OR_REDUCE = ReduceOp("or", lambda a, b: a | b, 0, _is_bit)
 
 

@@ -54,7 +54,8 @@ def _check_guard(size: int, guard: int | None) -> None:
 
 def _prune_items(t: Term) -> list:
     """All prunings, empty marker first, children in lexicographic
-    positional order.  Substructure is shared between prunings."""
+    positional order: the canonical order, and duplicate-free, so the
+    list is a canonical bag and set.  Substructure is shared."""
     def alg(n: Node) -> list:
         out: list = [EMPTY]
         for picked in itertools.product(*n.children):
@@ -68,7 +69,7 @@ def prune(t: Term, kind: CollectionKind = CollectionKind.BAG,
           guard: int | None = DEFAULT_GUARD) -> Collection:
     """The collection of all prunings of t."""
     _check_guard(prune_count(t), guard)
-    return collection(kind, _prune_items(t))
+    return Collection(kind, tuple(_prune_items(t)))
 
 
 def pruned_fold(b, alg: Algebra, p) -> object:

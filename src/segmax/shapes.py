@@ -79,9 +79,32 @@ def _same(self, other):
     return True
 
 
-# Equality and hashing are iterative: list-shaped terms nest as deep as
-# they are long, which would blow the interpreter's recursion limit under
-# the tuple comparison and hash.  object.__ne__ inverts __eq__.
+def _repr(self) -> str:
+    """The NamedTuple repr, written along one preorder walk."""
+    out: list[str] = []
+    ends: list[list[str]] = []  # per open node, the text after each slot to come
+    for y in preorder(self):
+        if type(y) in _TREES:
+            fields = "".join(f"{f}={getattr(y, f)!r}, " for f in y._fields[:-1])
+            out.append(f"{type(y).__name__}({fields}children=(")
+            k = len(y.children)
+            ends.append([",))" if k == 1 else "))"] + [", "] * (k - 1))
+            if k:
+                continue
+        else:
+            out.append(repr(y))
+        while ends:  # y ends every node whose last slot it is
+            out.append(ends[-1].pop())
+            if ends[-1]:
+                break
+            ends.pop()
+    return "".join(out)
+
+
+# Equality, hashing and repr are iterative: list-shaped terms nest as
+# deep as they are long, which would blow the interpreter's recursion
+# limit under the tuple comparison, hash and repr.  object.__ne__
+# inverts __eq__.
 class Node(NamedTuple):
     shape: ShapeKind
     tag: str
@@ -90,6 +113,7 @@ class Node(NamedTuple):
 
     __eq__ = _same
     __ne__ = object.__ne__
+    __repr__ = _repr
 
     def __hash__(self):
         return hash(struct_key(self))
@@ -106,6 +130,7 @@ class Labelled(NamedTuple):
 
     __eq__ = _same
     __ne__ = object.__ne__
+    __repr__ = _repr
 
     # the root value and the tag skeleton, which equal structures share
     def __hash__(self):

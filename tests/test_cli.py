@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
@@ -115,6 +116,40 @@ def test_brute_guard_refuses_a_long_list_quickly(runner):
     res = invoke(runner, "tree", "--via", "brute", "--shape", "list", "--input", xs)
     assert res.exit_code == 5
     assert time.perf_counter() - t0 < 10
+
+
+def _complete_htree(depth):
+    text = "(leaf 1)"
+    for _ in range(depth - 1):
+        text = f"(fork 1 {text} {text})"
+    return text
+
+
+def test_exact_counts_past_the_int_str_digit_limit(runner):
+    # a complete htree of depth 15 (65,535 nodes) has a pruning count of
+    # 5,798 digits, past the interpreter's 4,300-digit str(int) limit
+    counts = [2]  # prunings of a complete tree, by depth
+    for _ in range(14):
+        counts.append(1 + counts[-1] ** 2)
+    segs = sum(c << (14 - d) for d, c in enumerate(counts))
+    text = _complete_htree(15)
+    for route in (["--via", "brute"], ["--check"]):
+        res = runner.invoke(main, ["tree", *route, "--input", text])
+        assert res.exit_code == 5 and res.exception is not None  # SystemExit
+        (line,) = res.stderr.splitlines()
+        head, tail = "error: collection of ", " elements exceeds guard 1000000"
+        assert line.startswith(head) and line.endswith(tail)
+        assert Decimal(line[len(head):-len(tail)]) == segs
+    res = invoke(runner, "prune", "--count", "--input", text)
+    assert res.exit_code == 0 and Decimal(res.output) == counts[-1]
+    res = invoke(runner, "prune", "--count", "--json", "--input", text)
+    assert json.loads(res.output, parse_int=Decimal) == {"count": counts[-1]}
+
+
+def test_guard_message_for_a_printable_count(runner):
+    res = runner.invoke(main, ["tree", "--via", "brute", "--input", _complete_htree(6)])
+    assert (res.exit_code, res.stderr) == (
+        5, "error: collection of 210067308621 elements exceeds guard 1000000\n")
 
 
 def test_tree_sum_at_the_64_bit_edge(runner):

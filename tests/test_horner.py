@@ -12,6 +12,8 @@ from segmax import (
     MIN_PLUS,
     PLUS_TIMES,
     CarrierError,
+    ReduceOp,
+    Semiring,
     CollectionKind,
     DistributivityError,
     ShapeKind,
@@ -39,7 +41,9 @@ from segmax import (
     tails_list,
 )
 from segmax.horner import check_semiring
-from segmax.lawcheck import gen_term, gen_term_capped
+from segmax.ints import checked_mul
+from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
+from segmax.monads import MAX_REDUCE, SUM_REDUCE
 from segmax.pruning import segs_count
 from segmax.shapes import Node
 
@@ -203,6 +207,22 @@ def test_distributivity_gate():
     with pytest.raises(DistributivityError):
         ensure_distributive(PLUS_TIMES, CollectionKind.SET)
     ensure_distributive(PLUS_TIMES, CollectionKind.SET, force=True)
+
+
+def test_the_reduction_sampler_decides_gate_semiring_check_and_law_reducers():
+    lawful_everywhere = ("max", "min", "sum")
+    assert REDUCERS_FOR_KIND == {CollectionKind.LIST: lawful_everywhere,
+                                 CollectionKind.BAG: lawful_everywhere,
+                                 CollectionKind.SET: ("max", "min")}
+    # the gate reads add's sampled set laws, not the semiring's name
+    ensure_distributive(Semiring("max-times", MAX_REDUCE, checked_mul, 1), CollectionKind.SET)
+    with pytest.raises(DistributivityError, match="non-idempotent add"):
+        ensure_distributive(Semiring("sum-times", SUM_REDUCE, checked_mul, 1),
+                            CollectionKind.SET)
+    # the last nonzero element: associative with unit 0, not commutative
+    last = ReduceOp("last", lambda a, b: b or a, 0)
+    with pytest.raises(CarrierError, match="commutative"):
+        check_semiring(Semiring("last-times", last, checked_mul, 1), range(-2, 3))
 
 
 def test_mss_generic_set_plus_times_rejected_unless_forced():

@@ -1,0 +1,89 @@
+"""The CLI at its documented limits: lists of 10^6 elements and terms of
+10^5 nodes, on degenerate shapes and at the 64-bit extremes.
+
+Every run must end in an answer or in a mapped exit status (2-5) with a
+single error line on stderr -- never in a traceback.  Left out: prune
+enumeration of long lists (its printed output grows quadratically with
+the length) and the cubic and quadratic mss algorithms.
+"""
+
+from decimal import Decimal
+
+import pytest
+from click.testing import CliRunner
+
+from segmax import I64_MAX, I64_MIN, list_term, mss_linear, print_term
+from segmax.cli import main
+
+N_LIST = 99_999  # cons nodes, so the term has 100,000 nodes with its nil
+HTREE_DEPTH = 15  # 65,535 nodes
+
+
+def _cli(*args) -> tuple[int, str]:
+    res = CliRunner().invoke(main, list(args))
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    if res.exit_code == 0:
+        assert res.stderr == ""
+        return 0, res.stdout
+    assert res.exit_code in (2, 3, 4, 5)
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: ")
+    return res.exit_code, line
+
+
+@pytest.fixture(scope="module")
+def long_list():
+    labels = [(i * 7919) % 201 - 100 for i in range(N_LIST)]
+    return labels, print_term(list_term(labels))
+
+
+@pytest.fixture(scope="module")
+def complete_htree():
+    text = "(leaf 1)"
+    for _ in range(HTREE_DEPTH - 1):
+        text = f"(fork 1 {text} {text})"
+    return text
+
+
+def test_scan_answers_at_the_node_limit(long_list, complete_htree):
+    labels, text = long_list
+    assert _cli("tree", "--shape", "list", "--input", text) == (
+        0, f"{mss_linear(labels)}\n")
+    # every label is 1, so the best segment is the whole tree
+    assert _cli("tree", "--input", complete_htree) == (0, f"{2**HTREE_DEPTH - 1}\n")
+    edge = print_term(list_term([I64_MAX - 1] * N_LIST))
+    code, line = _cli("tree", "--shape", "list", "--input", edge)
+    assert code == 4 and "outside 64-bit signed range" in line
+
+
+def test_brute_routes_refuse_at_the_guard(long_list, complete_htree):
+    for shape, text in (("list", long_list[1]), ("htree", complete_htree)):
+        for route in (["--via", "brute"], ["--check"]):
+            code, line = _cli("tree", "--shape", shape, *route, "--input", text)
+            assert code == 5 and line.endswith(" elements exceeds guard 1000000")
+
+
+def test_prune_counts_at_the_node_limit(long_list, complete_htree):
+    assert _cli("prune", "--shape", "list", "--count", "--input", long_list[1]) == (
+        0, f"{N_LIST + 2}\n")
+    count = 2
+    for _ in range(HTREE_DEPTH - 1):
+        count = 1 + count * count
+    code, out = _cli("prune", "--count", "--input", complete_htree)
+    assert code == 0 and Decimal(out) == count
+
+
+@pytest.mark.parametrize("algo", ["linear", "prefix"])
+def test_mss_at_the_list_limit_and_the_64_bit_extremes(algo):
+    n = 10**6
+    tops = ",".join([str(I64_MAX)] * n)
+    bottoms = ",".join([str(I64_MIN)] * n)
+    mixed = ",".join([str(I64_MAX), str(I64_MIN)] * (n // 2))
+    code, line = _cli("mss", "--algo", algo, "--input", tops)
+    assert code == 4 and "outside 64-bit signed range" in line
+    assert _cli("mss", "--algo", algo, "--input", bottoms) == (0, "0\n")
+    assert _cli("mss", "--algo", algo, "--input", mixed) == (0, f"{I64_MAX}\n")
+    too_long = ",".join(["0"] * (n + 1))
+    assert _cli("mss", "--algo", algo, "--input", too_long) == (
+        2, f"error: list longer than {n} elements (at offset 0)")

@@ -5,6 +5,7 @@ import pytest
 from segmax import (
     EMPTY,
     CollectionKind,
+    collection,
     ShapeKind,
     SizeGuardError,
     cons,
@@ -93,6 +94,19 @@ def test_prune_matches_literal_fold_and_recurrence_oracles():
                 got = prune(t, kind)
                 assert got == prune_via_fold(t, kind)
                 assert got == prune_recursive(t, kind)
+
+
+def test_prune_output_is_built_in_canonical_order():
+    # prune skips canonicalisation, so its items must already be sorted
+    # and, for sets, duplicate-free; labels are drawn from three values
+    # so that sibling subterms often coincide
+    rng = random.Random(15)
+    for shape in ShapeKind:
+        for _ in range(150):
+            t = gen_term_capped(rng, shape, prune_count, 400, max_depth=5, lo=-1, hi=1)
+            for kind in CollectionKind:
+                got = prune(t, kind)
+                assert got == collection(kind, got.items) == prune_recursive(t, kind)
 
 
 def test_bag_and_set_prune_counts_agree_even_with_duplicate_labels():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -226,3 +227,37 @@ def test_deep_chain_no_recursion_limit():
     t = list_term(range(50_000))
     assert term_size(t) == 50_001
     assert parse_term(print_term(t), ShapeKind.LIST) == t
+
+
+def _as_plain_namedtuples(x):
+    """x rebuilt from plain namedtuples, whose generated repr is the one
+    Node and Labelled had before they wrote their own (small x only)."""
+    if type(x) is tuple:
+        return tuple(_as_plain_namedtuples(e) for e in x)
+    if type(x) not in (Node, segmax.Labelled):
+        return x
+    plain = collections.namedtuple(type(x).__name__, x._fields)
+    return plain(*(_as_plain_namedtuples(v) for v in x))
+
+
+def test_repr_matches_the_namedtuple_repr():
+    assert repr(list_term([1])) == (
+        "Node(shape=<ShapeKind.LIST: 'list'>, tag='cons', labels=(1,), "
+        "children=(Node(shape=<ShapeKind.LIST: 'list'>, tag='nil', labels=(), "
+        "children=()),))"
+    )
+    rng = random.Random(31)
+    for shape in ShapeKind:
+        for _ in range(40):
+            t = gen_term(rng, shape, max_depth=4)
+            for x in (t, segmax.subterms(t), *prune(t, CollectionKind.SET).items[:5],
+                      Node(shape, "pair", (), (EMPTY, (t, 3)))):
+                assert repr(x) == repr(_as_plain_namedtuples(x))
+
+
+def test_repr_of_a_deep_term_does_not_recurse():
+    t = list_term(range(10_000))
+    text = repr(t)
+    assert text.count("tag='cons'") == 10_000
+    assert text.endswith("children=())" + ",))" * 10_000)
+    assert repr(segmax.subterms(list_term(range(2_000)))).startswith("Labelled(value=Node(")
