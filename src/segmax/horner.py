@@ -23,6 +23,15 @@ with mul from a seed b, and the Horner fold adds b at every node:
 which equals reducing the products of all prunings, and summing it over
 every subterm (one scan) equals reducing over all generic segments.
 
+mss_generic's scan route is  reduce . contents . scan horner_alg  in one
+pass (Bird's scan lemma): one post-order walk (shapes.postorder) runs
+horner_step on each node's labels and its children's results, in the
+order the unfused fold would, and lists the values in preorder, which
+is the order of contents.  It builds no labelled tree.  The law
+mss-generic-scan-vs-brute checks it against the brute route, and
+tests/test_horner.py::test_scan_route_is_reduce_contents_scan against
+the literal composition, errors included.
+
 A semiring's add is a collection reduction, lawful for the collection
 kinds whose laws monads.reduce_law_failure finds unbroken.
 """
@@ -34,7 +43,8 @@ from typing import Callable, NamedTuple
 
 from .errors import CarrierError, DistributivityError
 from .ints import I64_MAX, check_i64, checked_add, checked_mul
-from .labelled import preorder_values, scan_generic
+# segbench's traced run rebinds these names here, so they stay bound
+from .labelled import preorder_values, scan_generic  # noqa: F401
 from .monads import (
     MAX_REDUCE,
     MIN_REDUCE,
@@ -48,7 +58,7 @@ from .monads import (
 )
 from .pruning import DEFAULT_GUARD, _segs_items, prune, pruned_fold
 from .schemes import Algebra, contents_node, contents_term, fold
-from .shapes import Term
+from .shapes import Term, postorder
 
 
 class Semiring(NamedTuple):
@@ -223,14 +233,21 @@ def generic_product_alg(s: Semiring, b) -> Algebra:
     return alg
 
 
+def horner_step(s: Semiring, b) -> Callable:
+    """One Horner step as a postorder step: b `add` the foldr with mul
+    from seed b over the node's labels, then its children's results."""
+    mul, add = s.mul, s.reduce_op.fn
+
+    def step(n, kids: tuple):
+        return add(b, foldr_list(mul, b, n.labels + kids))
+
+    return step
+
+
 def horner_alg(s: Semiring, b) -> Algebra:
     """One Horner step: b `add` product-of-contents."""
-    f, add = generic_product_alg(s, b), s.reduce_op.fn
-
-    def alg(n):
-        return add(b, f(n))
-
-    return alg
+    step = horner_step(s, b)
+    return lambda n: step(n, n.children)
 
 
 def _check_carrier(s: Semiring, t: Term) -> None:
@@ -265,8 +282,11 @@ def mss_generic(s: Semiring, b, t: Term, via: str = SCAN,
                 force: bool = False):
     """Best segment value over all generic segments of t.
 
-    The scan route reduces the contents of one Horner scan; the brute
-    route reduces the pruned-term products over every generic segment.
+    The scan route reduces the contents of one Horner scan, fused into
+    one post-order pass that lists the Horner values in contents order
+    (see the module docstring for the law and the test that check it);
+    the brute route reduces the pruned-term products over every generic
+    segment.
     Both agree whenever the (semiring, kind) gate passes; the gate
     rejects set collections with a non-idempotent add unless forced.
     b defaults to the semiring's mul unit.
@@ -276,7 +296,8 @@ def mss_generic(s: Semiring, b, t: Term, via: str = SCAN,
     if b is None:
         b = s.mul_unit
     if via == SCAN:
-        vals = preorder_values(scan_generic(horner_alg(s, b), t))
+        vals: list = []
+        postorder(t, horner_step(s, b), out=vals)
     elif via == BRUTE:
         f = generic_product_alg(s, b)
         vals = [pruned_fold(b, f, p) for p in _segs_items(t, DEFAULT_GUARD)]

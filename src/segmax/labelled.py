@@ -13,6 +13,10 @@ generic counterpart of `tails`), and scan_generic labels every node with
 the fold of that subterm, computed in a single pass:
 
     scan alg  =  map_labelled (fold alg) . subterms
+
+scan_generic is the literal scan that the law registry (scan-lemma) and
+the tests use; horner.mss_generic fuses reduce . contents . scan into
+one pass and builds no Labelled.
 """
 
 from __future__ import annotations

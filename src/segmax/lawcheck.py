@@ -931,8 +931,10 @@ def get_law(law_id: str) -> Law:
 
 
 def run_law(law_id: str, seed: int = 42, trials: int = 200) -> LawReport:
-    """Run one law case deterministically."""
+    """Run one law case deterministically, for at least one trial."""
     law = get_law(law_id)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(f"{seed}:{law_id}")
     if law.precheck is not None:
         msg = law.precheck()

@@ -58,7 +58,8 @@ def collection(kind: CollectionKind, items: Iterable) -> Collection:
     tup = tuple(items)
     if kind is CollectionKind.LIST:
         return Collection(kind, tup)
-    ordered = sorted(tup, key=canonical_key)
+    # exact ints sort by value, in the order canonical_key gives them
+    ordered = sorted(tup) if set(map(type, tup)) <= {int} else sorted(tup, key=canonical_key)
     if kind is CollectionKind.BAG:
         return Collection(kind, tuple(ordered))
     out: list = []

@@ -20,7 +20,8 @@ Folds and walks over either structure are instances of two iterative
 kernels, so terms nested as deep as a list is long never reach the
 interpreter's recursion limit:
 
-    postorder(x, step, leaf)   step(node, results of its child slots)
+    postorder(x, step, leaf)   step(node, results of its child slots);
+                               optionally every result, in preorder
     preorder(x)                every slot, each node before its children
 
 Both descend through the child slots of Nodes and Labelleds; any other
@@ -39,7 +40,7 @@ from enum import Enum
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import ShapeMismatchError, TermSyntaxError
-from .ints import check_i64
+from .ints import I64_MAX, I64_MIN, check_i64
 
 
 class ShapeKind(Enum):
@@ -61,6 +62,8 @@ SIGNATURES: dict[ShapeKind, dict[str, CtorSig]] = {
     ShapeKind.ITREE: {"nilt": CtorSig(0, 0, True), "node": CtorSig(1, 2, False)},
     ShapeKind.HTREE: {"leaf": CtorSig(1, 0, False), "fork": CtorSig(1, 2, False)},
 }
+# the parser reads at most one label per constructor
+assert all(sig.n_labels <= 1 for sigs in SIGNATURES.values() for sig in sigs.values())
 
 
 def _same(self, other):
@@ -167,10 +170,11 @@ def zip_slots(a, b) -> Iterator[tuple]:
 _AFTER = object()  # stack mark: the node below it has its children's results
 
 
-def postorder(x, step: Callable, leaf=None):
+def postorder(x, step: Callable, leaf=None, out: list | None = None):
     """Fold x bottom-up: every Node or Labelled y becomes
     step(y, results of y's child slots), and every other slot is worth
-    leaf."""
+    leaf.  Steps run in post-order, children left to right.  A list out
+    also receives every step result, in preorder (the order of contents)."""
     stack = [x]
     vals: list = []
     while stack:
@@ -180,15 +184,24 @@ def postorder(x, step: Callable, leaf=None):
             k = len(vals) - len(y.children)
             kids = tuple(vals[k:])
             del vals[k:]
-            vals.append(step(y, kids))
+            v = step(y, kids)
+            if out is not None:
+                out[stack.pop()] = v
+            vals.append(v)
         elif type(y) not in _TREES:
             vals.append(leaf)
         elif y.children:
+            if out is not None:  # y's place in preorder, filled when y is done
+                stack.append(len(out))
+                out.append(None)
             stack.append(y)
             stack.append(_AFTER)
             stack += y.children[::-1]
         else:
-            vals.append(step(y, ()))
+            v = step(y, ())
+            if out is not None:
+                out.append(v)
+            vals.append(v)
     return vals[0]
 
 
@@ -319,120 +332,124 @@ def bimap_node(label_fn: Callable, child_fn: Callable, n: Node) -> Node:
 # ---------------------------------------------------------------------------
 # serialization
 
+# One match per token: a constructor head "(tag" (whitespace may follow
+# the parenthesis), a lone parenthesis, an integer, a symbol, or any other
+# single character, which is a fault.  Whitespace (exactly str.isspace)
+# separates tokens.
+_TOKEN_RE = re.compile(r"\(\s*[A-Za-z][A-Za-z0-9]*|[()]|-?\d+|[A-Za-z][A-Za-z0-9]*|\S")
 _INT_RE = re.compile(r"-?\d+")
 _SYM_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
-
-def _tokenize(text: str) -> list[tuple[str, Any, int]]:
-    toks: list[tuple[str, Any, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            toks.append((c, c, i))
-            i += 1
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            v = int(m.group())
-            try:
-                check_i64(v, "label")
-            except OverflowError:
-                raise TermSyntaxError("integer label outside 64-bit range", i) from None
-            toks.append(("int", v, i))
-            i = m.end()
-            continue
-        m = _SYM_RE.match(text, i)
-        if m:
-            toks.append(("sym", m.group(), i))
-            i = m.end()
-            continue
-        raise TermSyntaxError(f"unexpected character {c!r}", i)
-    return toks
+# Parser states at a fault: what the token at the fault was expected to be.
+_TERM, _LABEL, _CLOSE, _END = "term", "label", "close", "end"
 
 
 def _parse(text: str, shape: ShapeKind, allow_empty: bool):
+    """One pass over the token list, building each Node when its ')' is
+    read; a fault hands the state over to _syntax_error."""
     sigs = SIGNATURES[shape]
-    toks = _tokenize(text)
+    heads = {"(" + tag: (tag, sig.n_labels, sig.n_children)
+             for tag, sig in sigs.items() if not sig.atom}
+    atoms: dict = {tag: Node(shape, tag, (), ()) for tag, sig in sigs.items() if sig.atom}
+    if allow_empty:
+        atoms["E"] = EMPTY
+    toks = _TOKEN_RE.findall(text)
     n = len(toks)
+    toks.append("")  # the end of input, which every rule below rejects
+    new = tuple.__new__  # Node(...) without its Python-level __new__
+    frames: list = []  # per open constructor: tag, labels, children so far, wanted
     i = 0
-    frames: list[list] = []  # [tag, labels, children, wanted]
-    result = None
-
-    while result is None:
-        if i >= n:
-            raise TermSyntaxError("unexpected end of input", len(text))
-        kind, val, off = toks[i]
+    while True:
+        tok = toks[i]
+        head = heads.get(tok)
+        if head is None:
+            node = atoms.get(tok)
+            if node is None:
+                if tok[:1] == "(":  # whitespace between '(' and the tag
+                    head = heads.get("(" + tok[1:].lstrip())
+                if head is None:
+                    raise _syntax_error(text, toks, i, _TERM, shape)
         i += 1
-        node: Any = None
-        if kind == "int":
-            raise TermSyntaxError("integer found where a term was expected", off)
-        elif kind == ")":
-            raise TermSyntaxError("unexpected ')'", off)
-        elif kind == "sym":
-            if allow_empty and val == "E":
-                node = EMPTY
-            else:
-                sig = sigs.get(val)
-                if sig is None:
-                    raise TermSyntaxError(
-                        f"unknown constructor '{val}' for shape {shape.value}", off
-                    )
-                if not sig.atom:
-                    raise TermSyntaxError(
-                        f"constructor '{val}' takes arguments and needs parentheses",
-                        off,
-                    )
-                node = Node(shape, val, (), ())
-        else:  # "("
-            if i >= n:
-                raise TermSyntaxError("missing constructor after '('", len(text))
-            kk, tag, o2 = toks[i]
+        if head is not None:
+            tag, k, wanted = head
+            labels: tuple = ()
+            if k:  # one label: no constructor has more
+                try:
+                    v = int(toks[i])
+                except ValueError:
+                    v = None
+                if v is None or not I64_MIN <= v <= I64_MAX:
+                    raise _syntax_error(text, toks, i, _LABEL, shape)
+                labels = (v,)
+                i += 1
+            if wanted:
+                frames.append((tag, labels, [], wanted))
+                continue
+            if toks[i] != ")":
+                raise _syntax_error(text, toks, i, _CLOSE, shape)
             i += 1
-            if kk != "sym" or tag not in sigs:
-                raise TermSyntaxError("expected a constructor name after '('", o2)
-            sig = sigs[tag]
-            if sig.atom:
-                raise TermSyntaxError(f"atom '{tag}' cannot take parentheses", o2)
-            labels = []
-            for _ in range(sig.n_labels):
-                if i >= n:
-                    raise TermSyntaxError("missing integer label", len(text))
-                kk, lv, o3 = toks[i]
-                i += 1
-                if kk != "int":
-                    raise TermSyntaxError("expected an integer label", o3)
-                labels.append(lv)
-            frames.append([tag, tuple(labels), [], sig.n_children])
-
-        # Attach a completed node, then close every frame that is full
-        # (each close consumes one ')').
-        while True:
-            if node is not None:
-                if frames:
-                    frames[-1][2].append(node)
-                    node = None
-                else:
-                    result = node
-                    break
-            if frames and len(frames[-1][2]) == frames[-1][3]:
-                if i >= n:
-                    raise TermSyntaxError("missing ')'", len(text))
-                kk, _, oo = toks[i]
-                i += 1
-                if kk != ")":
-                    raise TermSyntaxError("expected ')'", oo)
-                tag, labels, kids, _ = frames.pop()
-                node = Node(shape, tag, labels, tuple(kids))
-            elif node is None:
+            node = new(Node, (shape, tag, labels, ()))
+        # attach the finished node, closing every constructor it fills
+        while frames:
+            tag, labels, kids, wanted = frames[-1]
+            kids.append(node)
+            if len(kids) < wanted:
                 break
+            frames.pop()
+            if toks[i] != ")":
+                raise _syntax_error(text, toks, i, _CLOSE, shape)
+            i += 1
+            node = new(Node, (shape, tag, labels, tuple(kids)))
+        else:
+            if i < n:
+                raise _syntax_error(text, toks, i, _END, shape)
+            return node
 
-    if i < n:
-        raise TermSyntaxError("unexpected trailing input", toks[i][2])
-    return result
+
+def _syntax_error(text: str, toks: list, i: int, expected: str,
+                  shape: ShapeKind) -> TermSyntaxError:
+    """The error for a parse stopped at token i, where `expected` was
+    wanted.  A character no token accepts, or an integer outside the 64-bit
+    range, anywhere in the text is reported first, the earliest first;
+    offsets come from rescanning the text with the token pattern."""
+    sigs = SIGNATURES[shape]
+    starts = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        if _INT_RE.fullmatch(tok):
+            if not I64_MIN <= int(tok) <= I64_MAX:
+                return TermSyntaxError("integer label outside 64-bit range", m.start())
+        elif tok[0] not in "()" and not _SYM_RE.fullmatch(tok):
+            return TermSyntaxError(f"unexpected character {tok!r}", m.start())
+        starts.append(m.start())
+    starts.append(len(text))
+    tok, at = toks[i], starts[i]
+    if expected == _END:
+        message = "unexpected trailing input"
+    elif expected == _CLOSE:
+        message = "expected ')'" if tok else "missing ')'"
+    elif expected == _LABEL:
+        message = "expected an integer label" if tok else "missing integer label"
+    elif not tok:
+        message = "unexpected end of input"
+    elif tok == ")":
+        message = "unexpected ')'"
+    elif _INT_RE.fullmatch(tok):
+        message = "integer found where a term was expected"
+    elif tok == "(":  # no symbol follows
+        at = starts[i + 1]
+        message = ("expected a constructor name after '('" if toks[i + 1]
+                   else "missing constructor after '('")
+    elif tok[0] == "(":
+        tag = tok[1:].lstrip()
+        at += len(tok) - len(tag)
+        message = (f"atom '{tag}' cannot take parentheses" if tag in sigs
+                   else "expected a constructor name after '('")
+    elif tok in sigs:
+        message = f"constructor '{tok}' takes arguments and needs parentheses"
+    else:
+        message = f"unknown constructor '{tok}' for shape {shape.value}"
+    return TermSyntaxError(message, at)
 
 
 def parse_term(text: str, shape: ShapeKind) -> Term:

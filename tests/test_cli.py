@@ -184,6 +184,13 @@ def test_laws_json_deterministic(runner):
     assert all(r["ok"] for r in blob)
 
 
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_laws_rejects_fewer_than_one_trial(runner, trials):
+    res = invoke(runner, "laws", "--id", "mss-chain", "--trials", trials)
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", f"error: trials must be at least 1, got {trials}\n")
+
+
 def test_laws_subset_exit_zero(runner):
     res = invoke(runner, "laws", "--id", "mss-chain", "--id", "horner-list",
                  "--trials", "40")

@@ -12,16 +12,21 @@ from segmax import (
     MIN_PLUS,
     PLUS_TIMES,
     CarrierError,
+    ReduceLawError,
     ReduceOp,
+    SEMIRINGS,
+    SegmaxError,
     Semiring,
     CollectionKind,
     DistributivityError,
+    collection,
     ShapeKind,
     contents_term,
     ensure_distributive,
     foldr_list,
     fork,
     generic_product_alg,
+    horner_alg,
     horner_generic,
     horner_generic_brute,
     horner_list,
@@ -35,15 +40,18 @@ from segmax import (
     mss_spec,
     nil,
     parse_term,
+    preorder_values,
     poly_horner,
+    reduce,
+    scan_generic,
     scanr_list,
     segs_list,
     tails_list,
 )
 from segmax.horner import check_semiring
-from segmax.ints import checked_mul
+from segmax.ints import checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
-from segmax.monads import MAX_REDUCE, SUM_REDUCE
+from segmax.monads import MAX_REDUCE, SUM_REDUCE, reduce_law_failure
 from segmax.pruning import segs_count
 from segmax.shapes import Node
 
@@ -230,6 +238,62 @@ def test_mss_generic_set_plus_times_rejected_unless_forced():
         mss_generic(PLUS_TIMES, None, EX7, kind=CollectionKind.SET)
     v = mss_generic(PLUS_TIMES, None, EX7, kind=CollectionKind.SET, force=True)
     assert isinstance(v, int)
+
+
+def _outcome(f):
+    try:
+        return "value", f()
+    except (SegmaxError, OverflowError) as e:
+        return type(e).__name__, str(e)
+
+
+def _assert_scan_route_is_literal(s, t, kind, force):
+    """mss_generic(via="scan") against the composition it fuses,
+    reduce . contents . scan, errors included: the first overflow's
+    message names the node whose arithmetic failed first."""
+    literal = _outcome(lambda: reduce(
+        s.reduce_op,
+        collection(kind, preorder_values(scan_generic(horner_alg(s, s.mul_unit), t))),
+        check=not force))
+    assert _outcome(lambda: mss_generic(s, None, t, kind=kind, force=force)) == literal
+
+
+def test_scan_route_is_reduce_contents_scan():
+    rng = random.Random(44)
+    seen = set()
+    for shape, s, kind in itertools.product(ShapeKind, SEMIRINGS.values(), CollectionKind):
+        force = reduce_law_failure(s.reduce_op, kind) is not None  # set + plus-times
+        lo, hi = (0, 1) if s is BOOL_OR_AND else (-9, 9)
+        for _ in range(8):
+            t = gen_term(rng, shape, 6, lo, hi)
+            _assert_scan_route_is_literal(s, t, kind, force)
+            seen.add(_outcome(lambda: mss_generic(s, None, t, kind=kind, force=force))[0])
+    assert seen == {"value", "OverflowError"}
+    # both children overflow: the error names the left one's product
+    apart = parse_term("(fork 1 (fork 1099511627776 (leaf 1099511627776) (leaf 0))"
+                       " (fork 2199023255552 (leaf 2199023255552) (leaf 0)))", ShapeKind.HTREE)
+    with pytest.raises(OverflowError, match="^product 1208925819615728686333952 "):
+        mss_generic(PLUS_TIMES, None, apart)
+    _assert_scan_route_is_literal(PLUS_TIMES, apart, CollectionKind.BAG, False)
+    rng = random.Random(45)
+    for s, kind in itertools.product(SEMIRINGS.values(), CollectionKind):
+        force = reduce_law_failure(s.reduce_op, kind) is not None
+        t = list_term(rng.randint(0 if s is BOOL_OR_AND else -1, 1) for _ in range(10**4))
+        _assert_scan_route_is_literal(s, t, kind, force)
+
+
+def test_scan_route_keeps_contents_order():
+    # the last nonzero element: associative with unit 0, not commutative,
+    # so a list reduction of it sees the order of contents
+    last = ReduceOp("last", lambda a, b: b or a, 0)
+    last_plus = Semiring("last-plus", last, checked_add, 0)
+    rng = random.Random(46)
+    for shape in ShapeKind:
+        for _ in range(30):
+            t = gen_term(rng, shape, 5, -9, 9)
+            _assert_scan_route_is_literal(last_plus, t, CollectionKind.LIST, False)
+    with pytest.raises(ReduceLawError, match="commutative"):
+        mss_generic(last_plus, None, EX7, kind=CollectionKind.BAG)
 
 
 def test_mss_generic_other_semirings_scan_vs_brute():

@@ -47,7 +47,7 @@ OPERATION_COVERAGE = {
     "fold": ["fold-universal", "fold-universal-base", "fold-fusion"],
     "map_term": ["fold-map-fusion", "contents-naturality"],
     "subterms": ["subterms-para-equiv", "subterms-unfold-equiv", "scan-lemma"],
-    "scan_generic": ["scan-lemma", "mss-generic-scan-vs-brute"],
+    "scan_generic": ["scan-lemma"],
     "singleton/join/map": ["monad-laws", "join-distributes"],
     "reduce": ["monad-algebra", "reduce-distributes", "reduce-unit-forced",
                "set-plus-nonidempotent"],

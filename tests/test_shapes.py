@@ -35,7 +35,7 @@ from segmax import (
     tip,
 )
 from segmax.lawcheck import gen_term, gen_term_capped
-from segmax.shapes import SIGNATURES, struct_key
+from segmax.shapes import SIGNATURES, iter_nodes, postorder, struct_key
 
 EX7 = "(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))"
 
@@ -52,29 +52,63 @@ def test_parse_fixtures():
     assert t == fork(1, leaf(2), fork(3, leaf(1), leaf(4)))
     assert parse_term("nil", ShapeKind.LIST) == nil()
     assert parse_term("(cons 4 (cons -5 nil))", ShapeKind.LIST) == list_term([4, -5])
+    assert parse_term("( fork 1\n(leaf 2) (\tleaf 3))", ShapeKind.HTREE) == fork(1, leaf(2), leaf(3))
+
+
+PARSE_ERRORS = [
+    (parse_term, "(cons 4", ShapeKind.LIST, "unexpected end of input", 7),
+    (parse_term, "(cons 4 nil) nil", ShapeKind.LIST, "unexpected trailing input", 13),
+    (parse_term, "(snoc 4 nil)", ShapeKind.LIST,
+     "expected a constructor name after '('", 1),
+    (parse_term, "(cons nil nil)", ShapeKind.LIST, "expected an integer label", 6),
+    (parse_term, "(cons 4 )", ShapeKind.LIST, "unexpected ')'", 8),  # missing child
+    (parse_term, "cons", ShapeKind.LIST,
+     "constructor 'cons' takes arguments and needs parentheses", 0),
+    (parse_term, "(nil)", ShapeKind.LIST, "atom 'nil' cannot take parentheses", 1),
+    (parse_term, "(  nil)", ShapeKind.LIST, "atom 'nil' cannot take parentheses", 3),
+    (parse_term, "(leaf 2)", ShapeKind.LIST,  # wrong shape vocabulary
+     "expected a constructor name after '('", 1),
+    (parse_term, "E", ShapeKind.HTREE, "unknown constructor 'E' for shape htree", 0),
+    (parse_term, "(cons 99999999999999999999 nil)", ShapeKind.LIST,
+     "integer label outside 64-bit range", 6),
+    (parse_term, "", ShapeKind.LIST, "unexpected end of input", 0),
+    (parse_term, "@", ShapeKind.LIST, "unexpected character '@'", 0),
+    # a character no token accepts is reported before any parse fault
+    (parse_term, "(cons 4 nil) @", ShapeKind.LIST, "unexpected character '@'", 13),
+    (parse_term, "5", ShapeKind.LIST, "integer found where a term was expected", 0),
+    (parse_term, ")", ShapeKind.LIST, "unexpected ')'", 0),
+    (parse_term, "(", ShapeKind.LIST, "missing constructor after '('", 1),
+    (parse_term, "(5", ShapeKind.LIST, "expected a constructor name after '('", 1),
+    (parse_term, "(cons", ShapeKind.LIST, "missing integer label", 5),
+    (parse_term, "(leaf 1 2)", ShapeKind.HTREE, "expected ')'", 8),
+    (parse_term, "-", ShapeKind.LIST, "unexpected character '-'", 0),
+    (parse_pruned, "(fork 1 E)", ShapeKind.HTREE, "unexpected ')'", 9),
+    (parse_pruned, "(leaf 1 E)", ShapeKind.HTREE, "expected ')'", 8),
+]
 
 
 @pytest.mark.parametrize(
-    "text,shape",
-    [
-        ("(cons 4", ShapeKind.LIST),          # missing ')'
-        ("(cons 4 nil) nil", ShapeKind.LIST),  # trailing input
-        ("(snoc 4 nil)", ShapeKind.LIST),      # unknown constructor
-        ("(cons nil nil)", ShapeKind.LIST),    # label must be an integer
-        ("(cons 4 )", ShapeKind.LIST),         # missing child
-        ("cons", ShapeKind.LIST),              # composite without parens
-        ("(nil)", ShapeKind.LIST),             # atom with parens
-        ("(leaf 2)", ShapeKind.LIST),          # wrong shape vocabulary
-        ("E", ShapeKind.HTREE),                # empty marker in plain grammar
-        ("(cons 99999999999999999999 nil)", ShapeKind.LIST),  # label too wide
-        ("", ShapeKind.LIST),
-        ("@", ShapeKind.LIST),
-    ],
+    "parse,text,shape,message,offset", PARSE_ERRORS,
+    ids=[f"{text}-{shape}" for _, text, shape, _, _ in PARSE_ERRORS],
 )
-def test_parse_errors(text, shape):
+def test_parse_errors(parse, text, shape, message, offset):
     with pytest.raises(TermSyntaxError) as exc:
-        parse_term(text, shape)
-    assert exc.value.offset >= 0
+        parse(text, shape)
+    assert str(exc.value) == f"{message} (at offset {offset})"
+    assert exc.value.offset == offset
+
+
+def test_postorder_out_receives_every_result_in_preorder():
+    rng = random.Random(8)
+    for shape in ShapeKind:
+        t = gen_term(rng, shape)
+        out: list = []
+        assert postorder(t, lambda n, kids: 1 + sum(kids), 0, out) == term_size(t)
+        assert out == [term_size(y) for y in iter_nodes(t)]
+    out = []
+    postorder(parse_pruned("(fork 1 E (fork 2 (leaf 3) E))", ShapeKind.HTREE),
+              lambda n, kids: n.labels[0] + sum(kids), 0, out)
+    assert out == [6, 5, 3]  # empty slots are worth leaf and listed nowhere
 
 
 def test_parse_error_offset_points_at_fault():
