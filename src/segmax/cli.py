@@ -39,7 +39,9 @@ from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
 from .pruning import prune as prune_term
 from .pruning import prune_count
-from .shapes import ShapeKind, parse_term, print_pruned, term_size
+from .shapes import ShapeKind, parse_term, print_items, term_size
+# segbench's traced run rebinds print_pruned here, so it stays bound
+from .shapes import print_pruned  # noqa: F401
 
 EXIT_USAGE = 2
 EXIT_GATE = 3
@@ -54,8 +56,18 @@ _SHAPE_CHOICES = [k.value for k in ShapeKind]
 _MONAD_CHOICES = [k.value for k in CollectionKind]
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current sys.stdout (or sys.stderr), keeping the
+    stream's own encoding and error handler.  Naming the stream bypasses
+    click's default-stream cache, a WeakKeyDictionary that maps a stream
+    to itself and so never frees it: under CliRunner it would keep every
+    invocation's captured output alive."""
+    stream = click.get_text_stream("stderr" if err else "stdout", errors=None)
+    click.echo(message, file=stream)
+
+
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
@@ -131,9 +143,9 @@ def mss(algo: str, inline: str | None, path: str | None, as_json: bool) -> None:
               "linear": mss_linear, "prefix": max_prefix_sum}[algo]
         value = fn(xs)
         if as_json:
-            click.echo(json.dumps({"algo": algo, "value": value, "n": len(xs)}))
+            _echo(json.dumps({"algo": algo, "value": value, "n": len(xs)}))
         else:
-            click.echo(str(value))
+            _echo(str(value))
 
     _run(body)
 
@@ -167,18 +179,18 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
             if scan_v != brute_v:
                 _fail(1, f"routes disagree: scan={scan_v} brute={brute_v}")
             if as_json:
-                click.echo(json.dumps({"scan": scan_v, "brute": brute_v,
-                                       "semiring": semiring_name, "monad": monad}))
+                _echo(json.dumps({"scan": scan_v, "brute": brute_v,
+                                  "semiring": semiring_name, "monad": monad}))
             else:
-                click.echo(f"scan = {scan_v}")
-                click.echo(f"brute = {brute_v}")
+                _echo(f"scan = {scan_v}")
+                _echo(f"brute = {brute_v}")
             return
         value = mss_generic(s, None, t, via=via, kind=kind, force=force)
         if as_json:
-            click.echo(json.dumps({"via": via, "value": value,
-                                   "semiring": semiring_name, "monad": monad}))
+            _echo(json.dumps({"via": via, "value": value,
+                              "semiring": semiring_name, "monad": monad}))
         else:
-            click.echo(str(value))
+            _echo(str(value))
 
     _run(body)
 
@@ -195,20 +207,24 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
 @click.option("--json", "as_json", is_flag=True)
 def prune(shape: str, monad: str, count_only: bool, inline: str | None,
           path: str | None, as_json: bool) -> None:
-    """Enumerate (or count) all prunings of a term."""
+    """Enumerate (or count) all prunings of a term.
+
+    The printed size is the sum of the prunings' sizes, which no guard
+    bounds: it is quadratic in the length of a list (72 MB at 4,000
+    elements)."""
 
     def body() -> None:
         t = _parse_tree(_read_source(inline, path), ShapeKind(shape))
         if count_only:
             digits = str(Decimal(prune_count(t)))  # str(int) stops at 4,300 digits
-            click.echo('{"count": ' + digits + "}" if as_json else digits)
+            _echo('{"count": ' + digits + "}" if as_json else digits)
             return
         c = prune_term(t, CollectionKind(monad))
+        texts = print_items(c.items)
         if as_json:
-            click.echo(json.dumps({"kind": monad,
-                                   "items": [print_pruned(p) for p in c.items]}))
+            _echo(json.dumps({"kind": monad, "items": texts}))
         else:
-            click.echo(to_text(c, print_pruned))
+            _echo(to_text(c._replace(items=texts)))
 
     _run(body)
 
@@ -224,15 +240,15 @@ def laws(seed: int, trials: int, ids: tuple[str, ...], as_json: bool) -> None:
     def body() -> None:
         reports = run_all(seed, trials, list(ids) or None)
         if as_json:
-            click.echo(reports_to_json(reports))
+            _echo(reports_to_json(reports))
         else:
             width = max(len(r.id) for r in reports)
             for r in reports:
                 status = "ok" if r.ok else "UNEXPECTED"
                 line = f"{r.id:<{width}}  {r.outcome:<18} trials={r.trials:<6} {status}"
-                click.echo(line)
+                _echo(line)
                 if r.witness is not None:
-                    click.echo(f"{'':<{width}}  witness: {r.witness}")
+                    _echo(f"{'':<{width}}  witness: {r.witness}")
         if not all(r.ok for r in reports):
             sys.exit(1)
 
@@ -297,10 +313,10 @@ def bench(sizes: str, algos: str, seed: int, do_assert: bool, budget: float,
             _fail(EXIT_USAGE, f"unknown algorithms: {', '.join(unknown)}")
         rows = bench_run(ns, names, seed, budget=budget)
         if as_json:
-            click.echo(json.dumps(rows))
+            _echo(json.dumps(rows))
         else:
             for row in rows:
-                click.echo(f"{row['algo']:<10} n={row['n']:<8} {row['seconds']:.6f}s")
+                _echo(f"{row['algo']:<10} n={row['n']:<8} {row['seconds']:.6f}s")
         if do_assert and len(names) > 1:
             top = ns[-1]
             at_top = {r["algo"]: r["seconds"] for r in rows if r["n"] == top}

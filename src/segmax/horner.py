@@ -57,7 +57,7 @@ from .monads import (
     reduce_law_failure,
 )
 from .pruning import DEFAULT_GUARD, _segs_items, prune, pruned_fold
-from .schemes import Algebra, contents_node, contents_term, fold
+from .schemes import Algebra, contents_term, fold
 from .shapes import Term, postorder
 
 
@@ -225,10 +225,13 @@ def poly_horner(coeffs: list, x: int) -> int:
 # the generic pipeline
 
 def generic_product_alg(s: Semiring, b) -> Algebra:
-    """The layer 'product': fold the constructor's contents with mul
-    from seed b (so a contentless layer is worth b)."""
+    """The layer 'product': fold the constructor's contents (labels,
+    then children) with mul from seed b (so a contentless layer is worth
+    b)."""
+    mul = s.mul
+
     def alg(n):
-        return foldr_list(s.mul, b, contents_node(n))
+        return foldr_list(mul, b, n.labels + n.children)
 
     return alg
 

@@ -9,7 +9,11 @@ generic counterpart of `inits`).  For each node,
 so a childless node always has exactly two prunings and a node with
 children has 1 + the product of its children's pruning counts.  The
 total count grows multiplicatively with depth, so enumeration is fenced
-by a configurable element guard.
+by a configurable element guard.  The guard counts prunings, not their
+size: printed, the collection is the sum of the prunings' sizes, which
+is quadratic on a list (n + 2 prunings of up to n nodes; 72 MB of text
+at 4,000 elements), and nothing bounds it.  Prunings share their
+children, so shapes.print_items writes each shared child once.
 
 The default collection kind for consumers is the bag: multiplicity is
 meaningful for sum-like reductions, and bag union is not idempotent, so
@@ -75,7 +79,8 @@ def prune(t: Term, kind: CollectionKind = CollectionKind.BAG,
 def pruned_fold(b, alg: Algebra, p) -> object:
     """Fold a pruned term: the empty marker is worth b, and every real
     node is evaluated by alg over its recursively evaluated children."""
-    return postorder(p, lambda n, kids: alg(Node(n.shape, n.tag, n.labels, kids)), b)
+    new = tuple.__new__  # Node(...) without its Python-level __new__
+    return postorder(p, lambda n, kids: alg(new(Node, (n.shape, n.tag, n.labels, kids))), b)
 
 
 def segs_count(t: Term) -> int:

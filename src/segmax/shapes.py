@@ -466,37 +466,42 @@ def parse_pruned(text: str, shape: ShapeKind):
     return _parse(text, shape, allow_empty=True)
 
 
+# Atoms are printed bare.  No tag is an atom in one shape and takes slots
+# in another, so the tag alone decides and the printer never hashes the
+# shape (an Enum, hashed in Python).
+_ATOM_TAGS = frozenset(tag for sigs in SIGNATURES.values()
+                       for tag, sig in sigs.items() if sig.atom)
+assert not any(tag in _ATOM_TAGS for sigs in SIGNATURES.values()
+               for tag, sig in sigs.items() if not sig.atom)
+
+
+def _head(x: Node) -> str:
+    """A constructor's own text up to its children: " (tag label"."""
+    labels = x.labels
+    if len(labels) == 1:  # every labelled constructor has one
+        return f" ({x.tag} {labels[0]}"
+    return " (" + " ".join([x.tag, *map(str, labels)])
+
+
 def _emit(t) -> str:
+    """The s-expression of t in one preorder pass: every slot is written
+    with the space before it, and the root's space is dropped."""
     out: list[str] = []
     stack: list[Any] = [t]
+    put, pop, head, atoms = out.append, stack.pop, _head, _ATOM_TAGS
     while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            out.append(x)
-            continue
-        if isinstance(x, _EmptyMark):
-            out.append("E")
-            continue
-        sig = SIGNATURES[x.shape][x.tag]
-        if sig.atom:
-            out.append(x.tag)
-            continue
-        out.append("(")
-        out.append(x.tag)
-        for l in x.labels:
-            out.append(str(l))
-        stack.append(")")
-        for c in reversed(x.children):
-            stack.append(c)
-    buf: list[str] = []
-    prev: str | None = None
-    for tok in out:
-        if tok == ")" or prev is None or prev == "(":
-            buf.append(tok)
+        x = pop()
+        if type(x) is str:  # a node's ")"
+            put(x)
+        elif x is EMPTY:
+            put(" E")
+        elif x.tag in atoms:
+            put(" " + x.tag)
         else:
-            buf.append(" " + tok)
-        prev = tok
-    return "".join(buf)
+            put(head(x))
+            stack.append(")")
+            stack += x.children[::-1]
+    return "".join(out)[1:]
 
 
 def print_term(t: Term) -> str:
@@ -510,6 +515,33 @@ def print_term(t: Term) -> str:
 def print_pruned(p) -> str:
     """Canonical s-expression in the pruned grammar ('E' for empty)."""
     return _emit(p)
+
+
+def print_items(items) -> list[str]:
+    """[print_pruned(p) for p in items], written the way prunings are
+    built: each item's own layer joined with its children's texts, and a
+    child object shared by several items is written once.
+
+    The memo is one level deep, keyed by object identity: the prunings
+    of one term share their children.  A memo at every depth would keep
+    a text per sub-pruning, and a cons chain shares none of them, so it
+    costs more than it saves there.  The items keep every child alive,
+    so no identity is reused meanwhile."""
+    memo: dict[int, str] = {}
+    texts: list[str] = []
+    for p in items:
+        if p is EMPTY or not p.children:
+            texts.append(_emit(p))
+            continue
+        parts = [_head(p)[1:]]
+        for c in p.children:
+            s = memo.get(id(c))
+            if s is None:
+                s = memo[id(c)] = " " + _emit(c)
+            parts.append(s)
+        parts.append(")")
+        texts.append("".join(parts))
+    return texts
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
+import gc
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
 
+import segmax
 from segmax import list_term, print_term
 from segmax.cli import main
 
@@ -163,6 +170,88 @@ def test_prune_json(runner):
     res = invoke(runner, "prune", "--input", "(leaf 2)", "--json")
     blob = json.loads(res.output)
     assert blob == {"kind": "bag", "items": ["E", "(leaf 2)"]}
+
+
+PRUNE_OUTPUTS = [  # the prunings of each input, in each monad's brackets
+    (["--input", EX7], "bag",
+     "<E, (fork 1 E E), (fork 1 E (fork 3 E E)), (fork 1 E (fork 3 E (leaf 4))), "
+     "(fork 1 E (fork 3 (leaf 1) E)), (fork 1 E (fork 3 (leaf 1) (leaf 4))), "
+     "(fork 1 (leaf 2) E), (fork 1 (leaf 2) (fork 3 E E)), "
+     "(fork 1 (leaf 2) (fork 3 E (leaf 4))), (fork 1 (leaf 2) (fork 3 (leaf 1) E)), "
+     "(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))>"),
+    (["--shape", "etree", "--input", "(bin (tip 1) (bin (tip -2) (tip 1)))"], "set",
+     "{E, (bin E E), (bin E (bin E E)), (bin E (bin E (tip 1))), (bin E (bin (tip -2) E)), "
+     "(bin E (bin (tip -2) (tip 1))), (bin (tip 1) E), (bin (tip 1) (bin E E)), "
+     "(bin (tip 1) (bin E (tip 1))), (bin (tip 1) (bin (tip -2) E)), "
+     "(bin (tip 1) (bin (tip -2) (tip 1)))}"),
+    (["--shape", "itree", "--input", "(node 5 nilt (node -1 nilt nilt))"], "list",
+     "[E, (node 5 E E), (node 5 E (node -1 E E)), (node 5 E (node -1 E nilt)), "
+     "(node 5 E (node -1 nilt E)), (node 5 E (node -1 nilt nilt)), (node 5 nilt E), "
+     "(node 5 nilt (node -1 E E)), (node 5 nilt (node -1 E nilt)), "
+     "(node 5 nilt (node -1 nilt E)), (node 5 nilt (node -1 nilt nilt))]"),
+    (["--shape", "list", "--input", "(cons 3 (cons -4 nil))"], "bag",
+     "<E, (cons 3 E), (cons 3 (cons -4 E)), (cons 3 (cons -4 nil))>"),
+    (["--shape", "itree", "--input", "nilt"], "set", "{E, nilt}"),
+]
+
+
+def _cons_chain_prunings(xs):
+    # E, then every prefix closed by E, then the whole list
+    heads = [f"(cons {x} " for x in xs]
+    return (["E"] + ["".join(heads[:k]) + "E" + ")" * k for k in range(1, len(xs) + 1)]
+            + ["".join(heads) + "nil" + ")" * len(xs)])
+
+
+def test_prune_prints_fixed_outputs_as_text_and_json(runner):
+    xs = [(7 * k) % 23 - 11 for k in range(250)]
+    chain = _cons_chain_prunings(xs)
+    cases = PRUNE_OUTPUTS + [
+        (["--shape", "list", "--input", print_term(list_term(xs))], kind,
+         "<[{"[i] + ", ".join(chain) + ">]}"[i])
+        for i, kind in enumerate(("bag", "list", "set"))
+    ]
+    for args, kind, text in cases:
+        res = invoke(runner, "prune", "--monad", kind, *args)
+        assert (res.exit_code, res.stdout, res.stderr) == (0, text + "\n", "")
+        res = invoke(runner, "prune", "--monad", kind, "--json", *args)
+        items = text[1:-1].split(", ")
+        assert res.stdout == json.dumps({"kind": kind, "items": items}) + "\n"
+
+
+def test_repeated_prunes_free_their_captured_output(runner):
+    # 7,448 prunings, about 1 MB printed; one CliRunner must not keep any
+    # invocation's output once its result is dropped
+    text = f"(fork 1 {_complete_htree(4)} (fork 1 (leaf 1) {_complete_htree(2)}))"
+    args = ["prune", "--input", text]
+    assert len(invoke(runner, *args).stdout_bytes) > 900_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(30):
+            assert invoke(runner, *args).exit_code == 0
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 3 * 10**6
+
+
+FIXTURES = pathlib.Path(__file__).with_name("cli_fixtures")
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in FIXTURES.iterdir()))
+def test_entry_point_in_a_real_process(case, tmp_path):
+    # each case holds its arguments (one a line, as bytes: one is not
+    # UTF-8) and the exact stdout, stderr and exit status expected
+    d = FIXTURES / case
+    args = (d / "args").read_bytes().splitlines()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(segmax.__file__)))
+    res = subprocess.run([sys.executable, "-m", "segmax", *args], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         timeout=120)
+    assert (res.stdout, res.stderr, res.returncode) == (
+        (d / "stdout").read_bytes(), (d / "stderr").read_bytes(),
+        int((d / "status").read_text()))
 
 
 def test_laws_single_id_with_witness(runner):

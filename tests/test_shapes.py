@@ -35,7 +35,7 @@ from segmax import (
     tip,
 )
 from segmax.lawcheck import gen_term, gen_term_capped
-from segmax.shapes import SIGNATURES, iter_nodes, postorder, struct_key
+from segmax.shapes import SIGNATURES, iter_nodes, postorder, print_items, struct_key
 
 EX7 = "(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))"
 
@@ -122,6 +122,58 @@ def test_pruned_grammar_accepts_empty_marker():
     assert p.children[0] is EMPTY
     assert print_pruned(p) == "(fork 1 E (leaf 2))"
     assert print_pruned(EMPTY) == "E"
+
+
+def _token_print(p) -> str:
+    """The printer as a token list joined by spaces, with none after '('
+    or before ')': the reference for the one-pass printer."""
+    toks: list[str] = []
+    stack = [p]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            toks.append(x)
+        elif x is EMPTY:
+            toks.append("E")
+        elif SIGNATURES[x.shape][x.tag].atom:
+            toks.append(x.tag)
+        else:
+            toks += ["(", x.tag, *map(str, x.labels)]
+            stack.append(")")
+            stack += reversed(x.children)
+    text = ""
+    for prev, tok in zip([None, *toks], toks):
+        text += tok if tok == ")" or prev in (None, "(") else " " + tok
+    return text
+
+
+def test_print_items_prints_every_pruning_as_print_pruned():
+    rng = random.Random(5)
+    for shape in ShapeKind:
+        for _ in range(40):
+            t = gen_term_capped(rng, shape, prune_count, 1000, max_depth=6, lo=-12, hi=12)
+            for kind in CollectionKind:
+                items = prune(t, kind).items
+                texts = print_items(items)
+                assert texts == [print_pruned(p) for p in items]
+                assert texts == [_token_print(p) for p in items]
+                assert [parse_pruned(s, shape) for s in texts] == list(items)
+
+
+def test_print_items_without_sharing():
+    # no child object shared, repeated equal children, atoms and E
+    t = parse_term(EX7, ShapeKind.HTREE)
+    items = [
+        EMPTY, t, leaf(-3), nil(), make_node(ShapeKind.ITREE, "nilt", (), ()),
+        parse_pruned("(bin (tip 1) E)", ShapeKind.ETREE),
+        parse_pruned("(node 0 nilt (node -9223372036854775808 E nilt))", ShapeKind.ITREE),
+        fork(1, leaf(2), leaf(2)), fork(1, leaf(2), leaf(2)), list_term(range(-2, 40)),
+        parse_pruned("(cons 7 E)", ShapeKind.LIST), EMPTY,
+    ]
+    assert print_items(items) == [print_pruned(p) for p in items]
+    assert print_items(items) == [_token_print(p) for p in items]
+    assert print_items([]) == []
+    assert print_pruned(nil()) == "nil" and print_items([EMPTY]) == ["E"]
 
 
 def test_bimap_fixtures():
