@@ -28,6 +28,8 @@ from .errors import (
 )
 from .horner import (
     SEMIRINGS,
+    _check_carrier,
+    ensure_distributive,
     max_prefix_sum,
     mss_generic,
     mss_linear,
@@ -37,8 +39,8 @@ from .horner import (
 from .ints import check_i64
 from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
+from .pruning import DEFAULT_GUARD, _check_guard, prune_count, segs_count
 from .pruning import prune as prune_term
-from .pruning import prune_count
 from .shapes import ShapeKind, parse_term, print_items, term_size
 # segbench's traced run rebinds print_pruned here, so it stays bound
 from .shapes import print_pruned  # noqa: F401
@@ -174,8 +176,12 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
         kind = CollectionKind(monad)
         t = _parse_tree(_read_source(inline, path), ShapeKind(shape))
         if check_both:
-            scan_v = mss_generic(s, None, t, via="scan", kind=kind, force=force)
-            brute_v = mss_generic(s, None, t, via="brute", kind=kind, force=force)
+            # gate, carrier and guard refuse before either route computes
+            ensure_distributive(s, kind, force)
+            _check_carrier(s, t)
+            _check_guard(segs_count(t), DEFAULT_GUARD)
+            scan_v = mss_generic(s, t, via="scan", kind=kind, force=force)
+            brute_v = mss_generic(s, t, via="brute", kind=kind, force=force)
             if scan_v != brute_v:
                 _fail(1, f"routes disagree: scan={scan_v} brute={brute_v}")
             if as_json:
@@ -185,7 +191,7 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
                 _echo(f"scan = {scan_v}")
                 _echo(f"brute = {brute_v}")
             return
-        value = mss_generic(s, None, t, via=via, kind=kind, force=force)
+        value = mss_generic(s, t, via=via, kind=kind, force=force)
         if as_json:
             _echo(json.dumps({"via": via, "value": value,
                               "semiring": semiring_name, "monad": monad}))

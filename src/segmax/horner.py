@@ -280,7 +280,7 @@ SCAN = "scan"
 BRUTE = "brute"
 
 
-def mss_generic(s: Semiring, b, t: Term, via: str = SCAN,
+def mss_generic(s: Semiring, t: Term, via: str = SCAN,
                 kind: CollectionKind = CollectionKind.BAG,
                 force: bool = False):
     """Best segment value over all generic segments of t.
@@ -292,12 +292,11 @@ def mss_generic(s: Semiring, b, t: Term, via: str = SCAN,
     segment.
     Both agree whenever the (semiring, kind) gate passes; the gate
     rejects set collections with a non-idempotent add unless forced.
-    b defaults to the semiring's mul unit.
+    Horner's seed b is the semiring's mul unit.
     """
     ensure_distributive(s, kind, force)
     _check_carrier(s, t)
-    if b is None:
-        b = s.mul_unit
+    b = s.mul_unit
     if via == SCAN:
         vals: list = []
         postorder(t, horner_step(s, b), out=vals)

@@ -5,8 +5,8 @@ have been erased -- only the tag and the (recursively labelled) children
 remain.  The skeleton's tag sequence mirrors the source term, so a
 labelled structure has exactly one value per source node.  The class
 lives in shapes, beside Node, so that the same two iterative walks
-serve both: iter_labelled is the preorder walk and map_labelled the
-post-order one.
+serve both: preorder_values, preorder_tags and value_count read the
+preorder walk, and map_labelled and scan_generic are post-order steps.
 
 subterms labels every node of a term with the subterm rooted there (the
 generic counterpart of `tails`), and scan_generic labels every node with
@@ -21,7 +21,7 @@ one pass and builds no Labelled.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 from .schemes import Algebra, fold, para
 from .shapes import Labelled, Node, Term, postorder, preorder
@@ -32,21 +32,16 @@ def root(l: Labelled):
     return l.value
 
 
-def iter_labelled(l: Labelled) -> Iterator[Labelled]:
-    """Preorder iterator over all nodes of a labelled structure."""
-    return preorder(l)
-
-
 def preorder_values(l: Labelled) -> list:
-    return [x.value for x in iter_labelled(l)]
+    return [x.value for x in preorder(l)]
 
 
 def preorder_tags(l: Labelled) -> list[str]:
-    return [x.tag for x in iter_labelled(l)]
+    return [x.tag for x in preorder(l)]
 
 
 def value_count(l: Labelled) -> int:
-    return sum(1 for _ in iter_labelled(l))
+    return sum(1 for _ in preorder(l))
 
 
 def map_labelled(f: Callable, l: Labelled) -> Labelled:
@@ -83,8 +78,8 @@ def scan_generic(alg: Algebra, t: Term) -> Labelled:
     """Label every node with the fold of the subterm rooted there,
     in one bottom-up pass."""
 
-    def step(n: Node) -> Labelled:
-        v = alg(Node(n.shape, n.tag, n.labels, tuple(c.value for c in n.children)))
-        return Labelled(v, n.shape, n.tag, n.children)
+    def step(n: Node, kids: tuple) -> Labelled:
+        v = alg(Node(n.shape, n.tag, n.labels, tuple(c.value for c in kids)))
+        return Labelled(v, n.shape, n.tag, kids)
 
-    return fold(step, t)
+    return postorder(t, step)

@@ -878,8 +878,8 @@ def _gen_mss_generic(rng: random.Random) -> dict:
 
 def _mss_generic_violated(inp: dict) -> bool:
     s, t = SEMIRINGS[inp["semiring"]], inp["term"]
-    scan_v = mss_generic(s, None, t, via="scan", kind=CollectionKind.BAG)
-    brute_v = mss_generic(s, None, t, via="brute", kind=CollectionKind.BAG)
+    scan_v = mss_generic(s, t, via="scan", kind=CollectionKind.BAG)
+    brute_v = mss_generic(s, t, via="brute", kind=CollectionKind.BAG)
     return scan_v != brute_v
 
 

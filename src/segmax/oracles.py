@@ -55,8 +55,8 @@ def prune_recursive(t: Term, kind: CollectionKind) -> Collection:
 def segs_generic_literal(t: Term, kind: CollectionKind = CollectionKind.BAG,
                          guard: int | None = DEFAULT_GUARD) -> Collection:
     """segs spelled with the collection combinators,
-    join . map prune . contents . subterms; a cross-check for the fused
-    enumeration in pruning.segs_generic."""
+    join . map prune . contents . subterms; a cross-check for the
+    one-scan enumeration in pruning.segs_generic."""
     _check_guard(segs_count(t), guard)
     subs = collection(kind, preorder_values(subterms(t)))
     return join_c(map_c(lambda s: prune(s, kind, guard), subs))

@@ -15,6 +15,13 @@ is quadratic on a list (n + 2 prunings of up to n nodes; 72 MB of text
 at 4,000 elements), and nothing bounds it.  Prunings share their
 children, so shapes.print_items writes each shared child once.
 
+Counting and enumerating prunings are post-order steps, and by the
+scan lemma (map (fold f) . subterms = scan f) the segments take one
+scan each, the per-subterm results listed in preorder (contents order):
+
+    segs        =  concat . contents . scan prune
+    segs_count  =  sum . contents . scan prune_count
+
 The default collection kind for consumers is the bag: multiplicity is
 meaningful for sum-like reductions, and bag union is not idempotent, so
 no distributivity requirement is silently strengthened.
@@ -27,28 +34,27 @@ through the kind's canonical union.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import SizeGuardError
-from .labelled import preorder_values, subterms
 from .monads import Collection, CollectionKind, collection
-from .schemes import Algebra, fold
-from .shapes import (  # noqa: F401
-    EMPTY, Node, Term, parse_pruned, postorder, print_pruned, zip_slots,
-)
+from .schemes import Algebra
+from .shapes import EMPTY, Node, Term, postorder, zip_slots
+# segbench's traced run rebinds these names here, so they stay bound
+from .labelled import preorder_values, subterms  # noqa: F401
+from .schemes import fold  # noqa: F401
 
 DEFAULT_GUARD = 10**6
+
+
+def _count_step(n: Node, kids: tuple) -> int:
+    return 1 + math.prod(kids)
 
 
 def prune_count(t: Term) -> int:
     """Number of prunings, by the recurrence 1 + product over children
     (so 2 for every childless node).  Cheap: no enumeration."""
-    def alg(n: Node) -> int:
-        c = 1
-        for v in n.children:
-            c *= v
-        return 1 + c
-
-    return fold(alg, t)
+    return postorder(t, _count_step)
 
 
 def _check_guard(size: int, guard: int | None) -> None:
@@ -56,17 +62,19 @@ def _check_guard(size: int, guard: int | None) -> None:
         raise SizeGuardError(size, guard)
 
 
-def _prune_items(t: Term) -> list:
-    """All prunings, empty marker first, children in lexicographic
-    positional order: the canonical order, and duplicate-free, so the
-    list is a canonical bag and set.  Substructure is shared."""
-    def alg(n: Node) -> list:
-        out: list = [EMPTY]
-        for picked in itertools.product(*n.children):
-            out.append(Node(n.shape, n.tag, n.labels, picked))
-        return out
+def _prune_step(n: Node, kids: tuple) -> list:
+    """All prunings of n from its children's: the empty marker first,
+    then n over each choice of one pruning per child, in lexicographic
+    positional order.  Substructure is shared."""
+    new = tuple.__new__  # Node(...) without its Python-level __new__
+    return [EMPTY, *(new(Node, (n.shape, n.tag, n.labels, picked))
+                     for picked in itertools.product(*kids))]
 
-    return fold(alg, t)
+
+def _prune_items(t: Term) -> list:
+    """All prunings in the canonical order, duplicate-free, so the list
+    is a canonical bag and set."""
+    return postorder(t, _prune_step)
 
 
 def prune(t: Term, kind: CollectionKind = CollectionKind.BAG,
@@ -84,35 +92,25 @@ def pruned_fold(b, alg: Algebra, p) -> object:
 
 
 def segs_count(t: Term) -> int:
-    """Number of generic segments: total prunings over all subterms.
-
-    One fold of the pair (prune count, running total) -- the scan lemma
-    applied to prune_count, summed as it goes."""
-    def alg(n: Node) -> tuple[int, int]:
-        count, total = 1, 0
-        for c, s in n.children:
-            count *= c
-            total += s
-        return 1 + count, total + 1 + count
-
-    return fold(alg, t)[1]
+    """Number of generic segments: the prunings of every subterm,
+    summed over one scan of prune_count."""
+    counts: list = []
+    postorder(t, _count_step, out=counts)
+    return sum(counts)
 
 
 def _segs_items(t: Term, guard: int | None) -> list:
     _check_guard(segs_count(t), guard)
-    items: list = []
-    for s in preorder_values(subterms(t)):
-        items.extend(_prune_items(s))
-    return items
+    per_subterm: list = []
+    postorder(t, _prune_step, out=per_subterm)
+    return [p for ps in per_subterm for p in ps]
 
 
 def segs_generic(t: Term, kind: CollectionKind = CollectionKind.BAG,
                  guard: int | None = DEFAULT_GUARD) -> Collection:
-    """All generic segments of t: prune every subterm and union the
-    results,
-
-        segs = join . map prune . contents . subterms
-    """
+    """All generic segments of t, concat . contents . scan prune: the
+    prunings of every subterm, from one scan (oracles.segs_generic_literal
+    spells out join . map prune . contents . subterms)."""
     return collection(kind, _segs_items(t, guard))
 
 

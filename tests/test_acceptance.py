@@ -188,8 +188,8 @@ def test_c06_generic_horner_and_mss():
                 assert horner_generic(s, b, t) == horner_generic_brute(
                     s, b, t, CollectionKind.BAG
                 )
-                scan_v = mss_generic(s, None, t, via="scan", kind=CollectionKind.BAG)
-                brute_v = mss_generic(s, None, t, via="brute", kind=CollectionKind.BAG)
+                scan_v = mss_generic(s, t, via="scan", kind=CollectionKind.BAG)
+                brute_v = mss_generic(s, t, via="brute", kind=CollectionKind.BAG)
                 assert scan_v == brute_v
     dt = time.perf_counter() - t0
     assert dt < 60.0

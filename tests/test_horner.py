@@ -193,17 +193,17 @@ def test_horner_generic_value_depends_on_b():
 
 
 def test_mss_generic_fixtures():
-    assert mss_generic(MAX_PLUS, None, EX7) == 11
-    assert mss_generic(MAX_PLUS, None, EX7, via="brute") == 11
-    assert mss_generic(MAX_PLUS, None, list_term(EX3)) == 6 == mss_linear(EX3)
-    assert mss_generic(MAX_PLUS, None, leaf(-7)) == 0
+    assert mss_generic(MAX_PLUS, EX7) == 11
+    assert mss_generic(MAX_PLUS, EX7, via="brute") == 11
+    assert mss_generic(MAX_PLUS, list_term(EX3)) == 6 == mss_linear(EX3)
+    assert mss_generic(MAX_PLUS, leaf(-7)) == 0
 
 
 def test_mss_generic_list_terms_match_classical():
     rng = random.Random(25)
     for _ in range(200):
         xs = [rng.randint(-8, 8) for _ in range(rng.randint(0, 8))]
-        assert mss_generic(MAX_PLUS, None, list_term(xs)) == mss_linear(xs)
+        assert mss_generic(MAX_PLUS, list_term(xs)) == mss_linear(xs)
 
 
 def test_distributivity_gate():
@@ -235,8 +235,8 @@ def test_the_reduction_sampler_decides_gate_semiring_check_and_law_reducers():
 
 def test_mss_generic_set_plus_times_rejected_unless_forced():
     with pytest.raises(DistributivityError):
-        mss_generic(PLUS_TIMES, None, EX7, kind=CollectionKind.SET)
-    v = mss_generic(PLUS_TIMES, None, EX7, kind=CollectionKind.SET, force=True)
+        mss_generic(PLUS_TIMES, EX7, kind=CollectionKind.SET)
+    v = mss_generic(PLUS_TIMES, EX7, kind=CollectionKind.SET, force=True)
     assert isinstance(v, int)
 
 
@@ -255,7 +255,7 @@ def _assert_scan_route_is_literal(s, t, kind, force):
         s.reduce_op,
         collection(kind, preorder_values(scan_generic(horner_alg(s, s.mul_unit), t))),
         check=not force))
-    assert _outcome(lambda: mss_generic(s, None, t, kind=kind, force=force)) == literal
+    assert _outcome(lambda: mss_generic(s, t, kind=kind, force=force)) == literal
 
 
 def test_scan_route_is_reduce_contents_scan():
@@ -267,13 +267,13 @@ def test_scan_route_is_reduce_contents_scan():
         for _ in range(8):
             t = gen_term(rng, shape, 6, lo, hi)
             _assert_scan_route_is_literal(s, t, kind, force)
-            seen.add(_outcome(lambda: mss_generic(s, None, t, kind=kind, force=force))[0])
+            seen.add(_outcome(lambda: mss_generic(s, t, kind=kind, force=force))[0])
     assert seen == {"value", "OverflowError"}
     # both children overflow: the error names the left one's product
     apart = parse_term("(fork 1 (fork 1099511627776 (leaf 1099511627776) (leaf 0))"
                        " (fork 2199023255552 (leaf 2199023255552) (leaf 0)))", ShapeKind.HTREE)
     with pytest.raises(OverflowError, match="^product 1208925819615728686333952 "):
-        mss_generic(PLUS_TIMES, None, apart)
+        mss_generic(PLUS_TIMES, apart)
     _assert_scan_route_is_literal(PLUS_TIMES, apart, CollectionKind.BAG, False)
     rng = random.Random(45)
     for s, kind in itertools.product(SEMIRINGS.values(), CollectionKind):
@@ -293,7 +293,7 @@ def test_scan_route_keeps_contents_order():
             t = gen_term(rng, shape, 5, -9, 9)
             _assert_scan_route_is_literal(last_plus, t, CollectionKind.LIST, False)
     with pytest.raises(ReduceLawError, match="commutative"):
-        mss_generic(last_plus, None, EX7, kind=CollectionKind.BAG)
+        mss_generic(last_plus, EX7, kind=CollectionKind.BAG)
 
 
 def test_mss_generic_other_semirings_scan_vs_brute():
@@ -302,12 +302,12 @@ def test_mss_generic_other_semirings_scan_vs_brute():
         t = gen_term_capped(rng, ShapeKind.HTREE, segs_count, 500,
                             max_depth=4, lo=0, hi=1)
         for s in (MIN_PLUS, BOOL_OR_AND):
-            assert mss_generic(s, None, t) == mss_generic(s, None, t, via="brute")
+            assert mss_generic(s, t) == mss_generic(s, t, via="brute")
 
 
 def test_bool_semiring_rejects_non_bits():
     with pytest.raises(CarrierError):
-        mss_generic(BOOL_OR_AND, None, leaf(7))
+        mss_generic(BOOL_OR_AND, leaf(7))
 
 
 def test_overflow_propagates():

@@ -46,14 +46,19 @@ def complete_htree():
     return text
 
 
-def test_scan_answers_at_the_node_limit(long_list, complete_htree):
+@pytest.fixture(scope="module")
+def edge_list():
+    # every sum of two labels leaves the 64-bit range
+    return print_term(list_term([I64_MAX - 1] * N_LIST))
+
+
+def test_scan_answers_at_the_node_limit(long_list, complete_htree, edge_list):
     labels, text = long_list
     assert _cli("tree", "--shape", "list", "--input", text) == (
         0, f"{mss_linear(labels)}\n")
     # every label is 1, so the best segment is the whole tree
     assert _cli("tree", "--input", complete_htree) == (0, f"{2**HTREE_DEPTH - 1}\n")
-    edge = print_term(list_term([I64_MAX - 1] * N_LIST))
-    code, line = _cli("tree", "--shape", "list", "--input", edge)
+    code, line = _cli("tree", "--shape", "list", "--input", edge_list)
     assert code == 4 and "outside 64-bit signed range" in line
 
 
@@ -62,6 +67,14 @@ def test_brute_routes_refuse_at_the_guard(long_list, complete_htree):
         for route in (["--via", "brute"], ["--check"]):
             code, line = _cli("tree", "--shape", shape, *route, "--input", text)
             assert code == 5 and line.endswith(" elements exceeds guard 1000000")
+
+
+def test_check_refuses_at_the_guard_before_the_scan_overflows(edge_list):
+    # the scan route alone overflows (exit 4); --check meets the brute
+    # route's guard first, as --via brute does
+    for route in (["--via", "brute"], ["--check"]):
+        code, line = _cli("tree", "--shape", "list", *route, "--input", edge_list)
+        assert code == 5 and line.endswith(" elements exceeds guard 1000000")
 
 
 def test_prune_counts_at_the_node_limit(long_list, complete_htree):

@@ -191,6 +191,7 @@ def test_segs_literal_composition_agrees():
             t = gen_term_capped(rng, shape, segs_count, 400, max_depth=4)
             for kind in CollectionKind:
                 assert segs_generic(t, kind) == segs_generic_literal(t, kind)
+            assert segs_count(t) == len(segs_generic_literal(t, CollectionKind.BAG).items)
 
 
 def test_list_segs_values_cover_classical_segment_sums():
