@@ -108,13 +108,13 @@ def _read_source(inline: str | None, path: str | None) -> str:
 
 def _parse_int_list(text: str) -> list[int]:
     parts = text.replace(",", " ").split()
+    # refuse an over-long list before paying for its conversion
+    if len(parts) > MAX_LIST_LEN:
+        raise TermSyntaxError(f"list longer than {MAX_LIST_LEN} elements", 0)
     try:
-        xs = [check_i64(int(p), "element") for p in parts]
+        return [check_i64(int(p), "element") for p in parts]
     except ValueError:
         raise TermSyntaxError("list elements must be integers", 0) from None
-    if len(xs) > MAX_LIST_LEN:
-        raise TermSyntaxError(f"list longer than {MAX_LIST_LEN} elements", 0)
-    return xs
 
 
 def _parse_tree(text: str, shape: ShapeKind):
@@ -313,6 +313,8 @@ def bench(sizes: str, algos: str, seed: int, do_assert: bool, budget: float,
             raise TermSyntaxError("sizes must be integers", 0) from None
         if not ns or any(n <= 0 for n in ns) or ns != sorted(ns):
             _fail(EXIT_USAGE, "sizes must be positive and ascending")
+        if not budget > 0:  # also refuses nan, which would disable the guard
+            _fail(EXIT_USAGE, "budget must be a positive number of seconds")
         names = [a.strip() for a in algos.split(",") if a.strip()]
         unknown = [a for a in names if a not in _BENCH_ALGOS]
         if unknown:

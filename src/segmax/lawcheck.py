@@ -1,10 +1,12 @@
 """Executable law registry with seeded generators and shrinking.
 
-Every equational claim the library rests on is registered here as a law
-case: a deterministic input generator plus a violation check.  Laws are
-expected either to HOLD (no violation in any trial) or to FAIL with a
-witness (the checker must find a concrete counterexample).  Runs are
-reproducible: each law draws from its own RNG stream derived from
+Every equational claim the library rests on is a law case here: a
+deterministic generator of named draws plus a violation check that
+``@_law`` registers where it is defined.  The check takes a draw's values
+as keyword arguments, its named choices resolved through ``_NAMED``.
+Laws are expected either to HOLD (no violation in any trial) or to FAIL
+with a witness (the checker must find a concrete counterexample).  Runs
+are reproducible: each law draws from its own RNG stream derived from
 (seed, law id), so reports are byte-stable and cases can run in any
 order or in parallel without changing results.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from . import oracles
@@ -133,25 +135,19 @@ REDUCERS_FOR_KIND = {
 }
 
 
-class _FusionTriple:
-    """A concrete (h, f, g) with h . f = g . F h, checked exhaustively."""
-
-    def __init__(self, h, f, g):
-        self.h, self.f, self.g = h, f, g
-
-
-FUSION_TRIPLES: dict[str, _FusionTriple] = {
-    "double-sum": _FusionTriple(
+# concrete (h, f, g) with h . f = g . F h, checked exhaustively
+FUSION_TRIPLES: dict[str, tuple[Callable, Callable, Callable]] = {
+    "double-sum": (
         lambda x: 2 * x,
         _sum_alg,
         lambda n: 2 * sum(n.labels) + sum(n.children),
     ),
-    "shift3-sum": _FusionTriple(
+    "shift3-sum": (
         lambda x: x + 3,
         _sum_alg,
         lambda n: sum(n.labels) + sum(n.children) + 3 * (1 - len(n.children)),
     ),
-    "double-size": _FusionTriple(
+    "double-size": (
         lambda x: 2 * x,
         _size_alg,
         lambda n: 2 + sum(n.children),
@@ -163,13 +159,13 @@ def _fusion_side_condition() -> str | None:
     """Exhaustively verify h . f = g . F h over all constructors with
     labels and carrier values in a small domain."""
     dom = range(-2, 3)
-    for name, tr in FUSION_TRIPLES.items():
+    for name, (h, f, g) in FUSION_TRIPLES.items():
         for shape, sigs in SIGNATURES.items():
             for tag, sig in sigs.items():
                 slots = sig.n_labels + sig.n_children
                 for vals in itertools.product(dom, repeat=slots):
                     n = Node(shape, tag, vals[: sig.n_labels], vals[sig.n_labels :])
-                    if tr.h(tr.f(n)) != tr.g(bimap_node(lambda l: l, tr.h, n)):
+                    if h(f(n)) != g(bimap_node(lambda l: l, h, n)):
                         return f"side condition broken for {name} at {n}"
     return None
 
@@ -228,22 +224,9 @@ def gen_nested(rng: random.Random, kind: CollectionKind, depth: int,
     )
 
 
-def _pick_kind(rng: random.Random) -> CollectionKind:
-    return rng.choice(ALL_KINDS)
-
-
-def _pick_shape(rng: random.Random) -> ShapeKind:
-    return rng.choice(ALL_SHAPES)
-
-
-def _pick_gated(rng: random.Random) -> tuple[CollectionKind, Semiring]:
-    kind, sname = rng.choice(GATED_PAIRS)
-    return kind, SEMIRINGS[sname]
-
-
-def _semiring_label_bounds(s: Semiring) -> tuple[int, int]:
+def _semiring_label_bounds(sname: str) -> tuple[int, int]:
     # keep plus-times products comfortably inside 64 bits
-    return (-3, 3) if s.name == "plus-times" else (-8, 8)
+    return (-3, 3) if sname == "plus-times" else (-8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +281,6 @@ def decode_inputs(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # shrinking: structure first (term depth, collection size), labels second
 
-def _int_candidates(v: int):
-    for c in (0, 1, -1, int(v / 2)):
-        if c != v:
-            yield c
-
-
 def _candidates(v):
     if isinstance(v, Node):
         for c in v.children:
@@ -324,7 +301,9 @@ def _candidates(v):
             for cand in itertools.islice(_candidates(e), 4):
                 yield collection(v.kind, items[:i] + (cand,) + items[i + 1 :])
     elif isinstance(v, int) and not isinstance(v, bool):
-        yield from _int_candidates(v)
+        for c in (0, 1, -1, int(v / 2)):
+            if c != v:
+                yield c
     elif isinstance(v, tuple):
         for i, e in enumerate(v):
             for cand in itertools.islice(_candidates(e), 4):
@@ -367,22 +346,17 @@ def shrink_inputs(inputs: dict, violated: Callable[[dict], bool],
 
     def structural(current: dict) -> dict:
         nonlocal budget
-        improved = True
-        while improved and budget > 0:
-            improved = False
-            for key in current:
-                for cand in _candidates(current[key]):
-                    budget -= 1
-                    trial = dict(current)
-                    trial[key] = cand
-                    if still_bad(trial):
-                        current = trial
-                        improved = True
-                        break
-                    if budget <= 0:
-                        break
-                if improved or budget <= 0:
+        while budget > 0:
+            for trial in ({**current, key: cand} for key in current
+                          for cand in _candidates(current[key])):
+                budget -= 1
+                if still_bad(trial):
+                    current = trial
                     break
+                if budget <= 0:
+                    return current
+            else:
+                return current
         return current
 
     current = structural(inputs)
@@ -405,8 +379,13 @@ class Law:
     expectation: str
     description: str
     gen: Callable[[random.Random], dict]
-    violated: Callable[[dict], bool]
+    check: Callable[..., bool]
     precheck: Callable[[], str | None] | None = None
+
+    def violated(self, inputs: dict) -> bool:
+        """Run the check on one draw, its named choices resolved by _NAMED."""
+        return self.check(**{k: _NAMED[k][v] if k in _NAMED else v
+                             for k, v in inputs.items()})
 
 
 @dataclass(frozen=True)
@@ -418,23 +397,27 @@ class LawReport:
     ok: bool
     witness: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "trials": self.trials,
-            "outcome": self.outcome,
-            "expectation": self.expectation,
-            "ok": self.ok,
-            "witness": self.witness,
-        }
-
 
 _REGISTRY: dict[str, Law] = {}
 
+# where a draw's named choices are looked up; other values pass as drawn
+_NAMED: dict[str, dict[str, Any]] = {
+    "kind": {k.value: k for k in CollectionKind},
+    "shape": {s.value: s for s in ShapeKind},
+    "semiring": SEMIRINGS,
+    "op": REDUCERS,
+    "alg": ALGEBRAS,
+    "relabel": RELABELS,
+    "triple": FUSION_TRIPLES,
+}
 
-def _law(id: str, expectation: str, description: str, gen, violated,
-         precheck=None) -> None:
-    _REGISTRY[id] = Law(id, expectation, description, gen, violated, precheck)
+
+def _law(id: str, expectation: str, description: str, gen, precheck=None):
+    """Register the decorated check as law `id`, drawing its inputs from `gen`."""
+    def register(check: Callable[..., bool]) -> Callable[..., bool]:
+        _REGISTRY[id] = Law(id, expectation, description, gen, check, precheck)
+        return check
+    return register
 
 
 # -- folds -------------------------------------------------------------------
@@ -444,26 +427,14 @@ def _gen_alg_term(rng: random.Random) -> dict:
     if name == "plustimes-horner":
         # iterated products grow doubly exponentially with depth; keep
         # the carrier inside 64 bits
-        term = gen_term(rng, _pick_shape(rng), max_depth=5, lo=-3, hi=3)
+        term = gen_term(rng, rng.choice(ALL_SHAPES), max_depth=5, lo=-3, hi=3)
     else:
-        term = gen_term(rng, _pick_shape(rng))
+        term = gen_term(rng, rng.choice(ALL_SHAPES))
     return {"alg": name, "term": term}
 
 
-def _fold_universal_violated(inp: dict) -> bool:
-    alg, t = ALGEBRAS[inp["alg"]], inp["term"]
-    one_step = alg(Node(t.shape, t.tag, t.labels,
-                        tuple(fold(alg, c) for c in t.children)))
-    return fold(alg, t) != one_step
-
-
-_law("fold-universal", HOLDS,
-     "fold alg equals alg applied over recursively folded children",
-     _gen_alg_term, _fold_universal_violated)
-
-
 def _gen_alg_base(rng: random.Random) -> dict:
-    shape = _pick_shape(rng)
+    shape = rng.choice(ALL_SHAPES)
     sigs = SIGNATURES[shape]
     stop = next(t for t, s in sigs.items() if s.n_children == 0)
     labels = tuple(rng.randint(-8, 8) for _ in range(sigs[stop].n_labels))
@@ -471,85 +442,86 @@ def _gen_alg_base(rng: random.Random) -> dict:
             "term": Node(shape, stop, labels, ())}
 
 
-_law("fold-universal-base", HOLDS,
-     "the universal property at childless constructors",
-     _gen_alg_base, _fold_universal_violated)
+# fold-universal registers first: LAW_IDS order is the report order
+@_law("fold-universal-base", HOLDS,
+      "the universal property at childless constructors",
+      _gen_alg_base)
+@_law("fold-universal", HOLDS,
+      "fold alg equals alg applied over recursively folded children",
+      _gen_alg_term)
+def _fold_universal(alg, term) -> bool:
+    one_step = alg(Node(term.shape, term.tag, term.labels,
+                        tuple(fold(alg, c) for c in term.children)))
+    return fold(alg, term) != one_step
 
 
 def _gen_fusion(rng: random.Random) -> dict:
     return {"triple": rng.choice(list(FUSION_TRIPLES)),
-            "term": gen_term(rng, _pick_shape(rng))}
+            "term": gen_term(rng, rng.choice(ALL_SHAPES))}
 
 
-def _fusion_violated(inp: dict) -> bool:
-    tr = FUSION_TRIPLES[inp["triple"]]
-    t = inp["term"]
-    return tr.h(fold(tr.f, t)) != fold(tr.g, t)
-
-
-_law("fold-fusion", HOLDS,
-     "h . fold f = fold g when h . f = g . F h (side condition checked "
-     "exhaustively on small constructor layers first)",
-     _gen_fusion, _fusion_violated, precheck=_fusion_side_condition)
+@_law("fold-fusion", HOLDS,
+      "h . fold f = fold g when h . f = g . F h (side condition checked "
+      "exhaustively on small constructor layers first)",
+      _gen_fusion, precheck=_fusion_side_condition)
+def _fusion(triple, term) -> bool:
+    h, f, g = triple
+    return h(fold(f, term)) != fold(g, term)
 
 
 def _gen_map_fusion(rng: random.Random) -> dict:
     return {"relabel": rng.choice(list(RELABELS)),
             "alg": rng.choice(["sum", "size", "depth"]),
-            "term": gen_term(rng, _pick_shape(rng))}
+            "term": gen_term(rng, rng.choice(ALL_SHAPES))}
 
 
-def _map_fusion_violated(inp: dict) -> bool:
-    g, alg, t = RELABELS[inp["relabel"]], ALGEBRAS[inp["alg"]], inp["term"]
-    fused = fold(lambda n: alg(bimap_node(g, lambda c: c, n)), t)
-    return fold(alg, map_term(g, t)) != fused
-
-
-_law("fold-map-fusion", HOLDS,
-     "fold f . map g = fold (f . F g id)",
-     _gen_map_fusion, _map_fusion_violated)
+@_law("fold-map-fusion", HOLDS,
+      "fold f . map g = fold (f . F g id)",
+      _gen_map_fusion)
+def _map_fusion(relabel, alg, term) -> bool:
+    fused = fold(lambda n: alg(bimap_node(relabel, lambda c: c, n)), term)
+    return fold(alg, map_term(relabel, term)) != fused
 
 
 # -- labelled ----------------------------------------------------------------
 
-def _scan_lemma_violated(inp: dict) -> bool:
-    alg, t = ALGEBRAS[inp["alg"]], inp["term"]
-    two_pass = map_labelled(lambda s: fold(alg, s), subterms(t))
-    return scan_generic(alg, t) != two_pass
-
-
-_law("scan-lemma", HOLDS,
-     "one-pass scan equals map-of-fold over subterms",
-     _gen_alg_term, _scan_lemma_violated)
+@_law("scan-lemma", HOLDS,
+      "one-pass scan equals map-of-fold over subterms",
+      _gen_alg_term)
+def _scan_lemma(alg, term) -> bool:
+    two_pass = map_labelled(lambda s: fold(alg, s), subterms(term))
+    return scan_generic(alg, term) != two_pass
 
 
 def _gen_term_only(rng: random.Random) -> dict:
-    return {"term": gen_term(rng, _pick_shape(rng))}
+    return {"term": gen_term(rng, rng.choice(ALL_SHAPES))}
 
 
 _law("subterms-para-equiv", HOLDS,
      "subterms as a fold equals subterms as a paramorphism",
-     _gen_term_only,
-     lambda inp: subterms(inp["term"]) != subterms_para(inp["term"]))
+     _gen_term_only)(
+     lambda term: subterms(term) != subterms_para(term))
 
 _law("subterms-unfold-equiv", HOLDS,
      "subterms as a fold equals the top-down rebuilding",
-     _gen_term_only,
-     lambda inp: subterms(inp["term"]) != oracles.subterms_unfold(inp["term"]))
+     _gen_term_only)(
+     lambda term: subterms(term) != oracles.subterms_unfold(term))
 
 
 # -- collection monads -------------------------------------------------------
 
 def _gen_monad_laws(rng: random.Random) -> dict:
-    kind = _pick_kind(rng)
+    kind = rng.choice(ALL_KINDS)
     return {"kind": kind.value,
             "x": gen_coll(rng, kind),
             "xxx": gen_nested(rng, kind, 2)}
 
 
-def _monad_laws_violated(inp: dict) -> bool:
-    kind = CollectionKind(inp["kind"])
-    x, xxx = inp["x"], inp["xxx"]
+@_law("monad-laws", HOLDS,
+      "join . singleton = id, join . map singleton = id, "
+      "join . map join = join . join",
+      _gen_monad_laws)
+def _monad_laws(kind, x, xxx) -> bool:
     if join_c(singleton(kind, x)) != x:
         return True
     if join_c(map_c(lambda a: singleton(kind, a), x)) != x:
@@ -557,34 +529,24 @@ def _monad_laws_violated(inp: dict) -> bool:
     return join_c(map_c(join_c, xxx)) != join_c(join_c(xxx))
 
 
-_law("monad-laws", HOLDS,
-     "join . singleton = id, join . map singleton = id, "
-     "join . map join = join . join",
-     _gen_monad_laws, _monad_laws_violated)
-
-
 def _gen_join_dist(rng: random.Random) -> dict:
-    kind = _pick_kind(rng)
+    kind = rng.choice(ALL_KINDS)
     return {"kind": kind.value,
             "xx": gen_nested(rng, kind, 1),
             "yy": gen_nested(rng, kind, 1)}
 
 
-def _join_dist_violated(inp: dict) -> bool:
-    kind = CollectionKind(inp["kind"])
-    xx, yy = inp["xx"], inp["yy"]
+@_law("join-distributes", HOLDS,
+      "join of empty is empty; join distributes over union",
+      _gen_join_dist)
+def _join_dist(kind, xx, yy) -> bool:
     if join_c(empty(kind)) != empty(kind):
         return True
     return join_c(union(xx, yy)) != union(join_c(xx), join_c(yy))
 
 
-_law("join-distributes", HOLDS,
-     "join of empty is empty; join distributes over union",
-     _gen_join_dist, _join_dist_violated)
-
-
 def _gen_monad_algebra(rng: random.Random) -> dict:
-    kind = _pick_kind(rng)
+    kind = rng.choice(ALL_KINDS)
     op = rng.choice(REDUCERS_FOR_KIND[kind])
     # max/min have no honest value on the empty collection of a 64-bit
     # carrier, so inner collections stay nonempty for them
@@ -594,9 +556,10 @@ def _gen_monad_algebra(rng: random.Random) -> dict:
             "cc": gen_nested(rng, kind, 1, min_inner=min_inner)}
 
 
-def _monad_algebra_violated(inp: dict) -> bool:
-    kind, op = CollectionKind(inp["kind"]), REDUCERS[inp["op"]]
-    a, cc = inp["a"], inp["cc"]
+@_law("monad-algebra", HOLDS,
+      "a reduction splits through return and join",
+      _gen_monad_algebra)
+def _monad_algebra(kind, op, a, cc) -> bool:
     if reduce(op, singleton(kind, a)) != a:
         return True
     lhs = reduce(op, join_c(cc))
@@ -604,51 +567,38 @@ def _monad_algebra_violated(inp: dict) -> bool:
     return lhs != rhs
 
 
-_law("monad-algebra", HOLDS,
-     "a reduction splits through return and join",
-     _gen_monad_algebra, _monad_algebra_violated)
-
-
 def _gen_reduce_dist(rng: random.Random) -> dict:
-    kind = _pick_kind(rng)
+    kind = rng.choice(ALL_KINDS)
     op = rng.choice(REDUCERS_FOR_KIND[kind])
     return {"kind": kind.value, "op": op,
             "a": rng.randint(-8, 8), "b": rng.randint(-8, 8),
             "x": gen_coll(rng, kind), "y": gen_coll(rng, kind)}
 
 
-def _reduce_dist_violated(inp: dict) -> bool:
-    kind, op = CollectionKind(inp["kind"]), REDUCERS[inp["op"]]
-    a, b, x, y = inp["a"], inp["b"], inp["x"], inp["y"]
+@_law("reduce-distributes", HOLDS,
+      "the operator is recovered from singletons, and reduce splits "
+      "across union",
+      _gen_reduce_dist)
+def _reduce_dist(kind, op, a, b, x, y) -> bool:
     if op.fn(a, b) != reduce(op, union(singleton(kind, a), singleton(kind, b))):
         return True
     return reduce(op, union(x, y)) != op.fn(reduce(op, x), reduce(op, y))
 
 
-_law("reduce-distributes", HOLDS,
-     "the operator is recovered from singletons, and reduce splits "
-     "across union",
-     _gen_reduce_dist, _reduce_dist_violated)
-
-
 def _gen_reduce_unit(rng: random.Random) -> dict:
-    kind = _pick_kind(rng)
+    kind = rng.choice(ALL_KINDS)
     return {"kind": kind.value,
             "op": rng.choice(REDUCERS_FOR_KIND[kind]),
             "x": gen_coll(rng, kind)}
 
 
-def _reduce_unit_violated(inp: dict) -> bool:
-    kind, op = CollectionKind(inp["kind"]), REDUCERS[inp["op"]]
-    x = inp["x"]
+@_law("reduce-unit-forced", HOLDS,
+      "reduce of the empty collection is the operator's unit",
+      _gen_reduce_unit)
+def _reduce_unit(kind, op, x) -> bool:
     if reduce(op, empty(kind)) != op.unit:
         return True
     return reduce(op, union(x, empty(kind))) != reduce(op, x)
-
-
-_law("reduce-unit-forced", HOLDS,
-     "reduce of the empty collection is the operator's unit",
-     _gen_reduce_unit, _reduce_unit_violated)
 
 
 # -- list Horner and the classical chain --------------------------------------
@@ -662,164 +612,139 @@ def _gen_horner_list(rng: random.Random) -> dict:
     return {"semiring": sname, "xs": xs}
 
 
-def _horner_list_violated(inp: dict) -> bool:
-    s = SEMIRINGS[inp["semiring"]]
-    xs = inp["xs"]
-    prods = [foldr_list(s.mul, s.mul_unit, seg) for seg in inits_list(xs)]
-    return horner_list(s, xs) != reduce(s.reduce_op, collection(CollectionKind.LIST, prods))
-
-
-_law("horner-list", HOLDS,
-     "the prefix-products reduction equals the single Horner fold",
-     _gen_horner_list, _horner_list_violated)
+@_law("horner-list", HOLDS,
+      "the prefix-products reduction equals the single Horner fold",
+      _gen_horner_list)
+def _horner_list(semiring, xs) -> bool:
+    prods = [foldr_list(semiring.mul, semiring.mul_unit, seg) for seg in inits_list(xs)]
+    lhs = reduce(semiring.reduce_op, collection(CollectionKind.LIST, prods))
+    return horner_list(semiring, xs) != lhs
 
 
 def _gen_mss_chain(rng: random.Random) -> dict:
     return {"xs": gen_ints(rng, 24, -32, 32)}
 
 
-def _mss_chain_violated(inp: dict) -> bool:
-    xs = inp["xs"]
+@_law("mss-chain", HOLDS,
+      "cubic, quadratic and linear maximum-segment-sum agree",
+      _gen_mss_chain)
+def _mss_chain(xs) -> bool:
     a = mss_spec(xs)
     return a != mss_quadratic(xs) or a != mss_linear(xs)
-
-
-_law("mss-chain", HOLDS,
-     "cubic, quadratic and linear maximum-segment-sum agree",
-     _gen_mss_chain, _mss_chain_violated)
 
 
 # -- distributivity ------------------------------------------------------------
 
 def _gen_rectangle(rng: random.Random) -> dict:
-    kind, s = _pick_gated(rng)
-    shape = _pick_shape(rng)
+    kind, sname = rng.choice(GATED_PAIRS)
+    shape = rng.choice(ALL_SHAPES)
     tag = rng.choice(list(SIGNATURES[shape]))
     sig = SIGNATURES[shape][tag]
-    lo, hi = _semiring_label_bounds(s)
+    lo, hi = _semiring_label_bounds(sname)
     labels = tuple(rng.randint(lo, hi) for _ in range(sig.n_labels))
     cols = tuple(gen_coll(rng, kind, 3, lo, hi, min_size=1)
                  for _ in range(sig.n_children))
-    return {"kind": kind.value, "semiring": s.name, "shape": shape.value,
+    return {"kind": kind.value, "semiring": sname, "shape": shape.value,
             "tag": tag, "labels": tuple(labels), "cols": cols}
 
 
-def _rectangle_violated(inp: dict) -> bool:
-    kind, s = CollectionKind(inp["kind"]), SEMIRINGS[inp["semiring"]]
-    shape = ShapeKind(inp["shape"])
-    n = Node(shape, inp["tag"], tuple(inp["labels"]), tuple(inp["cols"]))
-    f = generic_product_alg(s, s.mul_unit)
-    via_distribute = reduce(s.reduce_op, map_c(f, distribute_node(n, kind)))
+@_law("rectangle-distributivity", HOLDS,
+      "reduce . map product . distribute equals product after reducing "
+      "each child collection",
+      _gen_rectangle)
+def _rectangle(kind, semiring, shape, tag, labels, cols) -> bool:
+    n = Node(shape, tag, tuple(labels), tuple(cols))
+    f = generic_product_alg(semiring, semiring.mul_unit)
+    via_distribute = reduce(semiring.reduce_op, map_c(f, distribute_node(n, kind)))
     summed = Node(n.shape, n.tag, n.labels,
-                  tuple(reduce(s.reduce_op, c) for c in n.children))
+                  tuple(reduce(semiring.reduce_op, c) for c in n.children))
     return via_distribute != f(summed)
 
 
-_law("rectangle-distributivity", HOLDS,
-     "reduce . map product . distribute equals product after reducing "
-     "each child collection",
-     _gen_rectangle, _rectangle_violated)
-
-
 def _gen_mbs(rng: random.Random) -> dict:
-    kind, s = _pick_gated(rng)
-    lo, hi = _semiring_label_bounds(s)
+    kind, sname = rng.choice(GATED_PAIRS)
+    lo, hi = _semiring_label_bounds(sname)
     mbs = [gen_coll(rng, kind, 3, lo, hi, min_size=1)
            for _ in range(rng.randint(0, 3))]
-    return {"kind": kind.value, "semiring": s.name, "mbs": mbs}
+    return {"kind": kind.value, "semiring": sname, "mbs": mbs}
 
 
-def _face7_violated(inp: dict) -> bool:
-    kind, s = CollectionKind(inp["kind"]), SEMIRINGS[inp["semiring"]]
-    mbs = inp["mbs"]
-    b = s.mul_unit
-    lhs = foldr_list(s.mul, b, [reduce(s.reduce_op, mb) for mb in mbs])
+@_law("face7-lists", HOLDS,
+      "folding reduced collections equals reducing folds of the "
+      "distributed list",
+      _gen_mbs)
+def _face7(kind, semiring, mbs) -> bool:
+    b = semiring.mul_unit
+    lhs = foldr_list(semiring.mul, b, [reduce(semiring.reduce_op, mb) for mb in mbs])
     rhs = reduce(
-        s.reduce_op,
-        map_c(lambda tup: foldr_list(s.mul, b, list(tup)), dist_list(mbs, kind)),
+        semiring.reduce_op,
+        map_c(lambda tup: foldr_list(semiring.mul, b, list(tup)), dist_list(mbs, kind)),
     )
     return lhs != rhs
 
 
-_law("face7-lists", HOLDS,
-     "folding reduced collections equals reducing folds of the "
-     "distributed list",
-     _gen_mbs, _face7_violated)
-
-
 def _gen_distlist_defs(rng: random.Random) -> dict:
-    kind = _pick_kind(rng)
+    kind = rng.choice(ALL_KINDS)
     mbs = [gen_coll(rng, kind, 3) for _ in range(rng.randint(0, 3))]
     return {"kind": kind.value, "mbs": mbs}
 
 
 _law("distlist-defs-equiv", HOLDS,
      "the fold-of-cp distributor equals the lifted-pairing distributor",
-     _gen_distlist_defs,
-     lambda inp: dist_list(inp["mbs"], CollectionKind(inp["kind"]))
-     != oracles.dist_list_lifted(inp["mbs"], CollectionKind(inp["kind"])))
+     _gen_distlist_defs)(
+     lambda kind, mbs: dist_list(mbs, kind) != oracles.dist_list_lifted(mbs, kind))
 
 
 def _gen_cp_dist(rng: random.Random) -> dict:
-    kind, s = _pick_gated(rng)
-    lo, hi = _semiring_label_bounds(s)
-    return {"kind": kind.value, "semiring": s.name,
+    kind, sname = rng.choice(GATED_PAIRS)
+    lo, hi = _semiring_label_bounds(sname)
+    return {"kind": kind.value, "semiring": sname,
             "x": gen_coll(rng, kind, 4, lo, hi, min_size=1),
             "y": gen_coll(rng, kind, 4, lo, hi, min_size=1)}
 
 
-def _cp_dist_violated(inp: dict) -> bool:
-    kind, s = CollectionKind(inp["kind"]), SEMIRINGS[inp["semiring"]]
-    x, y = inp["x"], inp["y"]
-    lhs = reduce(s.reduce_op, map_c(lambda ab: s.mul(ab[0], ab[1]), cp(x, y)))
-    return lhs != s.mul(reduce(s.reduce_op, x), reduce(s.reduce_op, y))
-
-
-_law("cp-distributivity", HOLDS,
-     "reduce . map mul . cp equals mul of the two reductions",
-     _gen_cp_dist, _cp_dist_violated)
+@_law("cp-distributivity", HOLDS,
+      "reduce . map mul . cp equals mul of the two reductions",
+      _gen_cp_dist)
+def _cp_dist(kind, semiring, x, y) -> bool:
+    op, mul = semiring.reduce_op, semiring.mul
+    lhs = reduce(op, map_c(lambda ab: mul(ab[0], ab[1]), cp(x, y)))
+    return lhs != mul(reduce(op, x), reduce(op, y))
 
 
 def _gen_coll_dist(rng: random.Random) -> dict:
-    kind, s = _pick_gated(rng)
-    lo, hi = _semiring_label_bounds(s)
-    return {"kind": kind.value, "semiring": s.name,
+    kind, sname = rng.choice(GATED_PAIRS)
+    lo, hi = _semiring_label_bounds(sname)
+    return {"kind": kind.value, "semiring": sname,
             "a": rng.randint(lo, hi),
             "x": gen_coll(rng, kind, 4, lo, hi, min_size=1)}
 
 
-def _coll_dist_violated(inp: dict) -> bool:
-    s = SEMIRINGS[inp["semiring"]]
-    a, x = inp["a"], inp["x"]
-    op = s.reduce_op
-    if reduce(op, map_c(lambda b: s.mul(a, b), x)) != s.mul(a, reduce(op, x)):
+@_law("collection-distributivity", HOLDS,
+      "mapping a one-sided mul commutes with reduction",
+      _gen_coll_dist)
+def _coll_dist(kind, semiring, a, x) -> bool:
+    op, mul = semiring.reduce_op, semiring.mul
+    if reduce(op, map_c(lambda b: mul(a, b), x)) != mul(a, reduce(op, x)):
         return True
-    return reduce(op, map_c(lambda b: s.mul(b, a), x)) != s.mul(reduce(op, x), a)
-
-
-_law("collection-distributivity", HOLDS,
-     "mapping a one-sided mul commutes with reduction",
-     _gen_coll_dist, _coll_dist_violated)
+    return reduce(op, map_c(lambda b: mul(b, a), x)) != mul(reduce(op, x), a)
 
 
 def _gen_contents_nat(rng: random.Random) -> dict:
     return {"relabel": rng.choice(list(RELABELS)),
-            "term": gen_term(rng, _pick_shape(rng))}
+            "term": gen_term(rng, rng.choice(ALL_SHAPES))}
 
 
-def _contents_nat_violated(inp: dict) -> bool:
-    g, t = RELABELS[inp["relabel"]], inp["term"]
-    return contents_term(map_term(g, t)) != [g(l) for l in contents_term(t)]
-
-
-_law("contents-naturality", HOLDS,
-     "contents of a relabelled term is the relabelled contents",
-     _gen_contents_nat, _contents_nat_violated)
+@_law("contents-naturality", HOLDS,
+      "contents of a relabelled term is the relabelled contents",
+      _gen_contents_nat)
+def _contents_nat(relabel, term) -> bool:
+    return contents_term(map_term(relabel, term)) != [relabel(l) for l in contents_term(term)]
 
 
 def _gen_delta_contents(rng: random.Random) -> dict:
-    kind = _pick_kind(rng)
-    shape = _pick_shape(rng)
+    kind = rng.choice(ALL_KINDS)
+    shape = rng.choice(ALL_SHAPES)
     tag = rng.choice(list(SIGNATURES[shape]))
     sig = SIGNATURES[shape][tag]
     cols = tuple(gen_coll(rng, kind, 3)
@@ -827,21 +752,17 @@ def _gen_delta_contents(rng: random.Random) -> dict:
     return {"kind": kind.value, "shape": shape.value, "tag": tag, "cols": cols}
 
 
-def _delta_contents_violated(inp: dict) -> bool:
-    kind = CollectionKind(inp["kind"])
-    shape = ShapeKind(inp["shape"])
-    sig = SIGNATURES[shape][inp["tag"]]
-    cols = tuple(inp["cols"])
-    n = Node(shape, inp["tag"], cols[: sig.n_labels], cols[sig.n_labels :])
+@_law("delta-respects-contents", HOLDS,
+      "distributing the contents list equals contents of the distributed "
+      "constructor",
+      _gen_delta_contents)
+def _delta_contents(kind, shape, tag, cols) -> bool:
+    sig = SIGNATURES[shape][tag]
+    cols = tuple(cols)
+    n = Node(shape, tag, cols[: sig.n_labels], cols[sig.n_labels :])
     via_contents = dist_list(cols, kind)
     via_node = map_c(lambda nd: tuple(contents_node(nd)), bidist_node(n, kind))
     return via_contents != via_node
-
-
-_law("delta-respects-contents", HOLDS,
-     "distributing the contents list equals contents of the distributed "
-     "constructor",
-     _gen_delta_contents, _delta_contents_violated)
 
 
 # -- generic Horner and MSS ----------------------------------------------------
@@ -854,38 +775,32 @@ def _horner_b_samples(rng: random.Random, s: Semiring) -> int:
 
 def _gen_horner_generic(rng: random.Random) -> dict:
     s = SEMIRINGS[rng.choice(["max-plus", "plus-times"])]
-    lo, hi = _semiring_label_bounds(s)
-    t = gen_term_capped(rng, _pick_shape(rng), prune_count, 3000, 4, lo, hi)
+    lo, hi = _semiring_label_bounds(s.name)
+    t = gen_term_capped(rng, rng.choice(ALL_SHAPES), prune_count, 3000, 4, lo, hi)
     return {"semiring": s.name, "b": _horner_b_samples(rng, s), "term": t}
 
 
-def _horner_generic_violated(inp: dict) -> bool:
-    s, b, t = SEMIRINGS[inp["semiring"]], inp["b"], inp["term"]
-    return horner_generic(s, b, t) != horner_generic_brute(s, b, t)
-
-
-_law("horner-generic-vs-prune", HOLDS,
-     "the Horner fold equals reducing layer-products over all prunings",
-     _gen_horner_generic, _horner_generic_violated)
+@_law("horner-generic-vs-prune", HOLDS,
+      "the Horner fold equals reducing layer-products over all prunings",
+      _gen_horner_generic)
+def _horner_generic(semiring, b, term) -> bool:
+    return horner_generic(semiring, b, term) != horner_generic_brute(semiring, b, term)
 
 
 def _gen_mss_generic(rng: random.Random) -> dict:
     s = SEMIRINGS[rng.choice(["max-plus", "plus-times"])]
-    lo, hi = _semiring_label_bounds(s)
-    t = gen_term_capped(rng, _pick_shape(rng), segs_count, 2000, 4, lo, hi)
+    lo, hi = _semiring_label_bounds(s.name)
+    t = gen_term_capped(rng, rng.choice(ALL_SHAPES), segs_count, 2000, 4, lo, hi)
     return {"semiring": s.name, "term": t}
 
 
-def _mss_generic_violated(inp: dict) -> bool:
-    s, t = SEMIRINGS[inp["semiring"]], inp["term"]
-    scan_v = mss_generic(s, t, via="scan", kind=CollectionKind.BAG)
-    brute_v = mss_generic(s, t, via="brute", kind=CollectionKind.BAG)
+@_law("mss-generic-scan-vs-brute", HOLDS,
+      "scanning the Horner fold equals reducing over all generic segments",
+      _gen_mss_generic)
+def _mss_generic(semiring, term) -> bool:
+    scan_v = mss_generic(semiring, term, via="scan", kind=CollectionKind.BAG)
+    brute_v = mss_generic(semiring, term, via="brute", kind=CollectionKind.BAG)
     return scan_v != brute_v
-
-
-_law("mss-generic-scan-vs-brute", HOLDS,
-     "scanning the Horner fold equals reducing over all generic segments",
-     _gen_mss_generic, _mss_generic_violated)
 
 
 def _gen_set_plus(rng: random.Random) -> dict:
@@ -893,28 +808,25 @@ def _gen_set_plus(rng: random.Random) -> dict:
             "y": gen_coll(rng, CollectionKind.SET, 4, -3, 5)}
 
 
-def _set_plus_violated(inp: dict) -> bool:
-    x, y = inp["x"], inp["y"]
+@_law("set-plus-nonidempotent", FAILS,
+      "summing over sets does not distribute across union, because set "
+      "union is idempotent and addition is not",
+      _gen_set_plus)
+def _set_plus(x, y) -> bool:
     lhs = reduce(SUM_REDUCE, union(x, y), check=False)
     rhs = SUM_REDUCE.fn(reduce(SUM_REDUCE, x, check=False),
                         reduce(SUM_REDUCE, y, check=False))
     return lhs != rhs
 
 
-_law("set-plus-nonidempotent", FAILS,
-     "summing over sets does not distribute across union, because set "
-     "union is idempotent and addition is not",
-     _gen_set_plus, _set_plus_violated)
-
-
 def _gen_prune_counts(rng: random.Random) -> dict:
-    return {"term": gen_term_capped(rng, _pick_shape(rng), prune_count, 20000, 5)}
+    return {"term": gen_term_capped(rng, rng.choice(ALL_SHAPES), prune_count, 20000, 5)}
 
 
 _law("prune-counts", HOLDS,
      "enumerated prunings match the 1 + product-over-children recurrence",
-     _gen_prune_counts,
-     lambda inp: len(prune(inp["term"]).items) != prune_count(inp["term"]))
+     _gen_prune_counts)(
+     lambda term: len(prune(term).items) != prune_count(term))
 
 
 # ---------------------------------------------------------------------------
@@ -941,26 +853,21 @@ def run_law(law_id: str, seed: int = 42, trials: int = 200) -> LawReport:
         if msg is not None:
             return LawReport(law.id, 0, FAILS, law.expectation,
                              law.expectation == FAILS, json.dumps({"precheck": msg}))
-    ran = 0
-    witness: dict | None = None
-    for _ in range(trials):
-        ran += 1
+    for ran in range(1, trials + 1):
         inputs = law.gen(rng)
         if law.violated(inputs):
-            witness = inputs
             break
-    if witness is None:
-        return LawReport(law.id, ran, HOLDS, law.expectation,
+    else:
+        return LawReport(law.id, trials, HOLDS, law.expectation,
                          law.expectation == HOLDS, None)
-    shrunk = shrink_inputs(witness, law.violated)
+    shrunk = shrink_inputs(inputs, law.violated)
     return LawReport(law.id, ran, FAILS, law.expectation,
                      law.expectation == FAILS, encode_inputs(shrunk))
 
 
 def run_all(seed: int = 42, trials: int = 200,
             ids: list[str] | None = None) -> list[LawReport]:
-    selected = list(LAW_IDS) if not ids else list(ids)
-    return [run_law(i, seed, trials) for i in selected]
+    return [run_law(i, seed, trials) for i in ids or LAW_IDS]
 
 
 def replay(law_id: str, witness: str) -> bool:
@@ -969,4 +876,4 @@ def replay(law_id: str, witness: str) -> bool:
 
 
 def reports_to_json(reports: list[LawReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+    return json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True)

@@ -42,8 +42,6 @@ def canonical_key(x) -> tuple:
         return (2, struct_key(x))
     if isinstance(x, Collection):
         return (3, x.kind.value, tuple(canonical_key(e) for e in x.items))
-    if isinstance(x, bool):
-        return (0, int(x))
     if isinstance(x, int):
         return (0, x)
     if isinstance(x, tuple):

@@ -296,6 +296,8 @@ def test_bench_usage_errors(runner):
     assert invoke(runner, "bench", "--sizes", "800,400").exit_code == 2
     assert invoke(runner, "bench", "--sizes", "0").exit_code == 2
     assert invoke(runner, "bench", "--algos", "warp").exit_code == 2
+    for budget in ("nan", "0", "-1"):
+        assert invoke(runner, "bench", "--budget", budget).exit_code == 2, budget
 
 
 def test_bench_budget_exceeded(runner):

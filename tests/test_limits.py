@@ -100,3 +100,7 @@ def test_mss_at_the_list_limit_and_the_64_bit_extremes(algo):
     too_long = ",".join(["0"] * (n + 1))
     assert _cli("mss", "--algo", algo, "--input", too_long) == (
         2, f"error: list longer than {n} elements (at offset 0)")
+    # the length is refused before any element is converted or range-checked
+    too_long_and_too_big = ",".join(["0"] * n + [str(I64_MAX + 1)])
+    assert _cli("mss", "--algo", algo, "--input", too_long_and_too_big) == (
+        2, f"error: list longer than {n} elements (at offset 0)")
