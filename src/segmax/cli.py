@@ -10,6 +10,7 @@ Exit statuses: 0 ok, 2 usage or parse problem, 3 distributivity gate,
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import statistics
@@ -85,12 +86,19 @@ _EXIT_CODES = {
 }
 
 
-def _run(body) -> None:
-    try:
-        body()
-    except tuple(_EXIT_CODES) as e:
-        code = next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
-        _fail(code, str(e))
+def _run(command):
+    """A command whose exceptions of the types in _EXIT_CODES end it with
+    one error line and the mapped exit status."""
+
+    @functools.wraps(command)  # click reads the help text from the docstring
+    def run(*args, **kwargs) -> None:
+        try:
+            command(*args, **kwargs)
+        except tuple(_EXIT_CODES) as e:
+            code = next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
+            _fail(code, str(e))
+
+    return run
 
 
 def _read_source(inline: str | None, path: str | None) -> str:
@@ -136,20 +144,17 @@ def main() -> None:
               help="Comma or space separated integers.")
 @click.option("--file", "path", default=None, help="Read the list from a file.")
 @click.option("--json", "as_json", is_flag=True)
+@_run
 def mss(algo: str, inline: str | None, path: str | None, as_json: bool) -> None:
     """Maximum segment sum of an integer list (prefix = best prefix sum)."""
-
-    def body() -> None:
-        xs = _parse_int_list(_read_source(inline, path))
-        fn = {"spec": mss_spec, "quadratic": mss_quadratic,
-              "linear": mss_linear, "prefix": max_prefix_sum}[algo]
-        value = fn(xs)
-        if as_json:
-            _echo(json.dumps({"algo": algo, "value": value, "n": len(xs)}))
-        else:
-            _echo(str(value))
-
-    _run(body)
+    xs = _parse_int_list(_read_source(inline, path))
+    fn = {"spec": mss_spec, "quadratic": mss_quadratic,
+          "linear": mss_linear, "prefix": max_prefix_sum}[algo]
+    value = fn(xs)
+    if as_json:
+        _echo(json.dumps({"algo": algo, "value": value, "n": len(xs)}))
+    else:
+        _echo(str(value))
 
 
 @main.command()
@@ -167,38 +172,35 @@ def mss(algo: str, inline: str | None, path: str | None, as_json: bool) -> None:
 @click.option("--file", "path", default=None)
 @click.option("--force", is_flag=True, help="Bypass the distributivity gate.")
 @click.option("--json", "as_json", is_flag=True)
+@_run
 def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
          inline: str | None, path: str | None, force: bool, as_json: bool) -> None:
     """Best segment value of a shaped term, by scan or brute enumeration."""
-
-    def body() -> None:
-        s = SEMIRINGS[semiring_name]
-        kind = CollectionKind(monad)
-        t = _parse_tree(_read_source(inline, path), ShapeKind(shape))
-        if check_both:
-            # gate, carrier and guard refuse before either route computes
-            ensure_distributive(s, kind, force)
-            _check_carrier(s, t)
-            _check_guard(segs_count(t), DEFAULT_GUARD)
-            scan_v = mss_generic(s, t, via="scan", kind=kind, force=force)
-            brute_v = mss_generic(s, t, via="brute", kind=kind, force=force)
-            if scan_v != brute_v:
-                _fail(1, f"routes disagree: scan={scan_v} brute={brute_v}")
-            if as_json:
-                _echo(json.dumps({"scan": scan_v, "brute": brute_v,
-                                  "semiring": semiring_name, "monad": monad}))
-            else:
-                _echo(f"scan = {scan_v}")
-                _echo(f"brute = {brute_v}")
-            return
-        value = mss_generic(s, t, via=via, kind=kind, force=force)
+    s = SEMIRINGS[semiring_name]
+    kind = CollectionKind(monad)
+    t = _parse_tree(_read_source(inline, path), ShapeKind(shape))
+    if check_both:
+        # gate, carrier and guard refuse before either route computes
+        ensure_distributive(s, kind, force)
+        _check_carrier(s, t)
+        _check_guard(segs_count(t), DEFAULT_GUARD)
+        scan_v = mss_generic(s, t, via="scan", kind=kind, force=force)
+        brute_v = mss_generic(s, t, via="brute", kind=kind, force=force)
+        if scan_v != brute_v:
+            _fail(1, f"routes disagree: scan={scan_v} brute={brute_v}")
         if as_json:
-            _echo(json.dumps({"via": via, "value": value,
+            _echo(json.dumps({"scan": scan_v, "brute": brute_v,
                               "semiring": semiring_name, "monad": monad}))
         else:
-            _echo(str(value))
-
-    _run(body)
+            _echo(f"scan = {scan_v}")
+            _echo(f"brute = {brute_v}")
+        return
+    value = mss_generic(s, t, via=via, kind=kind, force=force)
+    if as_json:
+        _echo(json.dumps({"via": via, "value": value,
+                          "semiring": semiring_name, "monad": monad}))
+    else:
+        _echo(str(value))
 
 
 @main.command()
@@ -211,6 +213,7 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
 @click.option("--input", "inline", default=None, help="Term s-expression.")
 @click.option("--file", "path", default=None)
 @click.option("--json", "as_json", is_flag=True)
+@_run
 def prune(shape: str, monad: str, count_only: bool, inline: str | None,
           path: str | None, as_json: bool) -> None:
     """Enumerate (or count) all prunings of a term.
@@ -218,21 +221,17 @@ def prune(shape: str, monad: str, count_only: bool, inline: str | None,
     The printed size is the sum of the prunings' sizes, which no guard
     bounds: it is quadratic in the length of a list (72 MB at 4,000
     elements)."""
-
-    def body() -> None:
-        t = _parse_tree(_read_source(inline, path), ShapeKind(shape))
-        if count_only:
-            digits = str(Decimal(prune_count(t)))  # str(int) stops at 4,300 digits
-            _echo('{"count": ' + digits + "}" if as_json else digits)
-            return
-        c = prune_term(t, CollectionKind(monad))
-        texts = print_items(c.items)
-        if as_json:
-            _echo(json.dumps({"kind": monad, "items": texts}))
-        else:
-            _echo(to_text(c._replace(items=texts)))
-
-    _run(body)
+    t = _parse_tree(_read_source(inline, path), ShapeKind(shape))
+    if count_only:
+        digits = str(Decimal(prune_count(t)))  # str(int) stops at 4,300 digits
+        _echo('{"count": ' + digits + "}" if as_json else digits)
+        return
+    c = prune_term(t, CollectionKind(monad))
+    texts = print_items(c.items)
+    if as_json:
+        _echo(json.dumps({"kind": monad, "items": texts}))
+    else:
+        _echo(to_text(c._replace(items=texts)))
 
 
 @main.command()
@@ -240,25 +239,22 @@ def prune(shape: str, monad: str, count_only: bool, inline: str | None,
 @click.option("--trials", type=int, default=200, show_default=True)
 @click.option("--id", "ids", multiple=True, help="Run only these law ids.")
 @click.option("--json", "as_json", is_flag=True)
+@_run
 def laws(seed: int, trials: int, ids: tuple[str, ...], as_json: bool) -> None:
     """Run the law registry; nonzero exit if any expectation is missed."""
-
-    def body() -> None:
-        reports = run_all(seed, trials, list(ids) or None)
-        if as_json:
-            _echo(reports_to_json(reports))
-        else:
-            width = max(len(r.id) for r in reports)
-            for r in reports:
-                status = "ok" if r.ok else "UNEXPECTED"
-                line = f"{r.id:<{width}}  {r.outcome:<18} trials={r.trials:<6} {status}"
-                _echo(line)
-                if r.witness is not None:
-                    _echo(f"{'':<{width}}  witness: {r.witness}")
-        if not all(r.ok for r in reports):
-            sys.exit(1)
-
-    _run(body)
+    reports = run_all(seed, trials, list(ids) or None)
+    if as_json:
+        _echo(reports_to_json(reports))
+    else:
+        width = max(len(r.id) for r in reports)
+        for r in reports:
+            status = "ok" if r.ok else "UNEXPECTED"
+            line = f"{r.id:<{width}}  {r.outcome:<18} trials={r.trials:<6} {status}"
+            _echo(line)
+            if r.witness is not None:
+                _echo(f"{'':<{width}}  witness: {r.witness}")
+    if not all(r.ok for r in reports):
+        sys.exit(1)
 
 
 _BENCH_ALGOS = {"spec": mss_spec, "quadratic": mss_quadratic, "linear": mss_linear}
@@ -302,38 +298,35 @@ def bench_run(sizes: list[int], algos: list[str], seed: int = 42,
 @click.option("--budget", type=float, default=120.0, show_default=True,
               help="Total wall-clock budget in seconds.")
 @click.option("--json", "as_json", is_flag=True)
+@_run
 def bench(sizes: str, algos: str, seed: int, do_assert: bool, budget: float,
           as_json: bool) -> None:
     """Compare the list algorithms' wall-clock growth."""
-
-    def body() -> None:
-        try:
-            ns = [int(p) for p in sizes.split(",") if p.strip()]
-        except ValueError:
-            raise TermSyntaxError("sizes must be integers", 0) from None
-        if not ns or any(n <= 0 for n in ns) or ns != sorted(ns):
-            _fail(EXIT_USAGE, "sizes must be positive and ascending")
-        if not budget > 0:  # also refuses nan, which would disable the guard
-            _fail(EXIT_USAGE, "budget must be a positive number of seconds")
-        names = [a.strip() for a in algos.split(",") if a.strip()]
-        unknown = [a for a in names if a not in _BENCH_ALGOS]
-        if unknown:
-            _fail(EXIT_USAGE, f"unknown algorithms: {', '.join(unknown)}")
-        rows = bench_run(ns, names, seed, budget=budget)
-        if as_json:
-            _echo(json.dumps(rows))
-        else:
-            for row in rows:
-                _echo(f"{row['algo']:<10} n={row['n']:<8} {row['seconds']:.6f}s")
-        if do_assert and len(names) > 1:
-            top = ns[-1]
-            at_top = {r["algo"]: r["seconds"] for r in rows if r["n"] == top}
-            order = [a for a in ("spec", "quadratic", "linear") if a in at_top]
-            for fast, slow in zip(order[1:], order[:-1]):
-                if not at_top[slow] > at_top[fast]:
-                    _fail(1, f"expected {slow} slower than {fast} at n={top}")
-
-    _run(body)
+    try:
+        ns = [int(p) for p in sizes.split(",") if p.strip()]
+    except ValueError:
+        raise TermSyntaxError("sizes must be integers", 0) from None
+    if not ns or any(n <= 0 for n in ns) or ns != sorted(ns):
+        _fail(EXIT_USAGE, "sizes must be positive and ascending")
+    if not budget > 0:  # also refuses nan, which would disable the guard
+        _fail(EXIT_USAGE, "budget must be a positive number of seconds")
+    names = [a.strip() for a in algos.split(",") if a.strip()]
+    unknown = [a for a in names if a not in _BENCH_ALGOS]
+    if unknown:
+        _fail(EXIT_USAGE, f"unknown algorithms: {', '.join(unknown)}")
+    rows = bench_run(ns, names, seed, budget=budget)
+    if as_json:
+        _echo(json.dumps(rows))
+    else:
+        for row in rows:
+            _echo(f"{row['algo']:<10} n={row['n']:<8} {row['seconds']:.6f}s")
+    if do_assert and len(names) > 1:
+        top = ns[-1]
+        at_top = {r["algo"]: r["seconds"] for r in rows if r["n"] == top}
+        order = [a for a in ("spec", "quadratic", "linear") if a in at_top]
+        for fast, slow in zip(order[1:], order[:-1]):
+            if not at_top[slow] > at_top[fast]:
+                _fail(1, f"expected {slow} slower than {fast} at n={top}")
 
 
 if __name__ == "__main__":

@@ -233,6 +233,6 @@ _BRACKETS = {
 }
 
 
-def to_text(x: Collection, fmt: Callable[[Any], str] = str) -> str:
+def to_text(x: Collection) -> str:
     open_b, close_b = _BRACKETS[x.kind]
-    return open_b + ", ".join(fmt(e) for e in x.items) + close_b
+    return open_b + ", ".join(map(str, x.items)) + close_b

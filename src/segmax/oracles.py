@@ -53,7 +53,7 @@ def prune_recursive(t: Term, kind: CollectionKind) -> Collection:
 
 
 def segs_generic_literal(t: Term, kind: CollectionKind = CollectionKind.BAG,
-                         guard: int | None = DEFAULT_GUARD) -> Collection:
+                         guard: int = DEFAULT_GUARD) -> Collection:
     """segs spelled with the collection combinators,
     join . map prune . contents . subterms; a cross-check for the
     one-scan enumeration in pruning.segs_generic."""

@@ -57,8 +57,8 @@ def prune_count(t: Term) -> int:
     return postorder(t, _count_step)
 
 
-def _check_guard(size: int, guard: int | None) -> None:
-    if guard is not None and size > guard:
+def _check_guard(size: int, guard: int) -> None:
+    if size > guard:
         raise SizeGuardError(size, guard)
 
 
@@ -78,7 +78,7 @@ def _prune_items(t: Term) -> list:
 
 
 def prune(t: Term, kind: CollectionKind = CollectionKind.BAG,
-          guard: int | None = DEFAULT_GUARD) -> Collection:
+          guard: int = DEFAULT_GUARD) -> Collection:
     """The collection of all prunings of t."""
     _check_guard(prune_count(t), guard)
     return Collection(kind, tuple(_prune_items(t)))
@@ -99,7 +99,7 @@ def segs_count(t: Term) -> int:
     return sum(counts)
 
 
-def _segs_items(t: Term, guard: int | None) -> list:
+def _segs_items(t: Term, guard: int) -> list:
     _check_guard(segs_count(t), guard)
     per_subterm: list = []
     postorder(t, _prune_step, out=per_subterm)
@@ -107,7 +107,7 @@ def _segs_items(t: Term, guard: int | None) -> list:
 
 
 def segs_generic(t: Term, kind: CollectionKind = CollectionKind.BAG,
-                 guard: int | None = DEFAULT_GUARD) -> Collection:
+                 guard: int = DEFAULT_GUARD) -> Collection:
     """All generic segments of t, concat . contents . scan prune: the
     prunings of every subterm, from one scan (oracles.segs_generic_literal
     spells out join . map prune . contents . subterms)."""

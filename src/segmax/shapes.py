@@ -233,7 +233,8 @@ EMPTY = _EmptyMark()
 
 
 def make_node(shape: ShapeKind, tag: str, labels: tuple, children: tuple) -> Node:
-    """Build a Node, checking the tag and both arities against the shape."""
+    """Build a Node, checking the tag and both arities against the shape,
+    then each label (a 64-bit integer) and each child (a term of the shape)."""
     sig = SIGNATURES[shape].get(tag)
     if sig is None:
         raise ShapeMismatchError(f"shape {shape.value} has no constructor '{tag}'")
@@ -245,7 +246,11 @@ def make_node(shape: ShapeKind, tag: str, labels: tuple, children: tuple) -> Nod
         raise ShapeMismatchError(
             f"'{tag}' takes {sig.n_children} child(ren), got {len(children)}"
         )
-    return Node(shape, tag, tuple(labels), tuple(children))
+    labels = tuple(map(_label, labels))
+    for c in children:
+        if not isinstance(c, Node) or c.shape is not shape:
+            raise ShapeMismatchError(f"child must be a {shape.value} term, got {c!r}")
+    return Node(shape, tag, labels, tuple(children))
 
 
 def _label(v: Any) -> int:
@@ -254,57 +259,36 @@ def _label(v: Any) -> int:
     return check_i64(v, "label")
 
 
-def _child(c: Any, shape: ShapeKind) -> Node:
-    if not isinstance(c, Node) or c.shape is not shape:
-        raise ShapeMismatchError(f"child must be a {shape.value} term, got {c!r}")
-    return c
-
-
 def nil() -> Term:
-    return Node(ShapeKind.LIST, "nil", (), ())
+    return make_node(ShapeKind.LIST, "nil", (), ())
 
 
 def cons(x: int, tail: Term) -> Term:
-    return Node(ShapeKind.LIST, "cons", (_label(x),), (_child(tail, ShapeKind.LIST),))
+    return make_node(ShapeKind.LIST, "cons", (x,), (tail,))
 
 
 def tip(x: int) -> Term:
-    return Node(ShapeKind.ETREE, "tip", (_label(x),), ())
+    return make_node(ShapeKind.ETREE, "tip", (x,), ())
 
 
 def bin_(left: Term, right: Term) -> Term:
-    return Node(
-        ShapeKind.ETREE,
-        "bin",
-        (),
-        (_child(left, ShapeKind.ETREE), _child(right, ShapeKind.ETREE)),
-    )
+    return make_node(ShapeKind.ETREE, "bin", (), (left, right))
 
 
 def nilt() -> Term:
-    return Node(ShapeKind.ITREE, "nilt", (), ())
+    return make_node(ShapeKind.ITREE, "nilt", (), ())
 
 
 def inode(x: int, left: Term, right: Term) -> Term:
-    return Node(
-        ShapeKind.ITREE,
-        "node",
-        (_label(x),),
-        (_child(left, ShapeKind.ITREE), _child(right, ShapeKind.ITREE)),
-    )
+    return make_node(ShapeKind.ITREE, "node", (x,), (left, right))
 
 
 def leaf(x: int) -> Term:
-    return Node(ShapeKind.HTREE, "leaf", (_label(x),), ())
+    return make_node(ShapeKind.HTREE, "leaf", (x,), ())
 
 
 def fork(x: int, left: Term, right: Term) -> Term:
-    return Node(
-        ShapeKind.HTREE,
-        "fork",
-        (_label(x),),
-        (_child(left, ShapeKind.HTREE), _child(right, ShapeKind.HTREE)),
-    )
+    return make_node(ShapeKind.HTREE, "fork", (x,), (left, right))
 
 
 def list_term(xs) -> Term:

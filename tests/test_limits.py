@@ -16,6 +16,8 @@ from segmax import I64_MAX, I64_MIN, list_term, mss_linear, print_term
 from segmax.cli import main
 
 N_LIST = 99_999  # cons nodes, so the term has 100,000 nodes with its nil
+OVER_LIMIT = "(cons 0 " * 100_000 + "nil" + ")" * 100_000  # 100,001 nodes
+TOO_LARGE = (2, "error: tree larger than 100000 nodes (at offset 0)")
 HTREE_DEPTH = 15  # 65,535 nodes
 
 
@@ -60,6 +62,7 @@ def test_scan_answers_at_the_node_limit(long_list, complete_htree, edge_list):
     assert _cli("tree", "--input", complete_htree) == (0, f"{2**HTREE_DEPTH - 1}\n")
     code, line = _cli("tree", "--shape", "list", "--input", edge_list)
     assert code == 4 and "outside 64-bit signed range" in line
+    assert _cli("tree", "--shape", "list", "--input", OVER_LIMIT) == TOO_LARGE
 
 
 def test_brute_routes_refuse_at_the_guard(long_list, complete_htree):
@@ -80,6 +83,7 @@ def test_check_refuses_at_the_guard_before_the_scan_overflows(edge_list):
 def test_prune_counts_at_the_node_limit(long_list, complete_htree):
     assert _cli("prune", "--shape", "list", "--count", "--input", long_list[1]) == (
         0, f"{N_LIST + 2}\n")
+    assert _cli("prune", "--shape", "list", "--count", "--input", OVER_LIMIT) == TOO_LARGE
     count = 2
     for _ in range(HTREE_DEPTH - 1):
         count = 1 + count * count

@@ -81,6 +81,9 @@ PARSE_ERRORS = [
     (parse_term, "(5", ShapeKind.LIST, "expected a constructor name after '('", 1),
     (parse_term, "(cons", ShapeKind.LIST, "missing integer label", 5),
     (parse_term, "(leaf 1 2)", ShapeKind.HTREE, "expected ')'", 8),
+    # a node whose last child is followed by another term
+    (parse_term, "(cons 1 nil nil)", ShapeKind.LIST, "expected ')'", 12),
+    (parse_term, "(bin (tip 1) (tip 2) (tip 3))", ShapeKind.ETREE, "expected ')'", 21),
     (parse_term, "-", ShapeKind.LIST, "unexpected character '-'", 0),
     (parse_pruned, "(fork 1 E)", ShapeKind.HTREE, "unexpected ')'", 9),
     (parse_pruned, "(leaf 1 E)", ShapeKind.HTREE, "expected ')'", 8),
@@ -213,6 +216,15 @@ def test_make_node_validates():
         make_node(ShapeKind.LIST, "cons", (), (nil(),))
     with pytest.raises(ShapeMismatchError):
         make_node(ShapeKind.HTREE, "leaf", (1,), (leaf(2),))
+    # labels are 64-bit integers and children are terms of the same shape
+    with pytest.raises(ShapeMismatchError):
+        make_node(ShapeKind.HTREE, "leaf", ("x",), ())
+    with pytest.raises(ShapeMismatchError):
+        make_node(ShapeKind.HTREE, "leaf", (True,), ())
+    with pytest.raises(OverflowError):
+        make_node(ShapeKind.HTREE, "leaf", (1 << 63,), ())
+    with pytest.raises(ShapeMismatchError):
+        make_node(ShapeKind.LIST, "cons", (1,), (leaf(2),))
 
 
 def test_builders_reject_foreign_children_and_bad_labels():
