@@ -40,11 +40,11 @@ from .horner import (
 from .ints import check_i64
 from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
-from .pruning import DEFAULT_GUARD, _check_guard, prune_count, segs_count
+from .pruning import _check_guard, prune_count, segs_count
 from .pruning import prune as prune_term
-from .shapes import ShapeKind, parse_term, print_items, term_size
-# segbench's traced run rebinds print_pruned here, so it stays bound
-from .shapes import print_pruned  # noqa: F401
+from .shapes import ShapeKind, parse_term, print_items
+# segbench's traced run rebinds these names here, so they stay bound
+from .shapes import print_pruned, term_size  # noqa: F401
 
 EXIT_USAGE = 2
 EXIT_GATE = 3
@@ -53,7 +53,6 @@ EXIT_GUARD = 5
 EXIT_BUDGET = 6
 
 MAX_LIST_LEN = 10**6
-MAX_TREE_NODES = 10**5
 
 _SHAPE_CHOICES = [k.value for k in ShapeKind]
 _MONAD_CHOICES = [k.value for k in CollectionKind]
@@ -125,13 +124,6 @@ def _parse_int_list(text: str) -> list[int]:
         raise TermSyntaxError("list elements must be integers", 0) from None
 
 
-def _parse_tree(text: str, shape: ShapeKind):
-    t = parse_term(text, shape)
-    if term_size(t) > MAX_TREE_NODES:
-        raise TermSyntaxError(f"tree larger than {MAX_TREE_NODES} nodes", 0)
-    return t
-
-
 @click.group()
 def main() -> None:
     """Segment sums over lists and shaped terms, with an executable law suite."""
@@ -178,12 +170,12 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
     """Best segment value of a shaped term, by scan or brute enumeration."""
     s = SEMIRINGS[semiring_name]
     kind = CollectionKind(monad)
-    t = _parse_tree(_read_source(inline, path), ShapeKind(shape))
+    t = parse_term(_read_source(inline, path), ShapeKind(shape))
     if check_both:
         # gate, carrier and guard refuse before either route computes
         ensure_distributive(s, kind, force)
         _check_carrier(s, t)
-        _check_guard(segs_count(t), DEFAULT_GUARD)
+        _check_guard(segs_count(t))
         scan_v = mss_generic(s, t, via="scan", kind=kind, force=force)
         brute_v = mss_generic(s, t, via="brute", kind=kind, force=force)
         if scan_v != brute_v:
@@ -221,7 +213,7 @@ def prune(shape: str, monad: str, count_only: bool, inline: str | None,
     The printed size is the sum of the prunings' sizes, which no guard
     bounds: it is quadratic in the length of a list (72 MB at 4,000
     elements)."""
-    t = _parse_tree(_read_source(inline, path), ShapeKind(shape))
+    t = parse_term(_read_source(inline, path), ShapeKind(shape))
     if count_only:
         digits = str(Decimal(prune_count(t)))  # str(int) stops at 4,300 digits
         _echo('{"count": ' + digits + "}" if as_json else digits)

@@ -49,7 +49,7 @@ class DistributivityError(SegmaxError):
 
 
 class SizeGuardError(SegmaxError):
-    """A pruning enumeration would exceed the configured element guard."""
+    """A pruning enumeration would exceed the element guard, pruning.GUARD."""
 
     def __init__(self, size: int, guard: int):
         # Decimal, unlike str(), prints counts past 4,300 digits

@@ -56,7 +56,7 @@ from .monads import (
     reduce,
     reduce_law_failure,
 )
-from .pruning import DEFAULT_GUARD, _segs_items, prune, pruned_fold
+from .pruning import _segs_items, prune, pruned_fold
 from .schemes import Algebra, contents_term, fold
 from .shapes import Term, postorder
 
@@ -302,7 +302,7 @@ def mss_generic(s: Semiring, t: Term, via: str = SCAN,
         postorder(t, horner_step(s, b), out=vals)
     elif via == BRUTE:
         f = generic_product_alg(s, b)
-        vals = [pruned_fold(b, f, p) for p in _segs_items(t, DEFAULT_GUARD)]
+        vals = [pruned_fold(b, f, p) for p in _segs_items(t)]
     else:
         raise ValueError(f"unknown route {via!r}")
     return reduce(s.reduce_op, collection(kind, vals), check=not force)

@@ -84,9 +84,13 @@ from .shapes import (
 
 HOLDS = "HOLDS"
 FAILS = "FAILS_WITH_WITNESS"
+SHRINK_BUDGET = 500  # candidate inputs a shrink may try
 
 ALL_SHAPES = tuple(ShapeKind)
 ALL_KINDS = tuple(CollectionKind)
+# per shape: the childless constructor a drawn term stops at, and the one it grows by
+STOP_GROW = {shape: tuple(sorted(sigs, key=lambda tag: sigs[tag].n_children))
+             for shape, sigs in SIGNATURES.items()}
 
 # (collection kind, semiring) pairs that pass the distributivity gate
 # and are exercised by every distributivity-flavoured law.
@@ -176,11 +180,10 @@ def _fusion_side_condition() -> str | None:
 def gen_term(rng: random.Random, shape: ShapeKind, max_depth: int = 6,
              lo: int = -8, hi: int = 8, stop_p: float = 0.3) -> Term:
     sigs = SIGNATURES[shape]
-    stop = next(t for t, s in sigs.items() if s.n_children == 0)
-    go_on = next(t for t, s in sigs.items() if s.n_children > 0)
+    stop, grow = STOP_GROW[shape]
 
     def build(depth: int) -> Term:
-        tag = stop if depth >= max_depth or rng.random() < stop_p else go_on
+        tag = stop if depth >= max_depth or rng.random() < stop_p else grow
         sig = sigs[tag]
         labels = tuple(rng.randint(lo, hi) for _ in range(sig.n_labels))
         children = tuple(build(depth + 1) for _ in range(sig.n_children))
@@ -336,8 +339,9 @@ def _rewrite_ints(v, k: int):
     return v
 
 
-def shrink_inputs(inputs: dict, violated: Callable[[dict], bool],
-                  budget: int = 500) -> dict:
+def shrink_inputs(inputs: dict, violated: Callable[[dict], bool]) -> dict:
+    budget = SHRINK_BUDGET
+
     def still_bad(cand: dict) -> bool:
         try:
             return violated(cand)
@@ -434,12 +438,8 @@ def _gen_alg_term(rng: random.Random) -> dict:
 
 
 def _gen_alg_base(rng: random.Random) -> dict:
-    shape = rng.choice(ALL_SHAPES)
-    sigs = SIGNATURES[shape]
-    stop = next(t for t, s in sigs.items() if s.n_children == 0)
-    labels = tuple(rng.randint(-8, 8) for _ in range(sigs[stop].n_labels))
-    return {"alg": rng.choice(list(ALGEBRAS)),
-            "term": Node(shape, stop, labels, ())}
+    term = gen_term(rng, rng.choice(ALL_SHAPES), max_depth=0)  # one childless node
+    return {"alg": rng.choice(list(ALGEBRAS)), "term": term}
 
 
 # fold-universal registers first: LAW_IDS order is the report order

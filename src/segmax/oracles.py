@@ -14,7 +14,7 @@ from itertools import product
 
 from .labelled import Labelled, preorder_values, subterms
 from .monads import Collection, CollectionKind, collection, join_c, map_c, opt, singleton
-from .pruning import DEFAULT_GUARD, _check_guard, prune, segs_count
+from .pruning import _check_guard, prune, segs_count
 from .schemes import Algebra, distribute_node, fold
 from .shapes import EMPTY, Node, Term
 
@@ -52,14 +52,13 @@ def prune_recursive(t: Term, kind: CollectionKind) -> Collection:
     return collection(kind, items)
 
 
-def segs_generic_literal(t: Term, kind: CollectionKind = CollectionKind.BAG,
-                         guard: int = DEFAULT_GUARD) -> Collection:
+def segs_generic_literal(t: Term, kind: CollectionKind = CollectionKind.BAG) -> Collection:
     """segs spelled with the collection combinators,
     join . map prune . contents . subterms; a cross-check for the
     one-scan enumeration in pruning.segs_generic."""
-    _check_guard(segs_count(t), guard)
+    _check_guard(segs_count(t))
     subs = collection(kind, preorder_values(subterms(t)))
-    return join_c(map_c(lambda s: prune(s, kind, guard), subs))
+    return join_c(map_c(lambda s: prune(s, kind), subs))
 
 
 def _lift_m2(f, mx: Collection, my: Collection) -> Collection:

@@ -9,7 +9,7 @@ generic counterpart of `inits`).  For each node,
 so a childless node always has exactly two prunings and a node with
 children has 1 + the product of its children's pruning counts.  The
 total count grows multiplicatively with depth, so enumeration is fenced
-by a configurable element guard.  The guard counts prunings, not their
+by an element guard, GUARD = 10^6.  The guard counts prunings, not their
 size: printed, the collection is the sum of the prunings' sizes, which
 is quadratic on a list (n + 2 prunings of up to n nodes; 72 MB of text
 at 4,000 elements), and nothing bounds it.  Prunings share their
@@ -44,7 +44,7 @@ from .shapes import EMPTY, Node, Term, postorder, zip_slots
 from .labelled import preorder_values, subterms  # noqa: F401
 from .schemes import fold  # noqa: F401
 
-DEFAULT_GUARD = 10**6
+GUARD = 10**6  # the most prunings or segments an enumeration may list
 
 
 def _count_step(n: Node, kids: tuple) -> int:
@@ -57,9 +57,9 @@ def prune_count(t: Term) -> int:
     return postorder(t, _count_step)
 
 
-def _check_guard(size: int, guard: int) -> None:
-    if size > guard:
-        raise SizeGuardError(size, guard)
+def _check_guard(size: int) -> None:
+    if size > GUARD:
+        raise SizeGuardError(size, GUARD)
 
 
 def _prune_step(n: Node, kids: tuple) -> list:
@@ -77,10 +77,9 @@ def _prune_items(t: Term) -> list:
     return postorder(t, _prune_step)
 
 
-def prune(t: Term, kind: CollectionKind = CollectionKind.BAG,
-          guard: int = DEFAULT_GUARD) -> Collection:
-    """The collection of all prunings of t."""
-    _check_guard(prune_count(t), guard)
+def prune(t: Term, kind: CollectionKind = CollectionKind.BAG) -> Collection:
+    """The collection of all prunings of t, if there are at most GUARD."""
+    _check_guard(prune_count(t))
     return Collection(kind, tuple(_prune_items(t)))
 
 
@@ -99,19 +98,18 @@ def segs_count(t: Term) -> int:
     return sum(counts)
 
 
-def _segs_items(t: Term, guard: int) -> list:
-    _check_guard(segs_count(t), guard)
+def _segs_items(t: Term) -> list:
+    _check_guard(segs_count(t))
     per_subterm: list = []
     postorder(t, _prune_step, out=per_subterm)
     return [p for ps in per_subterm for p in ps]
 
 
-def segs_generic(t: Term, kind: CollectionKind = CollectionKind.BAG,
-                 guard: int = DEFAULT_GUARD) -> Collection:
+def segs_generic(t: Term, kind: CollectionKind = CollectionKind.BAG) -> Collection:
     """All generic segments of t, concat . contents . scan prune: the
     prunings of every subterm, from one scan (oracles.segs_generic_literal
     spells out join . map prune . contents . subterms)."""
-    return collection(kind, _segs_items(t, guard))
+    return collection(kind, _segs_items(t))
 
 
 def is_pruning_of(p, t: Term) -> bool:

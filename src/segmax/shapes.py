@@ -323,6 +323,7 @@ def bimap_node(label_fn: Callable, child_fn: Callable, n: Node) -> Node:
 _TOKEN_RE = re.compile(r"\(\s*[A-Za-z][A-Za-z0-9]*|[()]|-?\d+|[A-Za-z][A-Za-z0-9]*|\S")
 _INT_RE = re.compile(r"-?\d+")
 _SYM_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+MAX_TREE_NODES = 10**5  # the most nodes a parsed term may have
 
 # Parser states at a fault: what the token at the fault was expected to be.
 _TERM, _LABEL, _CLOSE, _END = "term", "label", "close", "end"
@@ -331,6 +332,8 @@ _TERM, _LABEL, _CLOSE, _END = "term", "label", "close", "end"
 def _parse(text: str, shape: ShapeKind, allow_empty: bool):
     """One pass over the token list, building each Node when its ')' is
     read; a fault hands the state over to _syntax_error."""
+    if text.count("(") > MAX_TREE_NODES:  # every '(' of a term opens a node
+        raise TermSyntaxError(f"tree larger than {MAX_TREE_NODES} nodes", 0)
     sigs = SIGNATURES[shape]
     heads = {"(" + tag: (tag, sig.n_labels, sig.n_children)
              for tag, sig in sigs.items() if not sig.atom}
@@ -342,7 +345,7 @@ def _parse(text: str, shape: ShapeKind, allow_empty: bool):
     toks.append("")  # the end of input, which every rule below rejects
     new = tuple.__new__  # Node(...) without its Python-level __new__
     frames: list = []  # per open constructor: tag, labels, children so far, wanted
-    i = 0
+    i = nodes = 0
     while True:
         tok = toks[i]
         head = heads.get(tok)
@@ -354,6 +357,7 @@ def _parse(text: str, shape: ShapeKind, allow_empty: bool):
                 if head is None:
                     raise _syntax_error(text, toks, i, _TERM, shape)
         i += 1
+        nodes += head is not None or node is not EMPTY  # a constructor or an atom but E
         if head is not None:
             tag, k, wanted = head
             labels: tuple = ()
@@ -387,6 +391,8 @@ def _parse(text: str, shape: ShapeKind, allow_empty: bool):
         else:
             if i < n:
                 raise _syntax_error(text, toks, i, _END, shape)
+            if nodes > MAX_TREE_NODES:
+                raise TermSyntaxError(f"tree larger than {MAX_TREE_NODES} nodes", 0)
             return node
 
 
@@ -440,13 +446,16 @@ def parse_term(text: str, shape: ShapeKind) -> Term:
     """Parse a term in the shape's s-expression grammar.
 
     Raises TermSyntaxError (with a byte offset) on malformed input, an
-    unknown constructor, or an arity mismatch.
+    unknown constructor, or an arity mismatch, and at offset 0 on more
+    than MAX_TREE_NODES (10^5) nodes: after the syntax is checked, or
+    before it is when the text has more than 10^5 '('.
     """
     return _parse(text, shape, allow_empty=False)
 
 
 def parse_pruned(text: str, shape: ShapeKind):
-    """Parse the pruned grammar: the term grammar plus the atom 'E'."""
+    """Parse the pruned grammar: the term grammar plus the atom 'E'.
+    The node limit is parse_term's, and an 'E' is not a node."""
     return _parse(text, shape, allow_empty=True)
 
 

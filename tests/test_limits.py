@@ -7,11 +7,16 @@ enumeration of long lists (its printed output grows quadratically with
 the length) and the cubic and quadratic mss algorithms.
 """
 
+import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
 
+import segmax
 from segmax import I64_MAX, I64_MIN, list_term, mss_linear, print_term
 from segmax.cli import main
 
@@ -108,3 +113,36 @@ def test_mss_at_the_list_limit_and_the_64_bit_extremes(algo):
     too_long_and_too_big = ",".join(["0"] * n + [str(I64_MAX + 1)])
     assert _cli("mss", "--algo", algo, "--input", too_long_and_too_big) == (
         2, f"error: list longer than {n} elements (at offset 0)")
+
+
+# Runs the command in its argv, then prints its exit status, its stderr
+# and its peak RSS: a fresh wrapper's RUSAGE_CHILDREN holds only that child.
+_MEASURE = """
+import json, resource, subprocess, sys
+res = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB
+print(json.dumps([res.returncode, res.stderr, peak]))
+"""
+
+
+def test_oversize_terms_are_refused_at_a_bounded_cost(tmp_path):
+    # a text with more '(' than the node limit is refused before it is
+    # read, so the 3 * 10^6-node list (27 MB of text) takes well under
+    # 150 MiB, and its size is reported ahead of a fault further on
+    lists = {f"list-{n}": "(cons 0 " * n + "nil" + ")" * n for n in (10**6, 3 * 10**6)}
+    lists["list-1000000-then-@"] = lists["list-1000000"] + " @"
+    cases = [("list", name, text) for name, text in lists.items()]
+    # 100,001 nodes, but only 50,000 '(': the parsed count must refuse it
+    cases.append(("itree", "itree", "(node 1 nilt " * 50_000 + "nilt" + ")" * 50_000))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(segmax.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for shape, name, text in cases:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        cmd = [sys.executable, "-m", "segmax", "tree", "--shape", shape, "--file", str(path)]
+        res = subprocess.run([sys.executable, "-c", _MEASURE, *cmd], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        code, stderr, peak_kib = json.loads(res.stdout)
+        assert (code, stderr) == (2, f"{TOO_LARGE[1]}\n"), name
+        if name == "list-3000000":
+            assert peak_kib < 150 * 1024, peak_kib

@@ -25,6 +25,7 @@ from segmax import (
 )
 from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
 from segmax.oracles import prune_recursive, prune_via_fold, segs_generic_literal
+from segmax.pruning import GUARD
 from segmax.shapes import Node
 
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
@@ -165,12 +166,13 @@ def test_pruned_fold_fixtures():
 
 
 def test_size_guard():
+    # the complete htree of depth 6 has 127 nodes and about 4.4 * 10^22 prunings
     t = gen_term(random.Random(18), ShapeKind.HTREE, max_depth=6, stop_p=0.0)
     with pytest.raises(SizeGuardError) as exc:
-        prune(t, guard=5)
-    assert exc.value.guard == 5 and exc.value.size > 5
+        prune(t)
+    assert exc.value.guard == GUARD and exc.value.size == prune_count(t) > GUARD
     with pytest.raises(SizeGuardError):
-        segs_generic(t, guard=5)
+        segs_generic(t)
 
 
 def test_segs_fixtures():

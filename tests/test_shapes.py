@@ -55,6 +55,8 @@ def test_parse_fixtures():
     assert parse_term("( fork 1\n(leaf 2) (\tleaf 3))", ShapeKind.HTREE) == fork(1, leaf(2), leaf(3))
 
 
+OVER_LIMIT = "(cons 0 " * 100_000 + "nil" + ")" * 100_000  # 100,001 nodes
+
 PARSE_ERRORS = [
     (parse_term, "(cons 4", ShapeKind.LIST, "unexpected end of input", 7),
     (parse_term, "(cons 4 nil) nil", ShapeKind.LIST, "unexpected trailing input", 13),
@@ -87,18 +89,37 @@ PARSE_ERRORS = [
     (parse_term, "-", ShapeKind.LIST, "unexpected character '-'", 0),
     (parse_pruned, "(fork 1 E)", ShapeKind.HTREE, "unexpected ')'", 9),
     (parse_pruned, "(leaf 1 E)", ShapeKind.HTREE, "expected ')'", 8),
+    # the node limit: past it a term is refused, and a text with more '('
+    # than it allows is refused before its syntax is read
+    (parse_term, OVER_LIMIT, ShapeKind.LIST, "tree larger than 100000 nodes", 0),
+    (parse_pruned, OVER_LIMIT, ShapeKind.LIST, "tree larger than 100000 nodes", 0),
+    (parse_term, "(" * 100_001, ShapeKind.LIST, "tree larger than 100000 nodes", 0),
+    # 50,000 '(' but 100,001 nodes: the atoms count too
+    (parse_term, "(node 1 nilt " * 50_000 + "nilt" + ")" * 50_000, ShapeKind.ITREE,
+     "tree larger than 100000 nodes", 0),
 ]
+
+
+def _case_id(parse, text, shape) -> str:
+    if len(text) > 40:  # the node-limit rows
+        text = f"{parse.__name__}-{len(text)}-chars"
+    return f"{text}-{shape}"
 
 
 @pytest.mark.parametrize(
     "parse,text,shape,message,offset", PARSE_ERRORS,
-    ids=[f"{text}-{shape}" for _, text, shape, _, _ in PARSE_ERRORS],
+    ids=[_case_id(parse, text, shape) for parse, text, shape, _, _ in PARSE_ERRORS],
 )
 def test_parse_errors(parse, text, shape, message, offset):
     with pytest.raises(TermSyntaxError) as exc:
         parse(text, shape)
     assert str(exc.value) == f"{message} (at offset {offset})"
     assert exc.value.offset == offset
+
+
+def test_the_node_limit_does_not_count_the_empty_marker():
+    p = parse_pruned("(cons 0 " * 100_000 + "E" + ")" * 100_000, ShapeKind.LIST)
+    assert term_size(p) == 100_000
 
 
 def test_postorder_out_receives_every_result_in_preorder():
