@@ -33,6 +33,7 @@ from .horner import (
     ensure_distributive,
     max_prefix_sum,
     mss_generic,
+    mss_generic_text,
     mss_linear,
     mss_quadratic,
     mss_spec,
@@ -170,8 +171,9 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
     """Best segment value of a shaped term, by scan or brute enumeration."""
     s = SEMIRINGS[semiring_name]
     kind = CollectionKind(monad)
-    t = parse_term(_read_source(inline, path), ShapeKind(shape))
+    text = _read_source(inline, path)
     if check_both:
+        t = parse_term(text, ShapeKind(shape))
         # gate, carrier and guard refuse before either route computes
         ensure_distributive(s, kind, force)
         _check_carrier(s, t)
@@ -187,7 +189,11 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
             _echo(f"scan = {scan_v}")
             _echo(f"brute = {brute_v}")
         return
-    value = mss_generic(s, t, via=via, kind=kind, force=force)
+    if via == "scan":  # scanned while parsing: no term is built
+        value = mss_generic_text(s, text, ShapeKind(shape), kind, force)
+    else:
+        value = mss_generic(s, parse_term(text, ShapeKind(shape)), via=via, kind=kind,
+                            force=force)
     if as_json:
         _echo(json.dumps({"via": via, "value": value,
                           "semiring": semiring_name, "monad": monad}))

@@ -32,6 +32,14 @@ mss-generic-scan-vs-brute checks it against the brute route, and
 tests/test_horner.py::test_scan_route_is_reduce_contents_scan against
 the literal composition, errors included.
 
+mss_generic_text runs the same horner_step as the parser's close
+action.  The parser closes constructors in that same post-order and
+reserves each one's preorder slot when it opens, so one pass over the
+text lists the Horner values in contents order and builds no term: the
+fold after the unfold, with the intermediate tree removed (a
+hylomorphism).  tests/test_horner.py::test_text_route_is_parse_then_scan
+checks it against parse_term followed by mss_generic, errors included.
+
 A semiring's add is a collection reduction, lawful for the collection
 kinds whose laws monads.reduce_law_failure finds unbroken.
 """
@@ -58,7 +66,7 @@ from .monads import (
 )
 from .pruning import _segs_items, prune, pruned_fold
 from .schemes import Algebra, contents_term, fold
-from .shapes import Term, postorder
+from .shapes import ShapeKind, Term, _parse, parse_term, postorder
 
 
 class Semiring(NamedTuple):
@@ -237,12 +245,17 @@ def generic_product_alg(s: Semiring, b) -> Algebra:
 
 
 def horner_step(s: Semiring, b) -> Callable:
-    """One Horner step as a postorder step: b `add` the foldr with mul
-    from seed b over the node's labels, then its children's results."""
+    """One Horner step as a parser's close action: b `add` the foldr with
+    mul from seed b over a constructor's labels, then its children's
+    values.  The foldr is written out: this runs once per node on every
+    scan."""
     mul, add = s.mul, s.reduce_op.fn
 
-    def step(n, kids: tuple):
-        return add(b, foldr_list(mul, b, n.labels + kids))
+    def step(tag: str, labels: tuple, kids: tuple):
+        acc = b
+        for x in reversed(labels + kids):
+            acc = mul(x, acc)
+        return add(b, acc)
 
     return step
 
@@ -250,7 +263,7 @@ def horner_step(s: Semiring, b) -> Callable:
 def horner_alg(s: Semiring, b) -> Algebra:
     """One Horner step: b `add` product-of-contents."""
     step = horner_step(s, b)
-    return lambda n: step(n, n.children)
+    return lambda n: step(n.tag, n.labels, n.children)
 
 
 def _check_carrier(s: Semiring, t: Term) -> None:
@@ -298,11 +311,43 @@ def mss_generic(s: Semiring, t: Term, via: str = SCAN,
     _check_carrier(s, t)
     b = s.mul_unit
     if via == SCAN:
+        step = horner_step(s, b)
         vals: list = []
-        postorder(t, horner_step(s, b), out=vals)
+        postorder(t, lambda n, kids: step(n.tag, n.labels, kids), out=vals)
     elif via == BRUTE:
         f = generic_product_alg(s, b)
         vals = [pruned_fold(b, f, p) for p in _segs_items(t)]
     else:
         raise ValueError(f"unknown route {via!r}")
+    return reduce(s.reduce_op, collection(kind, vals), check=not force)
+
+
+def mss_generic_text(s: Semiring, text: str, shape: ShapeKind,
+                     kind: CollectionKind = CollectionKind.BAG,
+                     force: bool = False):
+    """mss_generic(s, parse_term(text, shape), kind=kind, force=force) by
+    the scan route, with the Horner step as the parser's close action: one
+    pass over the text lists the Horner values in contents order and
+    builds no term (the fold after the unfold, with the tree removed).
+
+    A label outside the carrier or an overflow stops the pass, and the
+    term route then raises the error that comes first in mss_generic's
+    order: a syntax fault or the node limit, the gate, the first such
+    label in contents order, the first overflow in post-order.
+    """
+    b, ok = s.mul_unit, s.reduce_op.element_ok
+    close = step = horner_step(s, b)
+    if ok is not None:
+        def close(tag: str, labels: tuple, kids: tuple):
+            for v in labels:
+                if not ok(v):
+                    raise CarrierError(f"label {v} outside the carrier of '{s.name}'")
+            return step(tag, labels, kids)
+
+    vals: list = []
+    try:
+        _parse(text, shape, close, out=vals)
+    except (CarrierError, OverflowError):
+        return mss_generic(s, parse_term(text, shape), kind=kind, force=force)
+    ensure_distributive(s, kind, force)
     return reduce(s.reduce_op, collection(kind, vals), check=not force)

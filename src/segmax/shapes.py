@@ -29,6 +29,14 @@ slot (the EMPTY marker, a payload) is a leaf, worth `leaf` to postorder.
 Equality walks two structures' corresponding slots together (zip_slots),
 and struct_key flattens a term into its preorder token tuple.
 
+The parser is one pass over the text's tokens that runs a close action,
+close(tag, labels, kids), on each constructor at its ')': in post-order,
+children left to right, the order of postorder's steps.  parse_term's
+close action builds the Node; horner.mss_generic_text's is the Horner
+step, so that route scans while parsing and builds no term
+(tests/test_horner.py::test_text_route_is_parse_then_scan checks it
+against parse_term followed by the scan).
+
 Terms are immutable values (NamedTuples all the way down), so they are
 safe to share freely, including across threads.
 """
@@ -327,37 +335,52 @@ MAX_TREE_NODES = 10**5  # the most nodes a parsed term may have
 
 # Parser states at a fault: what the token at the fault was expected to be.
 _TERM, _LABEL, _CLOSE, _END = "term", "label", "close", "end"
+_NO_ATOM = object()  # the token is no atom's name
 
 
-def _parse(text: str, shape: ShapeKind, allow_empty: bool):
-    """One pass over the token list, building each Node when its ')' is
-    read; a fault hands the state over to _syntax_error."""
-    if text.count("(") > MAX_TREE_NODES:  # every '(' of a term opens a node
+def _build(shape: ShapeKind) -> Callable:
+    """The close action that builds the Node it closes."""
+    new = tuple.__new__  # Node(...) without its Python-level __new__
+    return lambda tag, labels, kids: new(Node, (shape, tag, labels, kids))
+
+
+def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = False,
+           out: list | None = None):
+    """One pass over the token list, running close(tag, labels, kids) on
+    each constructor when its ')' is read, so in post-order with children
+    left to right, and returning the root's value; an atom is worth one
+    close per parse.  A list out also receives every value in preorder:
+    a constructor's slot is reserved at its '(tag' and filled at its ')'.
+    A fault hands the state over to _syntax_error."""
+    nodes = text.count("(")  # every '(' of a term opens a node
+    if nodes > MAX_TREE_NODES:
         raise TermSyntaxError(f"tree larger than {MAX_TREE_NODES} nodes", 0)
     sigs = SIGNATURES[shape]
     heads = {"(" + tag: (tag, sig.n_labels, sig.n_children)
              for tag, sig in sigs.items() if not sig.atom}
-    atoms: dict = {tag: Node(shape, tag, (), ()) for tag, sig in sigs.items() if sig.atom}
+    atoms: dict = {tag: close(tag, (), ()) for tag, sig in sigs.items() if sig.atom}
     if allow_empty:
         atoms["E"] = EMPTY
     toks = _TOKEN_RE.findall(text)
     n = len(toks)
     toks.append("")  # the end of input, which every rule below rejects
-    new = tuple.__new__  # Node(...) without its Python-level __new__
-    frames: list = []  # per open constructor: tag, labels, children so far, wanted
-    i = nodes = 0
+    frames: list = []  # per open constructor: tag, labels, kids so far, wanted, slot in out
+    i = 0
     while True:
         tok = toks[i]
         head = heads.get(tok)
         if head is None:
-            node = atoms.get(tok)
-            if node is None:
+            value = atoms.get(tok, _NO_ATOM)
+            if value is _NO_ATOM:
                 if tok[:1] == "(":  # whitespace between '(' and the tag
                     head = heads.get("(" + tok[1:].lstrip())
                 if head is None:
                     raise _syntax_error(text, toks, i, _TERM, shape)
+            elif value is not EMPTY:  # an atom but E is a node
+                nodes += 1
+                if out is not None:
+                    out.append(value)
         i += 1
-        nodes += head is not None or node is not EMPTY  # a constructor or an atom but E
         if head is not None:
             tag, k, wanted = head
             labels: tuple = ()
@@ -371,29 +394,37 @@ def _parse(text: str, shape: ShapeKind, allow_empty: bool):
                 labels = (v,)
                 i += 1
             if wanted:
-                frames.append((tag, labels, [], wanted))
+                slot = None
+                if out is not None:
+                    slot = len(out)
+                    out.append(None)
+                frames.append((tag, labels, [], wanted, slot))
                 continue
             if toks[i] != ")":
                 raise _syntax_error(text, toks, i, _CLOSE, shape)
             i += 1
-            node = new(Node, (shape, tag, labels, ()))
-        # attach the finished node, closing every constructor it fills
+            value = close(tag, labels, ())
+            if out is not None:
+                out.append(value)
+        # pass the finished value up, closing every constructor it fills
         while frames:
-            tag, labels, kids, wanted = frames[-1]
-            kids.append(node)
+            tag, labels, kids, wanted, slot = frames[-1]
+            kids.append(value)
             if len(kids) < wanted:
                 break
             frames.pop()
             if toks[i] != ")":
                 raise _syntax_error(text, toks, i, _CLOSE, shape)
             i += 1
-            node = new(Node, (shape, tag, labels, tuple(kids)))
+            value = close(tag, labels, tuple(kids))
+            if out is not None:
+                out[slot] = value
         else:
             if i < n:
                 raise _syntax_error(text, toks, i, _END, shape)
             if nodes > MAX_TREE_NODES:
                 raise TermSyntaxError(f"tree larger than {MAX_TREE_NODES} nodes", 0)
-            return node
+            return value
 
 
 def _syntax_error(text: str, toks: list, i: int, expected: str,
@@ -443,20 +474,23 @@ def _syntax_error(text: str, toks: list, i: int, expected: str,
 
 
 def parse_term(text: str, shape: ShapeKind) -> Term:
-    """Parse a term in the shape's s-expression grammar.
+    """Parse a term in the shape's s-expression grammar: the parser's
+    close action builds each Node.  (horner.mss_generic_text runs the
+    same parser with the Horner step as its close action, and builds no
+    term.)
 
     Raises TermSyntaxError (with a byte offset) on malformed input, an
     unknown constructor, or an arity mismatch, and at offset 0 on more
     than MAX_TREE_NODES (10^5) nodes: after the syntax is checked, or
     before it is when the text has more than 10^5 '('.
     """
-    return _parse(text, shape, allow_empty=False)
+    return _parse(text, shape, _build(shape))
 
 
 def parse_pruned(text: str, shape: ShapeKind):
     """Parse the pruned grammar: the term grammar plus the atom 'E'.
     The node limit is parse_term's, and an 'E' is not a node."""
-    return _parse(text, shape, allow_empty=True)
+    return _parse(text, shape, _build(shape), allow_empty=True)
 
 
 # Atoms are printed bare.  No tag is an atom in one shape and takes slots

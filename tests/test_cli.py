@@ -153,6 +153,22 @@ def test_exact_counts_past_the_int_str_digit_limit(runner):
     assert json.loads(res.output, parse_int=Decimal) == {"count": counts[-1]}
 
 
+def test_tree_by_scan_builds_no_term(runner, monkeypatch):
+    # the scan route runs the Horner step as the parser's close action
+    def no_term(*_):
+        raise AssertionError("tree --via scan built a term")
+
+    monkeypatch.setattr("segmax.cli.parse_term", no_term)
+    assert invoke(runner, "tree", "--via", "scan", "--input", EX7).output == "11\n"
+    res = invoke(runner, "tree", "--via", "scan", "--input", _complete_htree(16))
+    assert (res.exit_code, res.output) == (0, "65535\n")  # 65,535 nodes labelled 1
+    over_limit = "(cons 0 " * 100_000 + "nil" + ")" * 100_000  # 100,001 nodes
+    res = runner.invoke(main, ["tree", "--via", "scan", "--shape", "list",
+                               "--input", over_limit])
+    assert (res.exit_code, res.stderr) == (
+        2, "error: tree larger than 100000 nodes (at offset 0)\n")
+
+
 def test_guard_message_for_a_printable_count(runner):
     res = runner.invoke(main, ["tree", "--via", "brute", "--input", _complete_htree(6)])
     assert (res.exit_code, res.stderr) == (

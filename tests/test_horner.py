@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -35,6 +36,7 @@ from segmax import (
     list_term,
     max_prefix_sum,
     mss_generic,
+    mss_generic_text,
     mss_linear,
     mss_quadratic,
     mss_spec,
@@ -49,11 +51,11 @@ from segmax import (
     tails_list,
 )
 from segmax.horner import check_semiring
-from segmax.ints import checked_add, checked_mul
+from segmax.ints import I64_MAX, I64_MIN, checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
 from segmax.monads import MAX_REDUCE, SUM_REDUCE, reduce_law_failure
 from segmax.pruning import segs_count
-from segmax.shapes import Node
+from segmax.shapes import Node, print_term
 
 EX3 = [4, -5, 6, -3, 2, 0, -4, 5, -6, 5]
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
@@ -294,6 +296,72 @@ def test_scan_route_keeps_contents_order():
             _assert_scan_route_is_literal(last_plus, t, CollectionKind.LIST, False)
     with pytest.raises(ReduceLawError, match="commutative"):
         mss_generic(last_plus, EX7, kind=CollectionKind.BAG)
+
+
+# labels that overflow, or leave a carrier: max-plus's bottom, min-plus's
+# top and bool-or-and's non-bits
+_WIDE = (I64_MIN, I64_MAX, 1 << 62, -(1 << 62), 1 << 40, 2, 5, 0, 1, -1)
+
+
+def _mutate(rng, text):
+    """text with one character deleted, inserted or replaced, or one
+    span duplicated."""
+    i = rng.randrange(len(text) + 1)
+    op = rng.randrange(4)
+    if op == 0:
+        return text[:i] + text[i + 1:]
+    if op == 1:
+        return text[:i] + rng.choice("() -1nilE@x") + text[i:]
+    if op == 2:
+        return text[:i] + rng.choice(")(9 ") + text[i + 1:]
+    j = rng.randrange(i, len(text) + 1)
+    return text[:j] + text[i:j] + text[j:]
+
+
+def _assert_text_route_is_parse_then_scan(s, text, shape, kind, force):
+    """mss_generic_text against parse_term followed by mss_generic: the
+    same value, or an error of the same type and message."""
+    expected = _outcome(lambda: mss_generic(s, parse_term(text, shape), kind=kind,
+                                            force=force))
+    assert _outcome(lambda: mss_generic_text(s, text, shape, kind, force)) == expected
+    return expected[0]
+
+
+def test_text_route_is_parse_then_scan():
+    rng = random.Random(47)
+    seen = set()
+    for shape, s, kind, force in itertools.product(
+            ShapeKind, SEMIRINGS.values(), CollectionKind, (False, True)):
+        for _ in range(6):
+            text = print_term(gen_term(rng, shape, 5, -9, 9))
+            if rng.random() < 0.5:  # wide labels: overflows and carrier faults
+                text = re.sub(r"-?\d+", lambda m: str(rng.choice(_WIDE)), text)
+            for t in (text, _mutate(rng, text)):
+                seen.add(_assert_text_route_is_parse_then_scan(s, t, shape, kind, force))
+    assert {"value", "TermSyntaxError", "DistributivityError", "CarrierError",
+            "OverflowError"} <= seen
+    hand = [
+        # both children overflow: the error names the left one's product
+        (PLUS_TIMES, "(fork 1 (fork 1099511627776 (leaf 1099511627776) (leaf 0))"
+                     " (fork 2199023255552 (leaf 2199023255552) (leaf 0)))"),
+        # an overflow closes before the label outside the carrier is read
+        (MAX_PLUS, f"(fork 1 (fork {I64_MAX} (leaf {I64_MAX}) (leaf 1)) (leaf {I64_MIN}))"),
+        (MAX_PLUS, f"(fork {I64_MAX} (leaf {I64_MAX}) (leaf {I64_MIN}))"),
+        # the first label outside the carrier in contents order, not in post-order
+        (BOOL_OR_AND, "(fork 5 (leaf 7) (leaf 1))"),
+        # a syntax fault after an overflowing node
+        (MAX_PLUS, f"(fork {I64_MAX} (leaf {I64_MAX}) (leaf 1)))"),
+        (PLUS_TIMES, f"(fork {I64_MAX} (leaf 2) (leaf 1 @"),
+    ]
+    outcomes = [_assert_text_route_is_parse_then_scan(s, text, ShapeKind.HTREE,
+                                                      CollectionKind.BAG, False)
+                for s, text in hand]
+    assert outcomes == ["OverflowError", "CarrierError", "CarrierError", "CarrierError",
+                        "TermSyntaxError", "TermSyntaxError"]
+    # past the node limit, though with no more than 10^5 '('
+    text = print_term(list_term([1] * 100_000))
+    assert _assert_text_route_is_parse_then_scan(
+        MAX_PLUS, text, ShapeKind.LIST, CollectionKind.BAG, False) == "TermSyntaxError"
 
 
 def test_mss_generic_other_semirings_scan_vs_brute():
