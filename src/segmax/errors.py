@@ -40,7 +40,8 @@ class KindMismatchError(SegmaxError):
 class ReduceLawError(SegmaxError):
     """A reduction operator failed the sampled laws required by the
     collection kind (associativity, commutativity for bags, idempotence
-    for sets), or an element fell outside the operator's domain."""
+    for sets); raised by reduce, and by the distributivity gate for
+    lists and bags."""
 
 
 class DistributivityError(SegmaxError):

@@ -41,7 +41,19 @@ hylomorphism).  tests/test_horner.py::test_text_route_is_parse_then_scan
 checks it against parse_term followed by mss_generic, errors included.
 
 A semiring's add is a collection reduction, lawful for the collection
-kinds whose laws monads.reduce_law_failure finds unbroken.
+kinds whose laws monads.reduce_law_failure finds unbroken; the gate,
+ensure_distributive, samples them before either route computes.
+
+Lemma: the routes' values need no domain check once the labels are in
+the carrier (reduce_op.element_ok), so both routes reduce unchecked.
+  - Scan values lie in the carrier.  Each is b `add` a product, with b
+    the mul unit: max-plus values are at least 0, min-plus values at
+    most 0, and bool-or-and values are bits.  Plus-times has no carrier.
+  - A brute product may equal the sentinel, -2^63 or 2^63 - 1.  But every
+    segment family holds the empty pruning, worth b, so max and min over
+    it are unaffected.
+tests/test_horner.py::test_scan_values_lie_in_the_carrier checks the
+first half, and ::test_routes_agree_at_the_sentinels the second.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from __future__ import annotations
 from itertools import accumulate, islice, product
 from typing import Callable, NamedTuple
 
-from .errors import CarrierError, DistributivityError
+from .errors import CarrierError, DistributivityError, ReduceLawError
 from .ints import I64_MAX, check_i64, checked_add, checked_mul
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, scan_generic  # noqa: F401
@@ -109,14 +121,19 @@ def check_semiring(s: Semiring, samples) -> None:
 
 
 def ensure_distributive(s: Semiring, kind: CollectionKind, force: bool = False) -> None:
-    """Gate: set-valued reduction distributes over idempotent set union,
-    so add must pass the sampled set-reduction laws.  force runs anyway
-    (used to demonstrate the failure)."""
-    if not force and kind is CollectionKind.SET and reduce_law_failure(s.reduce_op, kind):
+    """Gate: add must pass the sampled reduction laws of kind, the ones
+    reduce would check.  On sets that needs an idempotent add, as
+    set-valued reduction distributes over idempotent union, and a failure
+    raises DistributivityError; on lists and bags it raises reduce's
+    ReduceLawError.  force runs anyway (used to demonstrate the failure)."""
+    failure = None if force else reduce_law_failure(s.reduce_op, kind)
+    if failure is not None and kind is CollectionKind.SET:
         raise DistributivityError(
             f"semiring '{s.name}' has a non-idempotent add; "
             "its reduction is not well-defined on sets (use --force to run anyway)"
         )
+    if failure is not None:
+        raise ReduceLawError(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +297,11 @@ def horner_generic(s: Semiring, b, t: Term):
     return fold(horner_alg(s, b), t)
 
 
-def horner_generic_brute(s: Semiring, b, t: Term,
-                         kind: CollectionKind = CollectionKind.BAG):
+def horner_generic_brute(s: Semiring, b, t: Term):
     """The composition horner_generic fuses: reduce the pruned-term
     products over all prunings."""
     f = generic_product_alg(s, b)
-    vals = collection(kind, (pruned_fold(b, f, p) for p in prune(t, kind).items))
+    vals = collection(CollectionKind.BAG, (pruned_fold(b, f, p) for p in prune(t).items))
     return reduce(s.reduce_op, vals)
 
 
@@ -319,7 +335,7 @@ def mss_generic(s: Semiring, t: Term, via: str = SCAN,
         vals = [pruned_fold(b, f, p) for p in _segs_items(t)]
     else:
         raise ValueError(f"unknown route {via!r}")
-    return reduce(s.reduce_op, collection(kind, vals), check=not force)
+    return reduce(s.reduce_op, collection(kind, vals), check=False)
 
 
 def mss_generic_text(s: Semiring, text: str, shape: ShapeKind,
@@ -332,8 +348,9 @@ def mss_generic_text(s: Semiring, text: str, shape: ShapeKind,
 
     A label outside the carrier or an overflow stops the pass, and the
     term route then raises the error that comes first in mss_generic's
-    order: a syntax fault or the node limit, the gate, the first such
-    label in contents order, the first overflow in post-order.
+    order, with its message: a syntax fault or the node limit, the gate,
+    the first such label in contents order, the first overflow in
+    post-order.
     """
     b, ok = s.mul_unit, s.reduce_op.element_ok
     close = step = horner_step(s, b)
@@ -341,7 +358,7 @@ def mss_generic_text(s: Semiring, text: str, shape: ShapeKind,
         def close(tag: str, labels: tuple, kids: tuple):
             for v in labels:
                 if not ok(v):
-                    raise CarrierError(f"label {v} outside the carrier of '{s.name}'")
+                    raise CarrierError  # the term route writes the message
             return step(tag, labels, kids)
 
     vals: list = []
@@ -350,4 +367,4 @@ def mss_generic_text(s: Semiring, text: str, shape: ShapeKind,
     except (CarrierError, OverflowError):
         return mss_generic(s, parse_term(text, shape), kind=kind, force=force)
     ensure_distributive(s, kind, force)
-    return reduce(s.reduce_op, collection(kind, vals), check=not force)
+    return reduce(s.reduce_op, collection(kind, vals), check=False)

@@ -3,8 +3,8 @@
 Python integers are exact, so results can never silently wrap; these
 helpers reject any result that would not fit a 64-bit signed word.
 I64_MIN doubles as the bottom element ("minus infinity") for max-style
-reductions and I64_MAX for min-style ones, so ordinary data is required
-to stay strictly inside the open interval.
+reductions and I64_MAX for min-style ones, so labels are required to
+stay strictly inside the open interval.
 """
 
 I64_MIN = -(1 << 63)

@@ -1,9 +1,10 @@
 """Executable law registry with seeded generators and shrinking.
 
 Every equational claim the library rests on is a law case here: a
-deterministic generator of named draws plus a violation check that
-``@_law`` registers where it is defined.  The check takes a draw's values
-as keyword arguments, its named choices resolved through ``_NAMED``.
+deterministic generator of named draws plus a violation check, whose
+docstring states the law, that ``@_law`` registers where it is defined.
+The check takes a draw's values as keyword arguments, its named choices
+resolved through ``_NAMED``.
 Laws are expected either to HOLD (no violation in any trial) or to FAIL
 with a witness (the checker must find a concrete counterexample).  Runs
 are reproducible: each law draws from its own RNG stream derived from
@@ -381,7 +382,6 @@ def shrink_inputs(inputs: dict, violated: Callable[[dict], bool]) -> dict:
 class Law:
     id: str
     expectation: str
-    description: str
     gen: Callable[[random.Random], dict]
     check: Callable[..., bool]
     precheck: Callable[[], str | None] | None = None
@@ -416,10 +416,10 @@ _NAMED: dict[str, dict[str, Any]] = {
 }
 
 
-def _law(id: str, expectation: str, description: str, gen, precheck=None):
+def _law(id: str, expectation: str, gen, precheck=None):
     """Register the decorated check as law `id`, drawing its inputs from `gen`."""
     def register(check: Callable[..., bool]) -> Callable[..., bool]:
-        _REGISTRY[id] = Law(id, expectation, description, gen, check, precheck)
+        _REGISTRY[id] = Law(id, expectation, gen, check, precheck)
         return check
     return register
 
@@ -443,13 +443,11 @@ def _gen_alg_base(rng: random.Random) -> dict:
 
 
 # fold-universal registers first: LAW_IDS order is the report order
-@_law("fold-universal-base", HOLDS,
-      "the universal property at childless constructors",
-      _gen_alg_base)
-@_law("fold-universal", HOLDS,
-      "fold alg equals alg applied over recursively folded children",
-      _gen_alg_term)
+@_law("fold-universal-base", HOLDS, _gen_alg_base)
+@_law("fold-universal", HOLDS, _gen_alg_term)
 def _fold_universal(alg, term) -> bool:
+    """fold alg equals alg applied over recursively folded children: the
+    universal property, also at childless constructors."""
     one_step = alg(Node(term.shape, term.tag, term.labels,
                         tuple(fold(alg, c) for c in term.children)))
     return fold(alg, term) != one_step
@@ -460,11 +458,10 @@ def _gen_fusion(rng: random.Random) -> dict:
             "term": gen_term(rng, rng.choice(ALL_SHAPES))}
 
 
-@_law("fold-fusion", HOLDS,
-      "h . fold f = fold g when h . f = g . F h (side condition checked "
-      "exhaustively on small constructor layers first)",
-      _gen_fusion, precheck=_fusion_side_condition)
+@_law("fold-fusion", HOLDS, _gen_fusion, precheck=_fusion_side_condition)
 def _fusion(triple, term) -> bool:
+    """h . fold f = fold g when h . f = g . F h (side condition checked
+    exhaustively on small constructor layers first)."""
     h, f, g = triple
     return h(fold(f, term)) != fold(g, term)
 
@@ -475,20 +472,18 @@ def _gen_map_fusion(rng: random.Random) -> dict:
             "term": gen_term(rng, rng.choice(ALL_SHAPES))}
 
 
-@_law("fold-map-fusion", HOLDS,
-      "fold f . map g = fold (f . F g id)",
-      _gen_map_fusion)
+@_law("fold-map-fusion", HOLDS, _gen_map_fusion)
 def _map_fusion(relabel, alg, term) -> bool:
+    """fold f . map g = fold (f . F g id)."""
     fused = fold(lambda n: alg(bimap_node(relabel, lambda c: c, n)), term)
     return fold(alg, map_term(relabel, term)) != fused
 
 
 # -- labelled ----------------------------------------------------------------
 
-@_law("scan-lemma", HOLDS,
-      "one-pass scan equals map-of-fold over subterms",
-      _gen_alg_term)
+@_law("scan-lemma", HOLDS, _gen_alg_term)
 def _scan_lemma(alg, term) -> bool:
+    """one-pass scan equals map-of-fold over subterms."""
     two_pass = map_labelled(lambda s: fold(alg, s), subterms(term))
     return scan_generic(alg, term) != two_pass
 
@@ -497,15 +492,16 @@ def _gen_term_only(rng: random.Random) -> dict:
     return {"term": gen_term(rng, rng.choice(ALL_SHAPES))}
 
 
-_law("subterms-para-equiv", HOLDS,
-     "subterms as a fold equals subterms as a paramorphism",
-     _gen_term_only)(
-     lambda term: subterms(term) != subterms_para(term))
+@_law("subterms-para-equiv", HOLDS, _gen_term_only)
+def _subterms_para(term) -> bool:
+    """subterms as a fold equals subterms as a paramorphism."""
+    return subterms(term) != subterms_para(term)
 
-_law("subterms-unfold-equiv", HOLDS,
-     "subterms as a fold equals the top-down rebuilding",
-     _gen_term_only)(
-     lambda term: subterms(term) != oracles.subterms_unfold(term))
+
+@_law("subterms-unfold-equiv", HOLDS, _gen_term_only)
+def _subterms_unfold(term) -> bool:
+    """subterms as a fold equals the top-down rebuilding."""
+    return subterms(term) != oracles.subterms_unfold(term)
 
 
 # -- collection monads -------------------------------------------------------
@@ -517,11 +513,10 @@ def _gen_monad_laws(rng: random.Random) -> dict:
             "xxx": gen_nested(rng, kind, 2)}
 
 
-@_law("monad-laws", HOLDS,
-      "join . singleton = id, join . map singleton = id, "
-      "join . map join = join . join",
-      _gen_monad_laws)
+@_law("monad-laws", HOLDS, _gen_monad_laws)
 def _monad_laws(kind, x, xxx) -> bool:
+    """join . singleton = id, join . map singleton = id, join . map join =
+    join . join."""
     if join_c(singleton(kind, x)) != x:
         return True
     if join_c(map_c(lambda a: singleton(kind, a), x)) != x:
@@ -536,10 +531,9 @@ def _gen_join_dist(rng: random.Random) -> dict:
             "yy": gen_nested(rng, kind, 1)}
 
 
-@_law("join-distributes", HOLDS,
-      "join of empty is empty; join distributes over union",
-      _gen_join_dist)
+@_law("join-distributes", HOLDS, _gen_join_dist)
 def _join_dist(kind, xx, yy) -> bool:
+    """join of empty is empty; join distributes over union."""
     if join_c(empty(kind)) != empty(kind):
         return True
     return join_c(union(xx, yy)) != union(join_c(xx), join_c(yy))
@@ -556,10 +550,9 @@ def _gen_monad_algebra(rng: random.Random) -> dict:
             "cc": gen_nested(rng, kind, 1, min_inner=min_inner)}
 
 
-@_law("monad-algebra", HOLDS,
-      "a reduction splits through return and join",
-      _gen_monad_algebra)
+@_law("monad-algebra", HOLDS, _gen_monad_algebra)
 def _monad_algebra(kind, op, a, cc) -> bool:
+    """a reduction splits through return and join."""
     if reduce(op, singleton(kind, a)) != a:
         return True
     lhs = reduce(op, join_c(cc))
@@ -575,11 +568,10 @@ def _gen_reduce_dist(rng: random.Random) -> dict:
             "x": gen_coll(rng, kind), "y": gen_coll(rng, kind)}
 
 
-@_law("reduce-distributes", HOLDS,
-      "the operator is recovered from singletons, and reduce splits "
-      "across union",
-      _gen_reduce_dist)
+@_law("reduce-distributes", HOLDS, _gen_reduce_dist)
 def _reduce_dist(kind, op, a, b, x, y) -> bool:
+    """the operator is recovered from singletons, and reduce splits across
+    union."""
     if op.fn(a, b) != reduce(op, union(singleton(kind, a), singleton(kind, b))):
         return True
     return reduce(op, union(x, y)) != op.fn(reduce(op, x), reduce(op, y))
@@ -592,10 +584,9 @@ def _gen_reduce_unit(rng: random.Random) -> dict:
             "x": gen_coll(rng, kind)}
 
 
-@_law("reduce-unit-forced", HOLDS,
-      "reduce of the empty collection is the operator's unit",
-      _gen_reduce_unit)
+@_law("reduce-unit-forced", HOLDS, _gen_reduce_unit)
 def _reduce_unit(kind, op, x) -> bool:
+    """reduce of the empty collection is the operator's unit."""
     if reduce(op, empty(kind)) != op.unit:
         return True
     return reduce(op, union(x, empty(kind))) != reduce(op, x)
@@ -612,10 +603,9 @@ def _gen_horner_list(rng: random.Random) -> dict:
     return {"semiring": sname, "xs": xs}
 
 
-@_law("horner-list", HOLDS,
-      "the prefix-products reduction equals the single Horner fold",
-      _gen_horner_list)
+@_law("horner-list", HOLDS, _gen_horner_list)
 def _horner_list(semiring, xs) -> bool:
+    """the prefix-products reduction equals the single Horner fold."""
     prods = [foldr_list(semiring.mul, semiring.mul_unit, seg) for seg in inits_list(xs)]
     lhs = reduce(semiring.reduce_op, collection(CollectionKind.LIST, prods))
     return horner_list(semiring, xs) != lhs
@@ -625,10 +615,9 @@ def _gen_mss_chain(rng: random.Random) -> dict:
     return {"xs": gen_ints(rng, 24, -32, 32)}
 
 
-@_law("mss-chain", HOLDS,
-      "cubic, quadratic and linear maximum-segment-sum agree",
-      _gen_mss_chain)
+@_law("mss-chain", HOLDS, _gen_mss_chain)
 def _mss_chain(xs) -> bool:
+    """cubic, quadratic and linear maximum-segment-sum agree."""
     a = mss_spec(xs)
     return a != mss_quadratic(xs) or a != mss_linear(xs)
 
@@ -648,11 +637,10 @@ def _gen_rectangle(rng: random.Random) -> dict:
             "tag": tag, "labels": tuple(labels), "cols": cols}
 
 
-@_law("rectangle-distributivity", HOLDS,
-      "reduce . map product . distribute equals product after reducing "
-      "each child collection",
-      _gen_rectangle)
+@_law("rectangle-distributivity", HOLDS, _gen_rectangle)
 def _rectangle(kind, semiring, shape, tag, labels, cols) -> bool:
+    """reduce . map product . distribute equals product after reducing each
+    child collection."""
     n = Node(shape, tag, tuple(labels), tuple(cols))
     f = generic_product_alg(semiring, semiring.mul_unit)
     via_distribute = reduce(semiring.reduce_op, map_c(f, distribute_node(n, kind)))
@@ -669,11 +657,10 @@ def _gen_mbs(rng: random.Random) -> dict:
     return {"kind": kind.value, "semiring": sname, "mbs": mbs}
 
 
-@_law("face7-lists", HOLDS,
-      "folding reduced collections equals reducing folds of the "
-      "distributed list",
-      _gen_mbs)
+@_law("face7-lists", HOLDS, _gen_mbs)
 def _face7(kind, semiring, mbs) -> bool:
+    """folding reduced collections equals reducing folds of the distributed
+    list."""
     b = semiring.mul_unit
     lhs = foldr_list(semiring.mul, b, [reduce(semiring.reduce_op, mb) for mb in mbs])
     rhs = reduce(
@@ -689,10 +676,10 @@ def _gen_distlist_defs(rng: random.Random) -> dict:
     return {"kind": kind.value, "mbs": mbs}
 
 
-_law("distlist-defs-equiv", HOLDS,
-     "the fold-of-cp distributor equals the lifted-pairing distributor",
-     _gen_distlist_defs)(
-     lambda kind, mbs: dist_list(mbs, kind) != oracles.dist_list_lifted(mbs, kind))
+@_law("distlist-defs-equiv", HOLDS, _gen_distlist_defs)
+def _distlist_defs(kind, mbs) -> bool:
+    """the fold-of-cp distributor equals the lifted-pairing distributor."""
+    return dist_list(mbs, kind) != oracles.dist_list_lifted(mbs, kind)
 
 
 def _gen_cp_dist(rng: random.Random) -> dict:
@@ -703,10 +690,9 @@ def _gen_cp_dist(rng: random.Random) -> dict:
             "y": gen_coll(rng, kind, 4, lo, hi, min_size=1)}
 
 
-@_law("cp-distributivity", HOLDS,
-      "reduce . map mul . cp equals mul of the two reductions",
-      _gen_cp_dist)
+@_law("cp-distributivity", HOLDS, _gen_cp_dist)
 def _cp_dist(kind, semiring, x, y) -> bool:
+    """reduce . map mul . cp equals mul of the two reductions."""
     op, mul = semiring.reduce_op, semiring.mul
     lhs = reduce(op, map_c(lambda ab: mul(ab[0], ab[1]), cp(x, y)))
     return lhs != mul(reduce(op, x), reduce(op, y))
@@ -720,10 +706,9 @@ def _gen_coll_dist(rng: random.Random) -> dict:
             "x": gen_coll(rng, kind, 4, lo, hi, min_size=1)}
 
 
-@_law("collection-distributivity", HOLDS,
-      "mapping a one-sided mul commutes with reduction",
-      _gen_coll_dist)
+@_law("collection-distributivity", HOLDS, _gen_coll_dist)
 def _coll_dist(kind, semiring, a, x) -> bool:
+    """mapping a one-sided mul commutes with reduction."""
     op, mul = semiring.reduce_op, semiring.mul
     if reduce(op, map_c(lambda b: mul(a, b), x)) != mul(a, reduce(op, x)):
         return True
@@ -735,10 +720,9 @@ def _gen_contents_nat(rng: random.Random) -> dict:
             "term": gen_term(rng, rng.choice(ALL_SHAPES))}
 
 
-@_law("contents-naturality", HOLDS,
-      "contents of a relabelled term is the relabelled contents",
-      _gen_contents_nat)
+@_law("contents-naturality", HOLDS, _gen_contents_nat)
 def _contents_nat(relabel, term) -> bool:
+    """contents of a relabelled term is the relabelled contents."""
     return contents_term(map_term(relabel, term)) != [relabel(l) for l in contents_term(term)]
 
 
@@ -752,11 +736,10 @@ def _gen_delta_contents(rng: random.Random) -> dict:
     return {"kind": kind.value, "shape": shape.value, "tag": tag, "cols": cols}
 
 
-@_law("delta-respects-contents", HOLDS,
-      "distributing the contents list equals contents of the distributed "
-      "constructor",
-      _gen_delta_contents)
+@_law("delta-respects-contents", HOLDS, _gen_delta_contents)
 def _delta_contents(kind, shape, tag, cols) -> bool:
+    """distributing the contents list equals contents of the distributed
+    constructor."""
     sig = SIGNATURES[shape][tag]
     cols = tuple(cols)
     n = Node(shape, tag, cols[: sig.n_labels], cols[sig.n_labels :])
@@ -780,10 +763,9 @@ def _gen_horner_generic(rng: random.Random) -> dict:
     return {"semiring": s.name, "b": _horner_b_samples(rng, s), "term": t}
 
 
-@_law("horner-generic-vs-prune", HOLDS,
-      "the Horner fold equals reducing layer-products over all prunings",
-      _gen_horner_generic)
+@_law("horner-generic-vs-prune", HOLDS, _gen_horner_generic)
 def _horner_generic(semiring, b, term) -> bool:
+    """the Horner fold equals reducing layer-products over all prunings."""
     return horner_generic(semiring, b, term) != horner_generic_brute(semiring, b, term)
 
 
@@ -794,10 +776,10 @@ def _gen_mss_generic(rng: random.Random) -> dict:
     return {"semiring": s.name, "term": t}
 
 
-@_law("mss-generic-scan-vs-brute", HOLDS,
-      "scanning the Horner fold equals reducing over all generic segments",
-      _gen_mss_generic)
+@_law("mss-generic-scan-vs-brute", HOLDS, _gen_mss_generic)
 def _mss_generic(semiring, term) -> bool:
+    """scanning the Horner fold equals reducing over all generic
+    segments."""
     scan_v = mss_generic(semiring, term, via="scan", kind=CollectionKind.BAG)
     brute_v = mss_generic(semiring, term, via="brute", kind=CollectionKind.BAG)
     return scan_v != brute_v
@@ -808,11 +790,10 @@ def _gen_set_plus(rng: random.Random) -> dict:
             "y": gen_coll(rng, CollectionKind.SET, 4, -3, 5)}
 
 
-@_law("set-plus-nonidempotent", FAILS,
-      "summing over sets does not distribute across union, because set "
-      "union is idempotent and addition is not",
-      _gen_set_plus)
+@_law("set-plus-nonidempotent", FAILS, _gen_set_plus)
 def _set_plus(x, y) -> bool:
+    """summing over sets does not distribute across union, because set union
+    is idempotent and addition is not."""
     lhs = reduce(SUM_REDUCE, union(x, y), check=False)
     rhs = SUM_REDUCE.fn(reduce(SUM_REDUCE, x, check=False),
                         reduce(SUM_REDUCE, y, check=False))
@@ -823,10 +804,11 @@ def _gen_prune_counts(rng: random.Random) -> dict:
     return {"term": gen_term_capped(rng, rng.choice(ALL_SHAPES), prune_count, 20000, 5)}
 
 
-_law("prune-counts", HOLDS,
-     "enumerated prunings match the 1 + product-over-children recurrence",
-     _gen_prune_counts)(
-     lambda term: len(prune(term).items) != prune_count(term))
+@_law("prune-counts", HOLDS, _gen_prune_counts)
+def _prune_counts(term) -> bool:
+    """enumerated prunings match the 1 + product-over-children
+    recurrence."""
+    return len(prune(term).items) != prune_count(term)
 
 
 # ---------------------------------------------------------------------------

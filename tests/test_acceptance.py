@@ -185,9 +185,7 @@ def test_c06_generic_horner_and_mss():
             for sname in ("max-plus", "plus-times"):
                 s = SEMIRINGS[sname]
                 b = 0 if sname == "max-plus" else s.mul_unit
-                assert horner_generic(s, b, t) == horner_generic_brute(
-                    s, b, t, CollectionKind.BAG
-                )
+                assert horner_generic(s, b, t) == horner_generic_brute(s, b, t)
                 scan_v = mss_generic(s, t, via="scan", kind=CollectionKind.BAG)
                 brute_v = mss_generic(s, t, via="brute", kind=CollectionKind.BAG)
                 assert scan_v == brute_v

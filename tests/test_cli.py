@@ -133,13 +133,13 @@ def _complete_htree(depth):
 
 
 def test_exact_counts_past_the_int_str_digit_limit(runner):
-    # a complete htree of depth 15 (65,535 nodes) has a pruning count of
-    # 5,798 digits, past the interpreter's 4,300-digit str(int) limit
+    # a complete htree of depth 16 (65,535 nodes) has a pruning count of
+    # 11,595 digits, past the interpreter's 4,300-digit str(int) limit
     counts = [2]  # prunings of a complete tree, by depth
-    for _ in range(14):
+    for _ in range(15):
         counts.append(1 + counts[-1] ** 2)
-    segs = sum(c << (14 - d) for d, c in enumerate(counts))
-    text = _complete_htree(15)
+    segs = sum(c << (15 - d) for d, c in enumerate(counts))
+    text = _complete_htree(16)
     for route in (["--via", "brute"], ["--check"]):
         res = runner.invoke(main, ["tree", *route, "--input", text])
         assert res.exit_code == 5 and res.exception is not None  # SystemExit

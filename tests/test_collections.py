@@ -23,7 +23,8 @@ from segmax import (
     to_text,
     union,
 )
-from segmax.ints import I64_MAX, I64_MIN
+from segmax.horner import Semiring, ensure_distributive
+from segmax.ints import I64_MAX, I64_MIN, checked_add
 from segmax.monads import MAX_REDUCE, SUM_REDUCE, reduce_law_failure, zero_axiom_holds
 from segmax.oracles import dist_list_lifted
 
@@ -121,8 +122,21 @@ def test_reduce_preconditions_enforced():
     first = ReduceOp("first", lambda a, b: a, 0)  # associative, not commutative
     with pytest.raises(ReduceLawError):
         reduce(first, _bag(1, 2))
-    with pytest.raises(ReduceLawError):
-        reduce(MAX_REDUCE, _bag(I64_MIN))  # bottom sentinel is not data
+    # element_ok is the labels' carrier, checked on terms: reduce folds
+    # any value, and the bottom sentinel is max's unit
+    assert reduce(MAX_REDUCE, _bag(I64_MIN, 3)) == 3
+    assert reduce(MAX_REDUCE, _bag(I64_MIN)) == I64_MIN
+
+
+def test_the_gate_samples_the_reduction_laws_of_every_kind():
+    # the last nonzero element: associative with unit 0, not commutative,
+    # so it meets the gate on a bag, before any route computes; forced,
+    # the gate lets it through, and lists need no commutativity
+    last = Semiring("last-plus", ReduceOp("last", lambda a, b: b or a, 0), checked_add, 0)
+    with pytest.raises(ReduceLawError, match="^'last' is not commutative at "):
+        ensure_distributive(last, CollectionKind.BAG)
+    ensure_distributive(last, CollectionKind.BAG, force=True)
+    ensure_distributive(last, CollectionKind.LIST)
 
 
 def test_reduce_verdict_does_not_depend_on_the_first_call():

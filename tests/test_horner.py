@@ -34,6 +34,7 @@ from segmax import (
     inits_list,
     leaf,
     list_term,
+    map_term,
     max_prefix_sum,
     mss_generic,
     mss_generic_text,
@@ -362,6 +363,58 @@ def test_text_route_is_parse_then_scan():
     text = print_term(list_term([1] * 100_000))
     assert _assert_text_route_is_parse_then_scan(
         MAX_PLUS, text, ShapeKind.LIST, CollectionKind.BAG, False) == "TermSyntaxError"
+
+
+# labels at the edges of each carrier; plus-times has none
+_CARRIER_EDGES = {
+    MAX_PLUS: (I64_MIN + 1, -(1 << 62), -1, 0, 1, 1 << 62, I64_MAX),
+    MIN_PLUS: (I64_MIN, -(1 << 62), -1, 0, 1, 1 << 62, I64_MAX - 1),
+    PLUS_TIMES: (-(1 << 31), -2, -1, 0, 1, 2, 1 << 31),
+    BOOL_OR_AND: (0, 1),
+}
+
+
+def test_scan_values_lie_in_the_carrier(monkeypatch):
+    # the horner module's lemma, first half: once the labels are in the
+    # carrier, so is every value the scan routes reduce, unless an
+    # overflow stops the pass; the carrier is read once per label and
+    # never again per value
+    received = []
+    monkeypatch.setattr("segmax.horner.reduce",
+                        lambda op, x, **kw: received.extend(x.items) or reduce(op, x, **kw))
+    rng = random.Random(48)
+    for s, kind in itertools.product(SEMIRINGS.values(), CollectionKind):
+        ok, reads = s.reduce_op.element_ok, []
+        counting = ok and (lambda v: reads.append(v) or ok(v))
+        counted = s._replace(reduce_op=s.reduce_op._replace(element_ok=counting))
+        force = reduce_law_failure(counted.reduce_op, kind) is not None  # set + plus-times
+        answered = 0
+        for shape in ShapeKind:
+            for _ in range(8):
+                t = map_term(lambda _: rng.choice(_CARRIER_EDGES[s]), gen_term(rng, shape, 4))
+                text = print_term(t)
+                for route in (lambda: mss_generic(counted, t, kind=kind, force=force),
+                              lambda: mss_generic_text(counted, text, shape, kind, force)):
+                    del reads[:], received[:]
+                    try:
+                        route()
+                    except OverflowError:
+                        continue
+                    answered += 1
+                    assert ok is None or all(map(ok, received))
+                    assert len(reads) == (len(contents_term(t)) if ok else 0)
+        assert answered >= 16, (s.name, kind)
+
+
+def test_routes_agree_at_the_sentinels():
+    # the lemma's second half: the whole list's product is the sentinel,
+    # which changes no max or min, as the empty pruning is worth 0
+    for s, labels, sentinel in ((MAX_PLUS, [-(1 << 62)] * 2, I64_MIN),
+                                (MIN_PLUS, [1 << 62, (1 << 62) - 1], I64_MAX)):
+        assert sum(labels) == sentinel
+        t = list_term(labels)
+        for kind in CollectionKind:
+            assert mss_generic(s, t, via="brute", kind=kind) == mss_generic(s, t, kind=kind) == 0
 
 
 def test_mss_generic_other_semirings_scan_vs_brute():

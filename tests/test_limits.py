@@ -23,7 +23,7 @@ from segmax.cli import main
 N_LIST = 99_999  # cons nodes, so the term has 100,000 nodes with its nil
 OVER_LIMIT = "(cons 0 " * 100_000 + "nil" + ")" * 100_000  # 100,001 nodes
 TOO_LARGE = (2, "error: tree larger than 100000 nodes (at offset 0)")
-HTREE_DEPTH = 15  # 65,535 nodes
+HTREE_DEPTH = 16  # 65,535 nodes
 
 
 def _cli(*args) -> tuple[int, str]:
