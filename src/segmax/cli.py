@@ -115,8 +115,8 @@ def _read_source(inline: str | None, path: str | None) -> str:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    parts = text.replace(",", " ").split()
-    # refuse an over-long list before paying for its conversion
+    # one part past the limit is enough to refuse a list before converting it
+    parts = text.replace(",", " ").split(maxsplit=MAX_LIST_LEN)
     if len(parts) > MAX_LIST_LEN:
         raise TermSyntaxError(f"list longer than {MAX_LIST_LEN} elements", 0)
     try:

@@ -44,6 +44,10 @@ A semiring's add is a collection reduction, lawful for the collection
 kinds whose laws monads.reduce_law_failure finds unbroken; the gate,
 ensure_distributive, samples them before either route computes.
 
+horner_step checks the carrier, reduce_op.element_ok, once per label on
+every scan.  _check_carrier walks the term only to order the faults of a
+stopped pass, and up front for brute and tree --check (before the guard).
+
 Lemma: the routes' values need no domain check once the labels are in
 the carrier (reduce_op.element_ok), so both routes reduce unchecked.
   - Scan values lie in the carrier.  Each is b `add` a product, with b
@@ -122,14 +126,15 @@ def check_semiring(s: Semiring, samples) -> None:
 
 def ensure_distributive(s: Semiring, kind: CollectionKind, force: bool = False) -> None:
     """Gate: add must pass the sampled reduction laws of kind, the ones
-    reduce would check.  On sets that needs an idempotent add, as
-    set-valued reduction distributes over idempotent union, and a failure
-    raises DistributivityError; on lists and bags it raises reduce's
-    ReduceLawError.  force runs anyway (used to demonstrate the failure)."""
+    reduce would check.  On sets (whose reduction distributes over union
+    only for an idempotent add) a failure raises DistributivityError
+    naming the law; on lists and bags it raises reduce's ReduceLawError.
+    force runs anyway (used to demonstrate the failure)."""
     failure = None if force else reduce_law_failure(s.reduce_op, kind)
     if failure is not None and kind is CollectionKind.SET:
+        law = failure.rsplit("' is not ", 1)[1].split()[0]
         raise DistributivityError(
-            f"semiring '{s.name}' has a non-idempotent add; "
+            f"semiring '{s.name}' has a non-{law} add; "
             "its reduction is not well-defined on sets (use --force to run anyway)"
         )
     if failure is not None:
@@ -262,13 +267,17 @@ def generic_product_alg(s: Semiring, b) -> Algebra:
 
 
 def horner_step(s: Semiring, b) -> Callable:
-    """One Horner step as a parser's close action: b `add` the foldr with
-    mul from seed b over a constructor's labels, then its children's
-    values.  The foldr is written out: this runs once per node on every
-    scan."""
-    mul, add = s.mul, s.reduce_op.fn
+    """One Horner step, also the parser's close action: b `add` the foldr
+    with mul from seed b over a node's labels, then its children's values,
+    written out as it runs once per node on every scan.  A label outside
+    the carrier raises a bare CarrierError; _check_carrier writes messages."""
+    mul, add, ok = s.mul, s.reduce_op.fn, s.reduce_op.element_ok
 
     def step(tag: str, labels: tuple, kids: tuple):
+        if ok is not None:
+            for v in labels:
+                if not ok(v):
+                    raise CarrierError
         acc = b
         for x in reversed(labels + kids):
             acc = mul(x, acc)
@@ -293,8 +302,11 @@ def _check_carrier(s: Semiring, t: Term) -> None:
 def horner_generic(s: Semiring, b, t: Term):
     """Fold the Horner step over the whole term.  Equals reducing the
     layer-products of every pruning of t (checked in the law suite)."""
-    _check_carrier(s, t)
-    return fold(horner_alg(s, b), t)
+    try:
+        return fold(horner_alg(s, b), t)
+    except (CarrierError, OverflowError):
+        _check_carrier(s, t)
+        raise
 
 
 def horner_generic_brute(s: Semiring, b, t: Term):
@@ -312,29 +324,30 @@ BRUTE = "brute"
 def mss_generic(s: Semiring, t: Term, via: str = SCAN,
                 kind: CollectionKind = CollectionKind.BAG,
                 force: bool = False):
-    """Best segment value over all generic segments of t.
-
-    The scan route reduces the contents of one Horner scan, fused into
-    one post-order pass that lists the Horner values in contents order
-    (see the module docstring for the law and the test that check it);
-    the brute route reduces the pruned-term products over every generic
-    segment.
-    Both agree whenever the (semiring, kind) gate passes; the gate
-    rejects set collections with a non-idempotent add unless forced.
-    Horner's seed b is the semiring's mul unit.
+    """Best segment value over all generic segments of t.  The scan route
+    reduces the contents of one Horner scan, seeded with the mul unit, in
+    one post-order pass (see the module docstring); the brute route
+    reduces the pruned-term products over every segment.  Both agree
+    whenever the gate, which samples add's reduction laws for kind unless
+    forced, passes.  Errors come in order: the gate, the first label
+    outside the carrier in contents order, the first overflow in post-order.
     """
     ensure_distributive(s, kind, force)
-    _check_carrier(s, t)
     b = s.mul_unit
     if via == SCAN:
         step = horner_step(s, b)
         vals: list = []
-        postorder(t, lambda n, kids: step(n.tag, n.labels, kids), out=vals)
-    elif via == BRUTE:
+        try:
+            postorder(t, lambda n, kids: step(n.tag, n.labels, kids), out=vals)
+        except (CarrierError, OverflowError):
+            _check_carrier(s, t)
+            raise
+    else:
+        _check_carrier(s, t)
+        if via != BRUTE:
+            raise ValueError(f"unknown route {via!r}")
         f = generic_product_alg(s, b)
         vals = [pruned_fold(b, f, p) for p in _segs_items(t)]
-    else:
-        raise ValueError(f"unknown route {via!r}")
     return reduce(s.reduce_op, collection(kind, vals), check=False)
 
 
@@ -342,28 +355,15 @@ def mss_generic_text(s: Semiring, text: str, shape: ShapeKind,
                      kind: CollectionKind = CollectionKind.BAG,
                      force: bool = False):
     """mss_generic(s, parse_term(text, shape), kind=kind, force=force) by
-    the scan route, with the Horner step as the parser's close action: one
-    pass over the text lists the Horner values in contents order and
-    builds no term (the fold after the unfold, with the tree removed).
-
+    the scan route in one pass over the text that builds no term, with
+    horner_step as the parser's close action (see the module docstring).
     A label outside the carrier or an overflow stops the pass, and the
-    term route then raises the error that comes first in mss_generic's
-    order, with its message: a syntax fault or the node limit, the gate,
-    the first such label in contents order, the first overflow in
-    post-order.
+    term route then raises the error that comes first: a syntax fault or
+    the node limit, then mss_generic's order.
     """
-    b, ok = s.mul_unit, s.reduce_op.element_ok
-    close = step = horner_step(s, b)
-    if ok is not None:
-        def close(tag: str, labels: tuple, kids: tuple):
-            for v in labels:
-                if not ok(v):
-                    raise CarrierError  # the term route writes the message
-            return step(tag, labels, kids)
-
     vals: list = []
     try:
-        _parse(text, shape, close, out=vals)
+        _parse(text, shape, horner_step(s, s.mul_unit), out=vals)
     except (CarrierError, OverflowError):
         return mss_generic(s, parse_term(text, shape), kind=kind, force=force)
     ensure_distributive(s, kind, force)

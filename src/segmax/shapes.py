@@ -61,14 +61,17 @@ class ShapeKind(Enum):
 class CtorSig(NamedTuple):
     n_labels: int
     n_children: int
-    atom: bool  # printed bare, without parentheses
+
+    @property
+    def atom(self) -> bool:  # no slots, so printed bare, without parentheses
+        return self.n_labels == self.n_children == 0
 
 
 SIGNATURES: dict[ShapeKind, dict[str, CtorSig]] = {
-    ShapeKind.LIST: {"nil": CtorSig(0, 0, True), "cons": CtorSig(1, 1, False)},
-    ShapeKind.ETREE: {"tip": CtorSig(1, 0, False), "bin": CtorSig(0, 2, False)},
-    ShapeKind.ITREE: {"nilt": CtorSig(0, 0, True), "node": CtorSig(1, 2, False)},
-    ShapeKind.HTREE: {"leaf": CtorSig(1, 0, False), "fork": CtorSig(1, 2, False)},
+    ShapeKind.LIST: {"nil": CtorSig(0, 0), "cons": CtorSig(1, 1)},
+    ShapeKind.ETREE: {"tip": CtorSig(1, 0), "bin": CtorSig(0, 2)},
+    ShapeKind.ITREE: {"nilt": CtorSig(0, 0), "node": CtorSig(1, 2)},
+    ShapeKind.HTREE: {"leaf": CtorSig(1, 0), "fork": CtorSig(1, 2)},
 }
 # the parser reads at most one label per constructor
 assert all(sig.n_labels <= 1 for sigs in SIGNATURES.values() for sig in sigs.values())

@@ -236,6 +236,21 @@ def test_the_reduction_sampler_decides_gate_semiring_check_and_law_reducers():
         check_semiring(Semiring("last-times", last, checked_mul, 1), range(-2, 3))
 
 
+def test_the_gate_names_the_set_law_that_failed():
+    def refusal(s):
+        with pytest.raises(DistributivityError) as e:
+            ensure_distributive(s, CollectionKind.SET)
+        return str(e.value)
+
+    tail = "its reduction is not well-defined on sets (use --force to run anyway)"
+    assert refusal(PLUS_TIMES) == f"semiring 'plus-times' has a non-idempotent add; {tail}"
+    # idempotent, associative and unital, but not commutative
+    last_plus = Semiring("last-plus", ReduceOp("last", lambda a, b: b or a, 0), checked_add, 0)
+    assert reduce_law_failure(last_plus.reduce_op, CollectionKind.SET).startswith(
+        "'last' is not commutative at ")
+    assert refusal(last_plus) == f"semiring 'last-plus' has a non-commutative add; {tail}"
+
+
 def test_mss_generic_set_plus_times_rejected_unless_forced():
     with pytest.raises(DistributivityError):
         mss_generic(PLUS_TIMES, EX7, kind=CollectionKind.SET)
@@ -404,6 +419,46 @@ def test_scan_values_lie_in_the_carrier(monkeypatch):
                     assert ok is None or all(map(ok, received))
                     assert len(reads) == (len(contents_term(t)) if ok else 0)
         assert answered >= 16, (s.name, kind)
+
+
+def test_a_fault_free_scan_leaves_the_carrier_to_the_step(monkeypatch):
+    # horner_step reads every label; the walk over the term only orders
+    # the faults of a pass that stopped, so a fault-free scan never makes it
+    rng = random.Random(49)
+    cases = [(s, shape, gen_term(rng, shape, 5, 0, 1))
+             for s in SEMIRINGS.values() for shape in ShapeKind for _ in range(4)]
+    expected = [(mss_generic(s, t), horner_generic(s, s.mul_unit, t)) for s, _, t in cases]
+
+    def walk(s, t):
+        raise AssertionError("the term was walked for the carrier")
+
+    monkeypatch.setattr("segmax.horner._check_carrier", walk)
+    for (s, shape, t), (best, whole) in zip(cases, expected):
+        assert mss_generic(s, t) == mss_generic_text(s, print_term(t), shape) == best
+        assert horner_generic(s, s.mul_unit, t) == whole
+
+
+def test_the_carrier_fault_comes_before_an_overflow_that_closes_first():
+    # the left fork overflows and closes, in post-order, before the leaf
+    # whose label is outside max-plus's carrier; the carrier error wins
+    t = parse_term(f"(fork 1 (fork {I64_MAX} (leaf {I64_MAX}) (leaf 1)) (leaf {I64_MIN}))",
+                   ShapeKind.HTREE)
+    for run in (lambda: mss_generic(MAX_PLUS, t), lambda: horner_generic(MAX_PLUS, 0, t)):
+        with pytest.raises(CarrierError, match=f"^label {I64_MIN} outside the carrier "
+                                               "of 'max-plus'$"):
+            run()
+    # the first label outside the carrier in contents order, not the
+    # first to close
+    t = parse_term("(fork 5 (leaf 7) (leaf 1))", ShapeKind.HTREE)
+    for run in (lambda: mss_generic(BOOL_OR_AND, t), lambda: horner_generic(BOOL_OR_AND, 1, t)):
+        with pytest.raises(CarrierError, match="^label 5 outside the carrier of 'bool-or-and'$"):
+            run()
+    # with every label in the carrier, the overflow stands
+    t = parse_term(f"(fork 1 (fork {I64_MAX} (leaf {I64_MAX}) (leaf 1)) (leaf 2))",
+                   ShapeKind.HTREE)
+    for run in (lambda: mss_generic(MAX_PLUS, t), lambda: horner_generic(MAX_PLUS, 0, t)):
+        with pytest.raises(OverflowError, match=f"^sum {I64_MAX + 1} outside 64-bit "):
+            run()
 
 
 def test_routes_agree_at_the_sentinels():

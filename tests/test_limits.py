@@ -125,6 +125,16 @@ print(json.dumps([res.returncode, res.stderr, peak]))
 """
 
 
+def _measured(*args) -> list:
+    """[exit status, stderr, peak RSS in KiB] of python -m segmax *args."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(segmax.__file__)))
+    cmd = [sys.executable, "-m", "segmax", *args]
+    res = subprocess.run([sys.executable, "-c", _MEASURE, *cmd],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(res.stdout)
+
+
 def test_oversize_terms_are_refused_at_a_bounded_cost(tmp_path):
     # a text with more '(' than the node limit is refused before it is
     # read, so the 3 * 10^6-node list (27 MB of text) takes well under
@@ -134,15 +144,22 @@ def test_oversize_terms_are_refused_at_a_bounded_cost(tmp_path):
     cases = [("list", name, text) for name, text in lists.items()]
     # 100,001 nodes, but only 50,000 '(': the parsed count must refuse it
     cases.append(("itree", "itree", "(node 1 nilt " * 50_000 + "nilt" + ")" * 50_000))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(segmax.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     for shape, name, text in cases:
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
-        cmd = [sys.executable, "-m", "segmax", "tree", "--shape", shape, "--file", str(path)]
-        res = subprocess.run([sys.executable, "-c", _MEASURE, *cmd], env=env,
-                             capture_output=True, text=True, timeout=300, check=True)
-        code, stderr, peak_kib = json.loads(res.stdout)
+        code, stderr, peak_kib = _measured("tree", "--shape", shape, "--file", str(path))
         assert (code, stderr) == (2, f"{TOO_LARGE[1]}\n"), name
         if name == "list-3000000":
             assert peak_kib < 150 * 1024, peak_kib
+
+
+def test_an_over_long_list_is_refused_at_a_bounded_cost(tmp_path):
+    # 10^7 two-digit labels (30 MB of text): the list is split no further
+    # than one part past the limit, so refusing it takes well under
+    # 250 MiB.  One-character labels would hide the cost, as CPython
+    # shares one string object for each of them.
+    path = tmp_path / "list-10000000"
+    path.write_text("12 " * 10**7, encoding="utf-8")
+    code, stderr, peak_kib = _measured("mss", "--file", str(path))
+    assert (code, stderr) == (2, f"error: list longer than {10**6} elements (at offset 0)\n")
+    assert peak_kib < 250 * 1024, peak_kib
