@@ -294,7 +294,8 @@ def bench_run(sizes: list[int], algos: list[str], seed: int = 42,
 @click.option("--assert", "do_assert", is_flag=True,
               help="Require spec > quadratic > linear at the largest size.")
 @click.option("--budget", type=float, default=120.0, show_default=True,
-              help="Total wall-clock budget in seconds.")
+              help="Total wall-clock budget in seconds, read before each "
+                   "repetition: a running repetition is not interrupted.")
 @click.option("--json", "as_json", is_flag=True)
 @_run
 def bench(sizes: str, algos: str, seed: int, do_assert: bool, budget: float,
@@ -306,12 +307,16 @@ def bench(sizes: str, algos: str, seed: int, do_assert: bool, budget: float,
         raise TermSyntaxError("sizes must be integers", 0) from None
     if not ns or any(n <= 0 for n in ns) or ns != sorted(ns):
         _fail(EXIT_USAGE, "sizes must be positive and ascending")
+    if ns[-1] > MAX_LIST_LEN:  # before any input is built
+        _fail(EXIT_USAGE, f"sizes must be at most {MAX_LIST_LEN}")
     if not budget > 0:  # also refuses nan, which would disable the guard
         _fail(EXIT_USAGE, "budget must be a positive number of seconds")
     names = [a.strip() for a in algos.split(",") if a.strip()]
     unknown = [a for a in names if a not in _BENCH_ALGOS]
     if unknown:
         _fail(EXIT_USAGE, f"unknown algorithms: {', '.join(unknown)}")
+    if not names:
+        _fail(EXIT_USAGE, "no algorithms given")
     rows = bench_run(ns, names, seed, budget=budget)
     if as_json:
         _echo(json.dumps(rows))

@@ -40,16 +40,16 @@ fold after the unfold, with the intermediate tree removed (a
 hylomorphism).  tests/test_horner.py::test_text_route_is_parse_then_scan
 checks it against parse_term followed by mss_generic, errors included.
 
-A semiring's add is a collection reduction, lawful for the collection
-kinds whose laws monads.reduce_law_failure finds unbroken; the gate,
-ensure_distributive, samples them before either route computes.
+Scan and brute agree when the labels lie in the carrier,
+reduce_op.element_ok; add obeys the reduction laws of the collection
+kind; and mul has a unit, is associative and distributes over add on
+both sides.  The gate, ensure_distributive, samples all those laws
+before either route computes.  horner_step checks the carrier once per
+label on every scan; _check_carrier walks the term only to order the
+faults of a stopped pass, and up front for brute and tree --check.
 
-horner_step checks the carrier, reduce_op.element_ok, once per label on
-every scan.  _check_carrier walks the term only to order the faults of a
-stopped pass, and up front for brute and tree --check (before the guard).
-
-Lemma: the routes' values need no domain check once the labels are in
-the carrier (reduce_op.element_ok), so both routes reduce unchecked.
+Lemma: once the labels are in the carrier, the routes' values need no
+domain check, so both routes reduce unchecked.
   - Scan values lie in the carrier.  Each is b `add` a product, with b
     the mul unit: max-plus values are at least 0, min-plus values at
     most 0, and bool-or-and values are bits.  Plus-times has no carrier.
@@ -62,11 +62,12 @@ first half, and ::test_routes_agree_at_the_sentinels the second.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice, product
+import functools
+from itertools import accumulate, islice
 from typing import Callable, NamedTuple
 
 from .errors import CarrierError, DistributivityError, ReduceLawError
-from .ints import I64_MAX, check_i64, checked_add, checked_mul
+from .ints import check_i64, checked_add, checked_mul
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, scan_generic  # noqa: F401
 from .monads import (
@@ -76,7 +77,9 @@ from .monads import (
     SUM_REDUCE,
     CollectionKind,
     ReduceOp,
+    broken_reduction_law,
     collection,
+    first_broken_law,
     reduce,
     reduce_law_failure,
 )
@@ -104,41 +107,41 @@ BOOL_OR_AND = Semiring("bool-or-and", OR_REDUCE, lambda a, b: a & b, 1)
 SEMIRINGS = {s.name: s for s in (MAX_PLUS, MIN_PLUS, PLUS_TIMES, BOOL_OR_AND)}
 
 
-def check_semiring(s: Semiring, samples) -> None:
-    """Sampled semiring laws: add passes the reduction sampler's bag
-    laws; on the samples in add's domain, mul is associative with unit
-    mul_unit and distributes over add on both sides."""
-    failure = reduce_law_failure(s.reduce_op, CollectionKind.BAG)
-    if failure is not None:
-        raise CarrierError(f"{s.name}: {failure}")
-    ok, add, mul, one = s.reduce_op.element_ok, s.reduce_op.fn, s.mul, s.mul_unit
-    xs = [v for v in samples if ok is None or ok(v)]
-    for a, b, c in product(xs, repeat=3):
-        if mul(one, a) != a or mul(a, one) != a:
-            raise CarrierError(f"{s.name}: mul unit fails at {a}")
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            raise CarrierError(f"{s.name}: mul not associative")
-        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-            raise CarrierError(f"{s.name}: left distributivity fails")
-        if mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
-            raise CarrierError(f"{s.name}: right distributivity fails")
+@functools.cache
+def _broken_mul_law(s: Semiring) -> tuple[str, tuple] | None:
+    """The first sampled law of mul that s breaks, with its arguments, or
+    None; memoised per semiring."""
+    add, mul, one = s.reduce_op.fn, s.mul, s.mul_unit
+    return first_broken_law(s.reduce_op.element_ok, (
+        ("unital", 1, lambda a: mul(one, a) == a == mul(a, one)),
+        ("associative", 3, lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c))),
+        ("left-distributive", 3,
+         lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c))),
+        ("right-distributive", 3,
+         lambda a, b, c: mul(add(b, c), a) == add(mul(b, a), mul(c, a)))))
 
 
 def ensure_distributive(s: Semiring, kind: CollectionKind, force: bool = False) -> None:
-    """Gate: add must pass the sampled reduction laws of kind, the ones
-    reduce would check.  On sets (whose reduction distributes over union
-    only for an idempotent add) a failure raises DistributivityError
-    naming the law; on lists and bags it raises reduce's ReduceLawError.
-    force runs anyway (used to demonstrate the failure)."""
-    failure = None if force else reduce_law_failure(s.reduce_op, kind)
-    if failure is not None and kind is CollectionKind.SET:
-        law = failure.rsplit("' is not ", 1)[1].split()[0]
+    """Gate: the sampled laws under which scan and brute agree.  First
+    add's reduction laws for kind, the ones reduce would check: a failure
+    raises reduce's ReduceLawError on lists and bags, DistributivityError
+    naming the law on sets.  Then mul's laws: a failure raises
+    DistributivityError naming the law and its arguments.  force skips
+    the gate (used to demonstrate a failure)."""
+    if force:
+        return
+    broken = broken_reduction_law(s.reduce_op, kind)
+    if broken is not None and kind is not CollectionKind.SET:
+        raise ReduceLawError(reduce_law_failure(s.reduce_op, kind))
+    if broken is not None:
         raise DistributivityError(
-            f"semiring '{s.name}' has a non-{law} add; "
-            "its reduction is not well-defined on sets (use --force to run anyway)"
-        )
-    if failure is not None:
-        raise ReduceLawError(failure)
+            f"semiring '{s.name}' has a non-{broken[0]} add; "
+            "its reduction is not well-defined on sets (use --force to run anyway)")
+    broken = _broken_mul_law(s)
+    if broken is not None:
+        raise DistributivityError(
+            f"semiring '{s.name}' has a non-{broken[0]} mul at {broken[1]}; "
+            "Horner's rule does not hold for it (use --force to run anyway)")
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +168,11 @@ def scanr_list(step: Callable, e, xs: list) -> list:
 
 
 def tails_list(xs: list) -> list[list]:
-    out = [[]]
-    for x in reversed(xs):
-        out.append([x] + out[-1])
-    out.reverse()
-    return out
+    return [xs[i:] for i in range(len(xs) + 1)]
 
 
 def inits_list(xs: list) -> list[list]:
-    out: list[list] = [[]]
-    for x in reversed(xs):
-        out = [[]] + [[x] + ys for ys in out]
-    return out
+    return [xs[:i] for i in range(len(xs) + 1)]
 
 
 def segs_list(xs: list) -> list[list]:
@@ -187,23 +183,15 @@ def segs_list(xs: list) -> list[list]:
 def mss_spec(xs: list) -> int:
     """Maximum segment sum, straight from the definition
     maximum . map sum . segs.  Cubic time; segments are streamed rather
-    than materialised so memory stays linear."""
+    than materialised so memory stays linear.  A sum is range-checked
+    only when it beats the best: like the other algorithms, this raises
+    OverflowError exactly when the maximum leaves 64 bits."""
     best = 0  # the empty segment
-    n = len(xs)
-    # when no segment sum can leave the 64-bit range, skip per-segment checks;
-    # islice keeps the inner loop allocation-free
-    safe = n == 0 or max(abs(x) for x in xs) * n <= I64_MAX
-    for i in range(n):
-        if safe:
-            for j in range(i + 1, n + 1):
-                s = sum(islice(xs, i, j))
-                if s > best:
-                    best = s
-        else:
-            for j in range(i + 1, n + 1):
-                s = check_i64(sum(islice(xs, i, j)), "segment sum")
-                if s > best:
-                    best = s
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs) + 1):
+            s = sum(islice(xs, i, j))  # islice keeps the loop allocation-free
+            if s > best:
+                best = check_i64(s, "segment sum")
     return best
 
 
@@ -259,11 +247,7 @@ def generic_product_alg(s: Semiring, b) -> Algebra:
     then children) with mul from seed b (so a contentless layer is worth
     b)."""
     mul = s.mul
-
-    def alg(n):
-        return foldr_list(mul, b, n.labels + n.children)
-
-    return alg
+    return lambda n: foldr_list(mul, b, n.labels + n.children)
 
 
 def horner_step(s: Semiring, b) -> Callable:
@@ -317,24 +301,21 @@ def horner_generic_brute(s: Semiring, b, t: Term):
     return reduce(s.reduce_op, vals)
 
 
-SCAN = "scan"
-BRUTE = "brute"
-
-
-def mss_generic(s: Semiring, t: Term, via: str = SCAN,
+def mss_generic(s: Semiring, t: Term, via: str = "scan",
                 kind: CollectionKind = CollectionKind.BAG,
                 force: bool = False):
     """Best segment value over all generic segments of t.  The scan route
     reduces the contents of one Horner scan, seeded with the mul unit, in
     one post-order pass (see the module docstring); the brute route
     reduces the pruned-term products over every segment.  Both agree
-    whenever the gate, which samples add's reduction laws for kind unless
-    forced, passes.  Errors come in order: the gate, the first label
-    outside the carrier in contents order, the first overflow in post-order.
+    whenever the gate, which samples add's reduction laws for kind and
+    mul's semiring laws unless forced, passes.  Errors come in order: the
+    gate, the first label outside the carrier in contents order, the
+    first overflow in post-order.
     """
     ensure_distributive(s, kind, force)
     b = s.mul_unit
-    if via == SCAN:
+    if via == "scan":
         step = horner_step(s, b)
         vals: list = []
         try:
@@ -344,7 +325,7 @@ def mss_generic(s: Semiring, t: Term, via: str = SCAN,
             raise
     else:
         _check_carrier(s, t)
-        if via != BRUTE:
+        if via != "brute":
             raise ValueError(f"unknown route {via!r}")
         f = generic_product_alg(s, b)
         vals = [pruned_fold(b, f, p) for p in _segs_items(t)]

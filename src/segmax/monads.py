@@ -142,11 +142,11 @@ class ReduceOp(NamedTuple):
     For a reduction to be well-defined the operator must be associative
     with identity unit (all kinds), commutative (bags and sets), and
     idempotent (sets).  These are semantic preconditions;
-    reduce_law_failure samples them, and reduce() refuses to compute
+    broken_reduction_law samples them, and reduce() refuses to compute
     when a sample fails.  element_ok is the labels' carrier (max over
     64-bit words needs labels strictly above the bottom sentinel): the
-    carrier check and the law samplers read it, reduce does not (see the
-    horner module's lemma).
+    carrier check and the law sampler's pool read it, reduce does not
+    (see the horner module's lemma).
     """
 
     name: str
@@ -160,12 +160,28 @@ _TRIALS = 64
 
 
 @functools.cache
-def reduce_law_failure(op: ReduceOp, kind: CollectionKind) -> str | None:
-    """The first sampled law that op breaks as a reduction of kind, or
-    None; memoised, as it depends on (op, kind) alone.  The one check of
-    reduction laws: reduce, the distributivity gate, check_semiring and
-    the law registry's reducers all read it."""
-    pool = [v for v in _SAMPLE_DOMAIN if op.element_ok is None or op.element_ok(v)]
+def _sample_pool(element_ok: Callable | None) -> tuple:  # the carrier is read once
+    return tuple(v for v in _SAMPLE_DOMAIN if element_ok is None or element_ok(v))
+
+
+def first_broken_law(element_ok: Callable | None, laws) -> tuple[str, tuple] | None:
+    """The first of laws, (name, arity, holds) triples, to fail on one of
+    its first _TRIALS argument tuples from the pool inside the carrier
+    element_ok, with those arguments, or None.  The one sampling loop:
+    reduction laws and the gate's mul laws (horner) both run through it."""
+    pool = _sample_pool(element_ok)
+    for law, arity, holds in laws:
+        for xs in itertools.islice(itertools.product(pool, repeat=arity), _TRIALS):
+            if not holds(*xs):
+                return law, xs
+    return None
+
+
+@functools.cache
+def broken_reduction_law(op: ReduceOp, kind: CollectionKind) -> tuple[str, tuple] | None:
+    """The first sampled law that op breaks as a reduction of kind, with
+    its arguments, or None; memoised, as it depends on (op, kind) alone.
+    reduce, the distributivity gate and the law registry's reducers read it."""
     f, u = op.fn, op.unit
     laws = [("associative", 3, lambda a, b, c: f(f(a, b), c) == f(a, f(b, c))),
             ("unital", 1, lambda a: f(u, a) == a == f(a, u))]
@@ -173,11 +189,13 @@ def reduce_law_failure(op: ReduceOp, kind: CollectionKind) -> str | None:
         laws.append(("commutative", 2, lambda a, b: f(a, b) == f(b, a)))
     if kind is CollectionKind.SET:
         laws.append(("idempotent", 1, lambda a: f(a, a) == a))
-    for law, arity, holds in laws:
-        for xs in itertools.islice(itertools.product(pool, repeat=arity), _TRIALS):
-            if not holds(*xs):
-                return f"'{op.name}' is not {law} at {xs} ({kind.value} reduction)"
-    return None
+    return first_broken_law(op.element_ok, laws)
+
+
+def reduce_law_failure(op: ReduceOp, kind: CollectionKind) -> str | None:
+    """broken_reduction_law(op, kind) as a message, or None."""
+    broken = broken_reduction_law(op, kind)
+    return broken and f"'{op.name}' is not {broken[0]} at {broken[1]} ({kind.value} reduction)"
 
 
 def reduce(op: ReduceOp, x: Collection, *, check: bool = True) -> Any:
@@ -190,10 +208,8 @@ def reduce(op: ReduceOp, x: Collection, *, check: bool = True) -> Any:
     it to demonstrate what goes wrong.  Elements are not checked against
     op.element_ok, the carrier of the labels they are built from.
     """
-    if check:
-        failure = reduce_law_failure(op, x.kind)
-        if failure is not None:
-            raise ReduceLawError(failure)
+    if check and broken_reduction_law(op, x.kind) is not None:
+        raise ReduceLawError(reduce_law_failure(op, x.kind))
     acc = op.unit
     for e in x.items:
         acc = op.fn(acc, e)
@@ -214,8 +230,6 @@ def _is_bit(e) -> bool:
 
 MAX_REDUCE = ReduceOp("max", max, I64_MIN, _above_bottom)
 MIN_REDUCE = ReduceOp("min", min, I64_MAX, _below_top)
-
-
 SUM_REDUCE = ReduceOp("sum", checked_add, 0)
 OR_REDUCE = ReduceOp("or", lambda a, b: a | b, 0, _is_bit)
 

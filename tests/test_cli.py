@@ -316,6 +316,16 @@ def test_bench_usage_errors(runner):
         assert invoke(runner, "bench", "--budget", budget).exit_code == 2, budget
 
 
+def test_bench_refuses_before_building_any_input(runner):
+    # a size past the mss list limit is refused before its input is built:
+    # the budget cannot interrupt a repetition
+    res = invoke(runner, "bench", "--sizes", "1000001", "--algos", "linear")
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "error: sizes must be at most 1000000\n")
+    res = invoke(runner, "bench", "--algos", " , ")
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", "error: no algorithms given\n")
+
+
 def test_bench_budget_exceeded(runner):
     res = invoke(runner, "bench", "--sizes", "400,800", "--algos", "spec",
                  "--budget", "0.05")

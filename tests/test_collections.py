@@ -24,8 +24,8 @@ from segmax import (
     union,
 )
 from segmax.horner import Semiring, ensure_distributive
-from segmax.ints import I64_MAX, I64_MIN, checked_add
-from segmax.monads import MAX_REDUCE, SUM_REDUCE, reduce_law_failure, zero_axiom_holds
+from segmax.ints import I64_MAX, I64_MIN, checked_mul
+from segmax.monads import MAX_REDUCE, SUM_REDUCE, broken_reduction_law, zero_axiom_holds
 from segmax.oracles import dist_list_lifted
 
 kinds = st.sampled_from(list(CollectionKind))
@@ -132,7 +132,7 @@ def test_the_gate_samples_the_reduction_laws_of_every_kind():
     # the last nonzero element: associative with unit 0, not commutative,
     # so it meets the gate on a bag, before any route computes; forced,
     # the gate lets it through, and lists need no commutativity
-    last = Semiring("last-plus", ReduceOp("last", lambda a, b: b or a, 0), checked_add, 0)
+    last = Semiring("last-times", ReduceOp("last", lambda a, b: b or a, 0), checked_mul, 1)
     with pytest.raises(ReduceLawError, match="^'last' is not commutative at "):
         ensure_distributive(last, CollectionKind.BAG)
     ensure_distributive(last, CollectionKind.BAG, force=True)
@@ -144,7 +144,7 @@ def test_reduce_verdict_does_not_depend_on_the_first_call():
     # neither trips them nor changes a later call's verdict
     edge = _bag(I64_MAX - 1, -5)
     for first in (edge, _bag(1, 2)):
-        reduce_law_failure.cache_clear()
+        broken_reduction_law.cache_clear()
         reduce(SUM_REDUCE, first)
         assert reduce(SUM_REDUCE, edge) == I64_MAX - 6
 

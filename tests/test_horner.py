@@ -51,10 +51,9 @@ from segmax import (
     segs_list,
     tails_list,
 )
-from segmax.horner import check_semiring
 from segmax.ints import I64_MAX, I64_MIN, checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
-from segmax.monads import MAX_REDUCE, SUM_REDUCE, reduce_law_failure
+from segmax.monads import MAX_REDUCE, MIN_REDUCE, SUM_REDUCE, reduce_law_failure
 from segmax.pruning import segs_count
 from segmax.shapes import Node, print_term
 
@@ -118,6 +117,33 @@ def test_mss_chain_agrees(xs):
     assert mss_spec(xs) == mss_quadratic(xs) == mss_linear(xs)
 
 
+# the 64-bit edges and halves and quarters of them, where segment sums
+# leave 64 bits on either side
+_EDGES = (I64_MIN, I64_MAX, 1 << 62, -(1 << 62), 1 << 61, -(1 << 61), 1, -1, 0)
+
+
+def _value_or_overflow(f, xs):
+    try:
+        return f(xs)
+    except OverflowError:
+        return OverflowError
+
+
+def test_mss_spec_agrees_at_the_64_bit_edges():
+    # a sum below -2^63 is never the maximum, so every list algorithm
+    # raises exactly when the maximum leaves 64 bits
+    assert mss_spec([-(1 << 62)] * 3) == 0
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(3000):
+        xs = [rng.choice(_EDGES) for _ in range(rng.randint(0, 6))]
+        spec = _value_or_overflow(mss_spec, xs)
+        assert spec == _value_or_overflow(mss_quadratic, xs) == _value_or_overflow(
+            mss_linear, xs), xs
+        seen.add(spec is OverflowError)
+    assert seen == {False, True}
+
+
 @given(int_lists)
 def test_max_prefix_sum_oracle(xs):
     best, acc = 0, 0
@@ -157,10 +183,27 @@ def test_poly_horner():
         assert poly_horner(coeffs, x) == sum(a * x**i for i, a in enumerate(coeffs))
 
 
+def _assert_mul_laws(s, samples):
+    """mul's semiring laws on every triple of samples: a wider reference
+    than the gate's sampled pool."""
+    add, mul, one = s.reduce_op.fn, s.mul, s.mul_unit
+    for a, b, c in itertools.product(samples, repeat=3):
+        assert mul(one, a) == a == mul(a, one)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(add(b, c), a) == add(mul(b, a), mul(c, a))
+
+
 def test_semiring_laws_sampled():
+    # the gate passes each built-in on every kind its add allows
+    for s in SEMIRINGS.values():
+        kinds = [k for k in CollectionKind if reduce_law_failure(s.reduce_op, k) is None]
+        assert CollectionKind.BAG in kinds
+        for kind in kinds:
+            ensure_distributive(s, kind)
     for s in (MAX_PLUS, MIN_PLUS, PLUS_TIMES):
-        check_semiring(s, range(-6, 7))
-    check_semiring(BOOL_OR_AND, [0, 1])
+        _assert_mul_laws(s, range(-6, 7))
+    _assert_mul_laws(BOOL_OR_AND, [0, 1])
 
 
 def test_generic_product_alg_fixtures():
@@ -225,15 +268,65 @@ def test_the_reduction_sampler_decides_gate_semiring_check_and_law_reducers():
     assert REDUCERS_FOR_KIND == {CollectionKind.LIST: lawful_everywhere,
                                  CollectionKind.BAG: lawful_everywhere,
                                  CollectionKind.SET: ("max", "min")}
-    # the gate reads add's sampled set laws, not the semiring's name
-    ensure_distributive(Semiring("max-times", MAX_REDUCE, checked_mul, 1), CollectionKind.SET)
+    # the gate reads add's sampled set laws, then mul's, not the semiring's
+    # name: max is idempotent, but times does not distribute over it
+    with pytest.raises(DistributivityError, match="non-left-distributive mul"):
+        ensure_distributive(Semiring("max-times", MAX_REDUCE, checked_mul, 1),
+                            CollectionKind.SET)
     with pytest.raises(DistributivityError, match="non-idempotent add"):
         ensure_distributive(Semiring("sum-times", SUM_REDUCE, checked_mul, 1),
                             CollectionKind.SET)
     # the last nonzero element: associative with unit 0, not commutative
     last = ReduceOp("last", lambda a, b: b or a, 0)
-    with pytest.raises(CarrierError, match="commutative"):
-        check_semiring(Semiring("last-times", last, checked_mul, 1), range(-2, 3))
+    with pytest.raises(ReduceLawError, match="^'last' is not commutative at "):
+        ensure_distributive(Semiring("last-times", last, checked_mul, 1), CollectionKind.BAG)
+
+
+_LAST = ReduceOp("last", lambda a, b: b or a, 0)  # the last nonzero element
+_ADDS = {"max": MAX_REDUCE, "min": MIN_REDUCE, "sum": SUM_REDUCE, "last": _LAST}
+_MULS = {"plus": (checked_add, 0), "times": (checked_mul, 1),
+         "max": (max, I64_MIN), "min": (min, I64_MAX)}
+
+
+def _route_outcome(s, t, kind, via):
+    """A route's value, or the type of its error: the routes overflow at
+    different products, so the messages may differ."""
+    try:
+        return "value", mss_generic(s, t, via=via, kind=kind)
+    except (SegmaxError, OverflowError) as e:
+        return type(e).__name__, None
+
+
+def test_scan_and_brute_agree_wherever_the_gate_passes():
+    # the gate samples the laws Horner's rule needs, add's for the kind and
+    # mul's, so no semiring it passes can tell the routes apart
+    rng = random.Random(49)
+    refused = {}
+    for (add_name, add), (mul_name, (mul, one)), kind in itertools.product(
+            _ADDS.items(), _MULS.items(), CollectionKind):
+        s = Semiring(f"{add_name}-{mul_name}", add, mul, one)
+        try:
+            ensure_distributive(s, kind)
+        except SegmaxError as e:
+            refused[s.name, kind] = type(e).__name__
+            continue
+        for _ in range(40):
+            t = gen_term_capped(rng, rng.choice(list(ShapeKind)), segs_count, 200,
+                                max_depth=4, lo=-3, hi=5)
+            assert _route_outcome(s, t, kind, "scan") == _route_outcome(s, t, kind, "brute"), (
+                s.name, kind, print_term(t))
+    # add's laws alone pass these on lists and bags, and on sets for max
+    # and min; mul does not distribute over add, and the routes disagree
+    for name, kind in itertools.product(("max-times", "min-times", "sum-plus"), CollectionKind):
+        assert refused[name, kind] == "DistributivityError"
+    max_times, t = Semiring("max-times", MAX_REDUCE, checked_mul, 1), list_term([-2, 3, -4])
+    with pytest.raises(DistributivityError) as e:
+        mss_generic(max_times, t, kind=CollectionKind.LIST)
+    assert str(e.value) == (
+        "semiring 'max-times' has a non-left-distributive mul at (-3, -3, -1); "
+        "Horner's rule does not hold for it (use --force to run anyway)")
+    assert mss_generic(max_times, t, force=True) == 3
+    assert mss_generic(max_times, t, via="brute", force=True) == 24
 
 
 def test_the_gate_names_the_set_law_that_failed():
@@ -302,16 +395,17 @@ def test_scan_route_is_reduce_contents_scan():
 
 def test_scan_route_keeps_contents_order():
     # the last nonzero element: associative with unit 0, not commutative,
-    # so a list reduction of it sees the order of contents
+    # so a list reduction of it sees the order of contents; times
+    # distributes over it on both sides
     last = ReduceOp("last", lambda a, b: b or a, 0)
-    last_plus = Semiring("last-plus", last, checked_add, 0)
+    last_times = Semiring("last-times", last, checked_mul, 1)
     rng = random.Random(46)
     for shape in ShapeKind:
         for _ in range(30):
-            t = gen_term(rng, shape, 5, -9, 9)
-            _assert_scan_route_is_literal(last_plus, t, CollectionKind.LIST, False)
+            t = gen_term(rng, shape, 5, -2, 2)
+            _assert_scan_route_is_literal(last_times, t, CollectionKind.LIST, False)
     with pytest.raises(ReduceLawError, match="commutative"):
-        mss_generic(last_plus, EX7, kind=CollectionKind.BAG)
+        mss_generic(last_times, EX7, kind=CollectionKind.BAG)
 
 
 # labels that overflow, or leave a carrier: max-plus's bottom, min-plus's

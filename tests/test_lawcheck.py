@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from segmax import LAW_IDS, UnknownLawError, replay, run_all, run_law
+from segmax import (LAW_IDS, SEMIRINGS, UnknownLawError, ensure_distributive, replay,
+                    run_all, run_law)
 from segmax.lawcheck import (
+    GATED_PAIRS,
     decode_inputs,
     decode_value,
     encode_inputs,
@@ -147,3 +149,10 @@ def test_report_json_shape():
     blob = json.loads(reports_to_json([r]))
     assert blob[0]["id"] == "mss-chain"
     assert set(blob[0]) == {"id", "trials", "outcome", "expectation", "ok", "witness"}
+
+
+def test_gated_pairs_pass_the_gate():
+    # the pairs every distributivity-flavoured law draws pass the gate,
+    # mul's sampled laws included
+    for kind, name in GATED_PAIRS:
+        ensure_distributive(SEMIRINGS[name], kind)
