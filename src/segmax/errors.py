@@ -38,8 +38,8 @@ class KindMismatchError(SegmaxError):
 
 
 class ReduceLawError(SegmaxError):
-    """A reduction operator failed the sampled laws required by the
-    collection kind (associativity, commutativity for bags, idempotence
+    """A reduction operator failed a law, checked on a fixed pool, that the
+    collection kind requires (associativity, commutativity for bags, idempotence
     for sets); raised by reduce, and by the distributivity gate for
     lists and bags."""
 

@@ -43,10 +43,11 @@ checks it against parse_term followed by mss_generic, errors included.
 Scan and brute agree when the labels lie in the carrier,
 reduce_op.element_ok; add obeys the reduction laws of the collection
 kind; and mul has a unit, is associative and distributes over add on
-both sides.  The gate, ensure_distributive, samples all those laws
-before either route computes.  horner_step checks the carrier once per
-label on every scan; _check_carrier walks the term only to order the
-faults of a stopped pass, and up front for brute and tree --check.
+both sides.  The gate, ensure_distributive, checks all those laws on
+every argument tuple of a fixed pool inside the carrier before either
+route computes.  horner_step checks the carrier once per label on every
+scan; _check_carrier walks the term only to order the faults of a
+stopped pass, and up front for brute and tree --check.
 
 Lemma: once the labels are in the carrier, the routes' values need no
 domain check, so both routes reduce unchecked.
@@ -109,8 +110,8 @@ SEMIRINGS = {s.name: s for s in (MAX_PLUS, MIN_PLUS, PLUS_TIMES, BOOL_OR_AND)}
 
 @functools.cache
 def _broken_mul_law(s: Semiring) -> tuple[str, tuple] | None:
-    """The first sampled law of mul that s breaks, with its arguments, or
-    None; memoised per semiring."""
+    """The first law of mul that s breaks on the pool inside the carrier,
+    with its arguments, or None; memoised per semiring."""
     add, mul, one = s.reduce_op.fn, s.mul, s.mul_unit
     return first_broken_law(s.reduce_op.element_ok, (
         ("unital", 1, lambda a: mul(one, a) == a == mul(a, one)),
@@ -122,12 +123,12 @@ def _broken_mul_law(s: Semiring) -> tuple[str, tuple] | None:
 
 
 def ensure_distributive(s: Semiring, kind: CollectionKind, force: bool = False) -> None:
-    """Gate: the sampled laws under which scan and brute agree.  First
-    add's reduction laws for kind, the ones reduce would check: a failure
-    raises reduce's ReduceLawError on lists and bags, DistributivityError
-    naming the law on sets.  Then mul's laws: a failure raises
-    DistributivityError naming the law and its arguments.  force skips
-    the gate (used to demonstrate a failure)."""
+    """Gate: the laws under which scan and brute agree, checked on every
+    tuple of a fixed pool inside the carrier.  First add's reduction laws
+    for kind, the ones reduce would check: a failure raises reduce's
+    ReduceLawError on lists and bags, DistributivityError naming the law
+    on sets.  Then mul's laws: a failure raises DistributivityError
+    naming the law and its arguments.  force skips the gate."""
     if force:
         return
     broken = broken_reduction_law(s.reduce_op, kind)
@@ -308,7 +309,7 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
     reduces the contents of one Horner scan, seeded with the mul unit, in
     one post-order pass (see the module docstring); the brute route
     reduces the pruned-term products over every segment.  Both agree
-    whenever the gate, which samples add's reduction laws for kind and
+    whenever the gate, which checks add's reduction laws for kind and
     mul's semiring laws unless forced, passes.  Errors come in order: the
     gate, the first label outside the carrier in contents order, the
     first overflow in post-order.

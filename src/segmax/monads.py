@@ -141,12 +141,12 @@ class ReduceOp(NamedTuple):
 
     For a reduction to be well-defined the operator must be associative
     with identity unit (all kinds), commutative (bags and sets), and
-    idempotent (sets).  These are semantic preconditions;
-    broken_reduction_law samples them, and reduce() refuses to compute
-    when a sample fails.  element_ok is the labels' carrier (max over
-    64-bit words needs labels strictly above the bottom sentinel): the
-    carrier check and the law sampler's pool read it, reduce does not
-    (see the horner module's lemma).
+    idempotent (sets).  These are semantic preconditions:
+    broken_reduction_law checks them on every tuple of a fixed pool
+    inside the carrier element_ok, and reduce() refuses to compute when
+    one fails.  The carrier is the labels' (max over 64-bit words needs
+    labels strictly above the bottom sentinel); the carrier check reads
+    it, reduce does not (see the horner module's lemma).
     """
 
     name: str
@@ -155,23 +155,22 @@ class ReduceOp(NamedTuple):
     element_ok: Callable | None = None
 
 
-_SAMPLE_DOMAIN = (-3, -1, 0, 1, 2, 5)
-_TRIALS = 64
+_LAW_DOMAIN = (-3, -1, 0, 1, 2, 5)
 
 
 @functools.cache
-def _sample_pool(element_ok: Callable | None) -> tuple:  # the carrier is read once
-    return tuple(v for v in _SAMPLE_DOMAIN if element_ok is None or element_ok(v))
+def _law_pool(element_ok: Callable | None) -> tuple:  # the carrier is read once
+    return tuple(v for v in _LAW_DOMAIN if element_ok is None or element_ok(v))
 
 
 def first_broken_law(element_ok: Callable | None, laws) -> tuple[str, tuple] | None:
-    """The first of laws, (name, arity, holds) triples, to fail on one of
-    its first _TRIALS argument tuples from the pool inside the carrier
-    element_ok, with those arguments, or None.  The one sampling loop:
-    reduction laws and the gate's mul laws (horner) both run through it."""
-    pool = _sample_pool(element_ok)
+    """The first of laws, (name, arity, holds) triples, to fail on an
+    argument tuple from the pool inside the carrier element_ok, with the
+    first such tuple, or None.  The one law loop, over every tuple: the
+    reduction laws, horner's mul laws and fold fusion's side condition."""
+    pool = _law_pool(element_ok)
     for law, arity, holds in laws:
-        for xs in itertools.islice(itertools.product(pool, repeat=arity), _TRIALS):
+        for xs in itertools.product(pool, repeat=arity):
             if not holds(*xs):
                 return law, xs
     return None
@@ -179,8 +178,8 @@ def first_broken_law(element_ok: Callable | None, laws) -> tuple[str, tuple] | N
 
 @functools.cache
 def broken_reduction_law(op: ReduceOp, kind: CollectionKind) -> tuple[str, tuple] | None:
-    """The first sampled law that op breaks as a reduction of kind, with
-    its arguments, or None; memoised, as it depends on (op, kind) alone.
+    """The first law op breaks as a reduction of kind, on every tuple of
+    the pool inside its carrier, with its arguments, or None; memoised.
     reduce, the distributivity gate and the law registry's reducers read it."""
     f, u = op.fn, op.unit
     laws = [("associative", 3, lambda a, b, c: f(f(a, b), c) == f(a, f(b, c))),
@@ -202,10 +201,10 @@ def reduce(op: ReduceOp, x: Collection, *, check: bool = True) -> Any:
     """Fold the collection with op, starting from its unit.
 
     reduce(empty) = unit, reduce(singleton a) = a, and
-    reduce(x `union` y) = reduce(x) `op` reduce(y) whenever the sampled
+    reduce(x `union` y) = reduce(x) `op` reduce(y) whenever the
     preconditions for x's kind hold.  check=False skips the precondition
-    sampling: the segment routes' gate has sampled them, and a law skips
-    it to demonstrate what goes wrong.  Elements are not checked against
+    check: the segment routes' gate has made it, and a law skips it to
+    demonstrate what goes wrong.  Elements are not checked against
     op.element_ok, the carrier of the labels they are built from.
     """
     if check and broken_reduction_law(op, x.kind) is not None:

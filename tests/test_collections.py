@@ -25,7 +25,8 @@ from segmax import (
 )
 from segmax.horner import Semiring, ensure_distributive
 from segmax.ints import I64_MAX, I64_MIN, checked_mul
-from segmax.monads import MAX_REDUCE, SUM_REDUCE, broken_reduction_law, zero_axiom_holds
+from segmax.monads import (MAX_REDUCE, SUM_REDUCE, broken_reduction_law, first_broken_law,
+                           zero_axiom_holds)
 from segmax.oracles import dist_list_lifted
 
 kinds = st.sampled_from(list(CollectionKind))
@@ -147,6 +148,15 @@ def test_reduce_verdict_does_not_depend_on_the_first_call():
         broken_reduction_law.cache_clear()
         reduce(SUM_REDUCE, first)
         assert reduce(SUM_REDUCE, edge) == I64_MAX - 6
+
+
+def test_the_law_loop_checks_every_tuple_of_its_pool():
+    # a 3-place law broken only at the pool's last tuple in product order
+    laws = [("unital", 1, lambda a: True),
+            ("not-all-fives", 3, lambda a, b, c: (a, b, c) != (5, 5, 5))]
+    assert first_broken_law(None, laws) == ("not-all-fives", (5, 5, 5))
+    # inside a carrier without 5, no tuple breaks it
+    assert first_broken_law(lambda v: v < 5, laws) is None
 
 
 def test_set_of_equal_deep_terms_has_one_item():

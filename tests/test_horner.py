@@ -329,6 +329,25 @@ def test_scan_and_brute_agree_wherever_the_gate_passes():
     assert mss_generic(max_times, t, via="brute", force=True) == 24
 
 
+def test_the_gate_refuses_last_max_on_every_kind():
+    # max does not distribute over the last nonzero element, at (0, 1, -3):
+    # max(0, last(1, -3)) is 0, last(max(0, 1), max(0, -3)) is 1
+    last_max = Semiring("last-max", _LAST, max, I64_MIN)
+    with pytest.raises(DistributivityError) as e:
+        ensure_distributive(last_max, CollectionKind.LIST)
+    assert str(e.value) == (
+        "semiring 'last-max' has a non-left-distributive mul at (0, 1, -3); "
+        "Horner's rule does not hold for it (use --force to run anyway)")
+    with pytest.raises(ReduceLawError) as e:
+        ensure_distributive(last_max, CollectionKind.BAG)
+    assert str(e.value) == "'last' is not commutative at (-3, -1) (bag reduction)"
+    with pytest.raises(DistributivityError) as e:
+        ensure_distributive(last_max, CollectionKind.SET)
+    assert str(e.value) == (
+        "semiring 'last-max' has a non-commutative add; "
+        "its reduction is not well-defined on sets (use --force to run anyway)")
+
+
 def test_the_gate_names_the_set_law_that_failed():
     def refusal(s):
         with pytest.raises(DistributivityError) as e:

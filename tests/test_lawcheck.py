@@ -6,7 +6,9 @@ import pytest
 from segmax import (LAW_IDS, SEMIRINGS, UnknownLawError, ensure_distributive, replay,
                     run_all, run_law)
 from segmax.lawcheck import (
+    FUSION_TRIPLES,
     GATED_PAIRS,
+    _broken_side_condition,
     decode_inputs,
     decode_value,
     encode_inputs,
@@ -156,3 +158,32 @@ def test_gated_pairs_pass_the_gate():
     # mul's sampled laws included
     for kind, name in GATED_PAIRS:
         ensure_distributive(SEMIRINGS[name], kind)
+
+
+@pytest.fixture
+def children_counted_twice(monkeypatch):
+    """A triple whose g doubles the already doubled children: h . f = g . F h
+    breaks on every layer with a child."""
+    monkeypatch.setitem(FUSION_TRIPLES, "double-sum-twice", (
+        lambda x: 2 * x,
+        lambda n: sum(n.labels) + sum(n.children),
+        lambda n: 2 * sum(n.labels) + 2 * sum(n.children)))
+    _broken_side_condition.cache_clear()
+    yield
+    monkeypatch.undo()
+    _broken_side_condition.cache_clear()
+
+
+def test_fusion_side_condition_holds_for_the_shipped_triples():
+    assert _broken_side_condition() is None
+
+
+def test_a_broken_side_condition_names_the_triple_and_the_layer(children_counted_twice):
+    # the first layer with a child is a cons; its label and child are -3
+    assert _broken_side_condition() == ("double-sum-twice at list cons", (-3, -3))
+
+
+def test_a_broken_side_condition_fails_fold_fusion(children_counted_twice):
+    report = run_law("fold-fusion", seed=42, trials=50)
+    assert (report.outcome, report.ok, report.trials) == ("FAILS_WITH_WITNESS", False, 1)
+    assert replay("fold-fusion", report.witness)
