@@ -296,9 +296,9 @@ def horner_generic(s: Semiring, b, t: Term):
 
 def horner_generic_brute(s: Semiring, b, t: Term):
     """The composition horner_generic fuses: reduce the pruned-term
-    products over all prunings."""
-    f = generic_product_alg(s, b)
-    vals = collection(CollectionKind.BAG, (pruned_fold(b, f, p) for p in prune(t).items))
+    products over all prunings, through one memo (pruning.pruned_fold)."""
+    f, memo = generic_product_alg(s, b), {}
+    vals = collection(CollectionKind.BAG, (pruned_fold(b, f, p, memo) for p in prune(t).items))
     return reduce(s.reduce_op, vals)
 
 
@@ -308,11 +308,13 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
     """Best segment value over all generic segments of t.  The scan route
     reduces the contents of one Horner scan, seeded with the mul unit, in
     one post-order pass (see the module docstring); the brute route
-    reduces the pruned-term products over every segment.  Both agree
-    whenever the gate, which checks add's reduction laws for kind and
-    mul's semiring laws unless forced, passes.  Errors come in order: the
-    gate, the first label outside the carrier in contents order, the
-    first overflow in post-order.
+    reduces the pruned-term products over every segment, through one
+    memo (pruning.pruned_fold).  Both agree whenever the gate, which
+    checks add's reduction laws for kind and mul's semiring laws unless
+    forced, passes.  Errors come in order: the gate, the first label
+    outside the carrier in contents order, the first overflow in
+    post-order (on the brute route, within the first segment that
+    overflows).
     """
     ensure_distributive(s, kind, force)
     b = s.mul_unit
@@ -328,8 +330,8 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
         _check_carrier(s, t)
         if via != "brute":
             raise ValueError(f"unknown route {via!r}")
-        f = generic_product_alg(s, b)
-        vals = [pruned_fold(b, f, p) for p in _segs_items(t)]
+        f, memo = generic_product_alg(s, b), {}
+        vals = [pruned_fold(b, f, p, memo) for p in _segs_items(t)]
     return reduce(s.reduce_op, collection(kind, vals), check=False)
 
 

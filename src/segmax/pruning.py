@@ -22,6 +22,11 @@ scan each, the per-subterm results listed in preorder (contents order):
     segs        =  concat . contents . scan prune
     segs_count  =  sum . contents . scan prune_count
 
+Every child of a segment is itself a segment, so the brute route
+folds the segments through one memo keyed by identity (pruned_fold):
+each pruned node is folded once over all of them, while the caller
+keeps the prunings alive.
+
 The default collection kind for consumers is the bag: multiplicity is
 meaningful for sum-like reductions, and bag union is not idempotent, so
 no distributivity requirement is silently strengthened.
@@ -83,11 +88,23 @@ def prune(t: Term, kind: CollectionKind = CollectionKind.BAG) -> Collection:
     return Collection(kind, tuple(_prune_items(t)))
 
 
-def pruned_fold(b, alg: Algebra, p) -> object:
+def pruned_fold(b, alg: Algebra, p, memo: dict | None = None) -> object:
     """Fold a pruned term: the empty marker is worth b, and every real
-    node is evaluated by alg over its recursively evaluated children."""
+    node is evaluated by alg over its recursively evaluated children.
+
+    A memo (shapes.postorder's, keyed by identity, so the caller keeps
+    the prunings alive) shares the folds among calls with the same b and
+    alg.  Over the segments of one term, each pruned node is then folded
+    once, and each call folds its own constructor layer over its
+    children's memoised values.
+
+    The error order is the memo-free calls'.  Every memoised sub-fold
+    finished without overflow, and a fold depends only on its node, so
+    each call meets its first overflow at the same node as without the
+    memo, and the first call to overflow is the same segment."""
     new = tuple.__new__  # Node(...) without its Python-level __new__
-    return postorder(p, lambda n, kids: alg(new(Node, (n.shape, n.tag, n.labels, kids))), b)
+    return postorder(p, lambda n, kids: alg(new(Node, (n.shape, n.tag, n.labels, kids))), b,
+                     memo=memo)
 
 
 def segs_count(t: Term) -> int:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -51,10 +52,11 @@ from segmax import (
     segs_list,
     tails_list,
 )
+from segmax.horner import _check_carrier
 from segmax.ints import I64_MAX, I64_MIN, checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
 from segmax.monads import MAX_REDUCE, MIN_REDUCE, SUM_REDUCE, reduce_law_failure
-from segmax.pruning import segs_count
+from segmax.pruning import _segs_items, prune, pruned_fold, segs_count
 from segmax.shapes import Node, print_term
 
 EX3 = [4, -5, 6, -3, 2, 0, -4, 5, -6, 5]
@@ -583,6 +585,39 @@ def test_routes_agree_at_the_sentinels():
         t = list_term(labels)
         for kind in CollectionKind:
             assert mss_generic(s, t, via="brute", kind=kind) == mss_generic(s, t, kind=kind) == 0
+
+
+def _brute_literal(s, t, kind, force):
+    """mss_generic(via="brute") as the memo-free composition
+    reduce . map (fold product) . segs, after the gate and the carrier."""
+    ensure_distributive(s, kind, force)
+    _check_carrier(s, t)
+    f = generic_product_alg(s, s.mul_unit)
+    vals = [pruned_fold(s.mul_unit, f, p) for p in _segs_items(t)]
+    return reduce(s.reduce_op, collection(kind, vals), check=False)
+
+
+def test_brute_routes_share_folds_in_the_literal_error_order():
+    # the memo folds each pruned node once over all segments; the first
+    # overflow must still be met in the same segment at the same node,
+    # so the message, which names its operands, is the memo-free one
+    rng = random.Random(50)
+    seen = Counter()
+    for shape, s, kind in itertools.product(ShapeKind, SEMIRINGS.values(), CollectionKind):
+        for _ in range(40):
+            force = rng.random() < 0.3
+            hi = rng.choice((9, 1 << 62, 3 << 62))
+            t = gen_term_capped(rng, shape, segs_count, 300, max_depth=4, lo=-hi, hi=hi)
+            b, f = s.mul_unit, generic_product_alg(s, s.mul_unit)
+            expected = _outcome(lambda: _brute_literal(s, t, kind, force))
+            route = _outcome(lambda: mss_generic(s, t, via="brute", kind=kind, force=force))
+            assert route == expected, (s.name, kind, force, print_term(t))
+            expected_b = _outcome(lambda: reduce(s.reduce_op, collection(
+                CollectionKind.BAG, [pruned_fold(b, f, p) for p in prune(t).items])))
+            assert _outcome(lambda: horner_generic_brute(s, b, t)) == expected_b, (
+                s.name, print_term(t))
+            seen.update((expected[0], expected_b[0]))
+    assert seen["value"] > 200 and seen["OverflowError"] > 500, seen
 
 
 def test_mss_generic_other_semirings_scan_vs_brute():

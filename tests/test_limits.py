@@ -2,15 +2,18 @@
 10^5 nodes, on degenerate shapes and at the 64-bit extremes.
 
 Every run must end in an answer or in a mapped exit status (2-5) with a
-single error line on stderr -- never in a traceback.  Left out: prune
-enumeration of long lists (its printed output grows quadratically with
-the length) and the cubic and quadratic mss algorithms.
+single error line on stderr -- never in a traceback.  The brute route
+runs on terms the guard refuses and on a list just under it.  Left out:
+prune enumeration of long lists (its printed output grows quadratically
+with the length) and the cubic and quadratic mss algorithms.
 """
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -19,6 +22,7 @@ from click.testing import CliRunner
 import segmax
 from segmax import I64_MAX, I64_MIN, list_term, mss_linear, print_term
 from segmax.cli import main
+from segmax.pruning import GUARD, segs_count
 
 N_LIST = 99_999  # cons nodes, so the term has 100,000 nodes with its nil
 OVER_LIMIT = "(cons 0 " * 100_000 + "nil" + ")" * 100_000  # 100,001 nodes
@@ -115,18 +119,19 @@ def test_mss_at_the_list_limit_and_the_64_bit_extremes(algo):
         2, f"error: list longer than {n} elements (at offset 0)")
 
 
-# Runs the command in its argv, then prints its exit status, its stderr
-# and its peak RSS: a fresh wrapper's RUSAGE_CHILDREN holds only that child.
+# Runs the command in its argv, then prints its exit status, its stdout,
+# its stderr and its peak RSS: a fresh wrapper's RUSAGE_CHILDREN holds
+# only that child.
 _MEASURE = """
 import json, resource, subprocess, sys
 res = subprocess.run(sys.argv[1:], capture_output=True, text=True)
 peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB
-print(json.dumps([res.returncode, res.stderr, peak]))
+print(json.dumps([res.returncode, res.stdout, res.stderr, peak]))
 """
 
 
 def _measured(*args) -> list:
-    """[exit status, stderr, peak RSS in KiB] of python -m segmax *args."""
+    """[exit status, stdout, stderr, peak RSS in KiB] of python -m segmax *args."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(segmax.__file__)))
     cmd = [sys.executable, "-m", "segmax", *args]
     res = subprocess.run([sys.executable, "-c", _MEASURE, *cmd],
@@ -147,7 +152,7 @@ def test_oversize_terms_are_refused_at_a_bounded_cost(tmp_path):
     for shape, name, text in cases:
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
-        code, stderr, peak_kib = _measured("tree", "--shape", shape, "--file", str(path))
+        code, _, stderr, peak_kib = _measured("tree", "--shape", shape, "--file", str(path))
         assert (code, stderr) == (2, f"{TOO_LARGE[1]}\n"), name
         if name == "list-3000000":
             assert peak_kib < 150 * 1024, peak_kib
@@ -160,6 +165,28 @@ def test_an_over_long_list_is_refused_at_a_bounded_cost(tmp_path):
     # shares one string object for each of them.
     path = tmp_path / "list-10000000"
     path.write_text("12 " * 10**7, encoding="utf-8")
-    code, stderr, peak_kib = _measured("mss", "--file", str(path))
+    code, _, stderr, peak_kib = _measured("mss", "--file", str(path))
     assert (code, stderr) == (2, f"error: list longer than {10**6} elements (at offset 0)\n")
     assert peak_kib < 250 * 1024, peak_kib
+
+
+def test_brute_route_answers_a_list_at_the_guards_edge(tmp_path):
+    # 1,400 elements are 983,502 segments, just under the guard; each
+    # segment folds only its own layer over its children's shared values,
+    # so both routes answer in seconds, not the quarter hour that
+    # re-folding every segment from scratch takes
+    n = 1400
+    rng = random.Random(15)
+    labels = [rng.randint(-100, 100) for _ in range(n)]
+    t = list_term(labels)
+    assert segs_count(t) == 983_502 <= GUARD
+    path = tmp_path / "list-1400"
+    path.write_text(print_term(t), encoding="utf-8")
+    start = time.monotonic()
+    code, stdout, stderr, peak_kib = _measured("tree", "--shape", "list", "--check",
+                                               "--file", str(path))
+    elapsed = time.monotonic() - start
+    v = mss_linear(labels)
+    assert (code, stdout, stderr) == (0, f"scan = {v}\nbrute = {v}\n", "")
+    assert elapsed < 60, elapsed
+    assert peak_kib < 512 * 1024, peak_kib

@@ -25,8 +25,8 @@ from segmax import (
 )
 from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
 from segmax.oracles import prune_recursive, prune_via_fold, segs_generic_literal
-from segmax.pruning import GUARD
-from segmax.shapes import Node
+from segmax.pruning import GUARD, _segs_items
+from segmax.shapes import Node, term_size
 
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
 EX7_PRUNINGS = [
@@ -163,6 +163,29 @@ def test_pruned_fold_fixtures():
     assert pruned_fold(0, sum_alg, full) == 11
     part = parse_pruned("(fork 1 (leaf 2) E)", ShapeKind.HTREE)
     assert pruned_fold(0, sum_alg, part) == 3
+
+
+def test_a_memo_folds_each_pruned_node_once_over_all_segments():
+    rng = random.Random(21)
+    for shape in ShapeKind:
+        for _ in range(30):
+            t = gen_term_capped(rng, shape, segs_count, 400, max_depth=4)
+            steps = []
+
+            def counting_sum(n):
+                steps.append(n)
+                return sum_alg(n)
+
+            items, memo = _segs_items(t), {}
+            vals = [pruned_fold(0, counting_sum, p, memo) for p in items]
+            assert vals == [pruned_fold(0, sum_alg, p) for p in items]
+            # one step per node segment: each subterm has one EMPTY segment
+            assert len(steps) == segs_count(t) - term_size(t)
+            assert len(memo) == len(steps)
+    # the segments of [1, 2, 3], the prunings of each subterm in preorder
+    items, memo = _segs_items(list_term([1, 2, 3])), {}
+    assert [pruned_fold(0, sum_alg, p, memo) for p in items] == [
+        0, 1, 3, 6, 6, 0, 2, 5, 5, 0, 3, 3, 0, 0]
 
 
 def test_size_guard():
