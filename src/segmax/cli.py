@@ -41,10 +41,11 @@ from .horner import (
 from .ints import check_i64
 from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
-from .pruning import _check_guard, prune_count, segs_count
+from .pruning import _check_guard, prune_count_text, segs_count
 from .pruning import prune as prune_term
 from .shapes import ShapeKind, parse_term, print_items
 # segbench's traced run rebinds these names here, so they stay bound
+from .pruning import prune_count  # noqa: F401
 from .shapes import print_pruned, term_size  # noqa: F401
 
 EXIT_USAGE = 2
@@ -54,6 +55,10 @@ EXIT_GUARD = 5
 EXIT_BUDGET = 6
 
 MAX_LIST_LEN = 10**6
+# the cubic and quadratic algorithms' own limits, by measurement: on CPython
+# 3.11 on a shared 2-vCPU VM, spec took 2.9 s at 1,000 elements and
+# quadratic 1.9 s at 10,000
+ALGO_MAX_LEN = {"spec": 1_000, "quadratic": 10_000}
 
 _SHAPE_CHOICES = [k.value for k in ShapeKind]
 _MONAD_CHOICES = [k.value for k in CollectionKind]
@@ -114,11 +119,11 @@ def _read_source(inline: str | None, path: str | None) -> str:
     raise AssertionError  # unreachable
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, limit: int) -> list[int]:
     # one part past the limit is enough to refuse a list before converting it
-    parts = text.replace(",", " ").split(maxsplit=MAX_LIST_LEN)
-    if len(parts) > MAX_LIST_LEN:
-        raise TermSyntaxError(f"list longer than {MAX_LIST_LEN} elements", 0)
+    parts = text.replace(",", " ").split(maxsplit=limit)
+    if len(parts) > limit:
+        raise TermSyntaxError(f"list longer than {limit} elements", 0)
     try:
         return [check_i64(int(p), "element") for p in parts]
     except ValueError:
@@ -139,8 +144,11 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True)
 @_run
 def mss(algo: str, inline: str | None, path: str | None, as_json: bool) -> None:
-    """Maximum segment sum of an integer list (prefix = best prefix sum)."""
-    xs = _parse_int_list(_read_source(inline, path))
+    """Maximum segment sum of an integer list (prefix = best prefix sum).
+
+    Lists may have up to 1,000,000 elements, except that --algo spec
+    (cubic) takes at most 1,000 and --algo quadratic at most 10,000."""
+    xs = _parse_int_list(_read_source(inline, path), ALGO_MAX_LEN.get(algo, MAX_LIST_LEN))
     fn = {"spec": mss_spec, "quadratic": mss_quadratic,
           "linear": mss_linear, "prefix": max_prefix_sum}[algo]
     value = fn(xs)
@@ -207,7 +215,8 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
 @click.option("--monad", type=click.Choice(_MONAD_CHOICES), default="bag",
               show_default=True)
 @click.option("--count", "count_only", is_flag=True,
-              help="Print the number of prunings without enumerating.")
+              help="Print the number of prunings, counted while reading the "
+                   "text: no term is built and nothing is enumerated.")
 @click.option("--input", "inline", default=None, help="Term s-expression.")
 @click.option("--file", "path", default=None)
 @click.option("--json", "as_json", is_flag=True)
@@ -216,15 +225,16 @@ def prune(shape: str, monad: str, count_only: bool, inline: str | None,
           path: str | None, as_json: bool) -> None:
     """Enumerate (or count) all prunings of a term.
 
-    The printed size is the sum of the prunings' sizes, which no guard
-    bounds: it is quadratic in the length of a list (72 MB at 4,000
-    elements)."""
-    t = parse_term(_read_source(inline, path), ShapeKind(shape))
-    if count_only:
-        digits = str(Decimal(prune_count(t)))  # str(int) stops at 4,300 digits
+    --count reads the text and builds no term.  The printed size of an
+    enumeration is the sum of the prunings' sizes, which no guard bounds:
+    it is quadratic in the length of a list (72 MB at 4,000 elements)."""
+    text = _read_source(inline, path)
+    if count_only:  # counted while parsing: no term is built
+        count = prune_count_text(text, ShapeKind(shape))
+        digits = str(Decimal(count))  # str(int) stops at 4,300 digits
         _echo('{"count": ' + digits + "}" if as_json else digits)
         return
-    c = prune_term(t, CollectionKind(monad))
+    c = prune_term(parse_term(text, ShapeKind(shape)), CollectionKind(monad))
     texts = print_items(c.items)
     if as_json:
         _echo(json.dumps({"kind": monad, "items": texts}))
@@ -288,7 +298,8 @@ def bench_run(sizes: list[int], algos: list[str], seed: int = 42,
 
 @main.command()
 @click.option("--sizes", default="200,400,800", show_default=True,
-              help="Comma-separated ascending list lengths.")
+              help="Comma-separated ascending list lengths, at most 1,000,000; "
+                   "at most 1,000 with spec and 10,000 with quadratic.")
 @click.option("--algos", default="spec,quadratic,linear", show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--assert", "do_assert", is_flag=True,
@@ -317,6 +328,9 @@ def bench(sizes: str, algos: str, seed: int, do_assert: bool, budget: float,
         _fail(EXIT_USAGE, f"unknown algorithms: {', '.join(unknown)}")
     if not names:
         _fail(EXIT_USAGE, "no algorithms given")
+    for a in names:
+        if ns[-1] > ALGO_MAX_LEN.get(a, MAX_LIST_LEN):
+            _fail(EXIT_USAGE, f"sizes must be at most {ALGO_MAX_LEN[a]} for {a}")
     rows = bench_run(ns, names, seed, budget=budget)
     if as_json:
         _echo(json.dumps(rows))

@@ -22,6 +22,11 @@ scan each, the per-subterm results listed in preorder (contents order):
     segs        =  concat . contents . scan prune
     segs_count  =  sum . contents . scan prune_count
 
+The count step has the parser's close action signature (tag, labels,
+kids), as horner.horner_step has: it is Horner's rule in the counting
+semiring.  So prune_count_text counts while parsing and builds no term,
+as horner.mss_generic_text scans while parsing.
+
 Every child of a segment is itself a segment, so the brute route
 folds the segments through one memo keyed by identity (pruned_fold):
 each pruned node is folded once over all of them, while the caller
@@ -44,7 +49,7 @@ import math
 from .errors import SizeGuardError
 from .monads import Collection, CollectionKind, collection
 from .schemes import Algebra
-from .shapes import EMPTY, Node, Term, postorder, zip_slots
+from .shapes import EMPTY, Node, ShapeKind, Term, _parse, postorder, zip_slots
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, subterms  # noqa: F401
 from .schemes import fold  # noqa: F401
@@ -52,14 +57,23 @@ from .schemes import fold  # noqa: F401
 GUARD = 10**6  # the most prunings or segments an enumeration may list
 
 
-def _count_step(n: Node, kids: tuple) -> int:
+def _count_step(tag: str, labels: tuple, kids: tuple) -> int:
+    """The prunings of a node from its children's counts; also the
+    parser's close action."""
     return 1 + math.prod(kids)
 
 
 def prune_count(t: Term) -> int:
     """Number of prunings, by the recurrence 1 + product over children
     (so 2 for every childless node).  Cheap: no enumeration."""
-    return postorder(t, _count_step)
+    return postorder(t, lambda n, kids: _count_step(n.tag, n.labels, kids))
+
+
+def prune_count_text(text: str, shape: ShapeKind) -> int:
+    """prune_count(parse_term(text, shape)) in one pass over the text that
+    builds no term, with the count step as the parser's close action.  It
+    raises parse_term's syntax faults and node limit, and nothing else."""
+    return _parse(text, shape, _count_step)
 
 
 def _check_guard(size: int) -> None:
@@ -111,7 +125,7 @@ def segs_count(t: Term) -> int:
     """Number of generic segments: the prunings of every subterm,
     summed over one scan of prune_count."""
     counts: list = []
-    postorder(t, _count_step, out=counts)
+    postorder(t, lambda n, kids: _count_step(n.tag, n.labels, kids), out=counts)
     return sum(counts)
 
 

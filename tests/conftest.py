@@ -40,3 +40,18 @@ def terms(shape: ShapeKind, label_st=small_labels, max_leaves: int = 16):
 
 any_term = st.sampled_from(list(ShapeKind)).flatmap(terms)
 int_lists = st.lists(st.integers(min_value=-64, max_value=64), max_size=16)
+
+
+def mutate(rng, text):
+    """text with one character deleted, inserted or replaced, or one
+    span duplicated."""
+    i = rng.randrange(len(text) + 1)
+    op = rng.randrange(4)
+    if op == 0:
+        return text[:i] + text[i + 1:]
+    if op == 1:
+        return text[:i] + rng.choice("() -1nilE@x") + text[i:]
+    if op == 2:
+        return text[:i] + rng.choice(")(9 ") + text[i + 1:]
+    j = rng.randrange(i, len(text) + 1)
+    return text[:j] + text[i:j] + text[j:]

@@ -169,6 +169,27 @@ def test_tree_by_scan_builds_no_term(runner, monkeypatch):
         2, "error: tree larger than 100000 nodes (at offset 0)\n")
 
 
+def test_prune_count_builds_no_term(runner, monkeypatch):
+    # the count runs as the parser's close action
+    def no_term(*_):
+        raise AssertionError("prune --count built a term")
+
+    monkeypatch.setattr("segmax.cli.parse_term", no_term)
+    assert invoke(runner, "prune", "--count", "--input", EX7).output == "11\n"
+    count = 2  # prunings of a complete htree, by depth
+    for _ in range(15):
+        count = 1 + count**2
+    text = _complete_htree(16)  # 65,535 nodes: a count of 11,595 digits
+    res = invoke(runner, "prune", "--count", "--input", text)
+    assert res.exit_code == 0 and Decimal(res.output) == count
+    res = invoke(runner, "prune", "--count", "--json", "--input", text)
+    assert json.loads(res.output, parse_int=Decimal) == {"count": count}
+    over_limit = "(cons 0 " * 100_000 + "nil" + ")" * 100_000  # 100,001 nodes
+    res = runner.invoke(main, ["prune", "--count", "--shape", "list", "--input", over_limit])
+    assert (res.exit_code, res.stderr) == (
+        2, "error: tree larger than 100000 nodes (at offset 0)\n")
+
+
 def test_guard_message_for_a_printable_count(runner):
     res = runner.invoke(main, ["tree", "--via", "brute", "--input", _complete_htree(6)])
     assert (res.exit_code, res.stderr) == (

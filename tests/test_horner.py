@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import int_lists, terms
+from conftest import int_lists, mutate, terms
 from segmax import (
     BOOL_OR_AND,
     MAX_PLUS,
@@ -434,21 +434,6 @@ def test_scan_route_keeps_contents_order():
 _WIDE = (I64_MIN, I64_MAX, 1 << 62, -(1 << 62), 1 << 40, 2, 5, 0, 1, -1)
 
 
-def _mutate(rng, text):
-    """text with one character deleted, inserted or replaced, or one
-    span duplicated."""
-    i = rng.randrange(len(text) + 1)
-    op = rng.randrange(4)
-    if op == 0:
-        return text[:i] + text[i + 1:]
-    if op == 1:
-        return text[:i] + rng.choice("() -1nilE@x") + text[i:]
-    if op == 2:
-        return text[:i] + rng.choice(")(9 ") + text[i + 1:]
-    j = rng.randrange(i, len(text) + 1)
-    return text[:j] + text[i:j] + text[j:]
-
-
 def _assert_text_route_is_parse_then_scan(s, text, shape, kind, force):
     """mss_generic_text against parse_term followed by mss_generic: the
     same value, or an error of the same type and message."""
@@ -467,7 +452,7 @@ def test_text_route_is_parse_then_scan():
             text = print_term(gen_term(rng, shape, 5, -9, 9))
             if rng.random() < 0.5:  # wide labels: overflows and carrier faults
                 text = re.sub(r"-?\d+", lambda m: str(rng.choice(_WIDE)), text)
-            for t in (text, _mutate(rng, text)):
+            for t in (text, mutate(rng, text)):
                 seen.add(_assert_text_route_is_parse_then_scan(s, t, shape, kind, force))
     assert {"value", "TermSyntaxError", "DistributivityError", "CarrierError",
             "OverflowError"} <= seen

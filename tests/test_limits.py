@@ -3,9 +3,10 @@
 
 Every run must end in an answer or in a mapped exit status (2-5) with a
 single error line on stderr -- never in a traceback.  The brute route
-runs on terms the guard refuses and on a list just under it.  Left out:
-prune enumeration of long lists (its printed output grows quadratically
-with the length) and the cubic and quadratic mss algorithms.
+runs on terms the guard refuses and on a list just under it.  The cubic
+and quadratic mss algorithms have limits of their own, and are run only
+past them.  Left out: prune enumeration of long lists (its printed output
+grows quadratically with the length).
 """
 
 import json
@@ -117,6 +118,20 @@ def test_mss_at_the_list_limit_and_the_64_bit_extremes(algo):
     too_long_and_too_big = ",".join(["0"] * n + [str(I64_MAX + 1)])
     assert _cli("mss", "--algo", algo, "--input", too_long_and_too_big) == (
         2, f"error: list longer than {n} elements (at offset 0)")
+
+
+@pytest.mark.parametrize("algo,limit", [("spec", 1_000), ("quadratic", 10_000)])
+def test_slow_mss_algorithms_refuse_lists_past_their_own_limits(algo, limit, monkeypatch):
+    too_long = ",".join(["1"] * (limit + 1))
+    t0 = time.perf_counter()
+    assert _cli("mss", "--algo", algo, "--input", too_long) == (
+        2, f"error: list longer than {limit} elements (at offset 0)")
+    assert _cli("bench", "--sizes", f"{limit + 1}", "--algos", f"linear,{algo}") == (
+        2, f"error: sizes must be at most {limit} for {algo}")
+    assert time.perf_counter() - t0 < 5
+    # a list at the limit is accepted; the algorithm itself is not run here
+    monkeypatch.setattr(f"segmax.cli.mss_{algo}", len)
+    assert _cli("mss", "--algo", algo, "--input", ",".join(["1"] * limit)) == (0, f"{limit}\n")
 
 
 # Runs the command in its argv, then prints its exit status, its stdout,

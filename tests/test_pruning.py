@@ -2,23 +2,29 @@ import random
 
 import pytest
 
+from conftest import mutate
 from segmax import (
     EMPTY,
+    PLUS_TIMES,
     CollectionKind,
     collection,
+    SegmaxError,
     ShapeKind,
     SizeGuardError,
     cons,
     fork,
+    horner_generic,
     is_pruning_of,
     leaf,
     list_term,
+    mss_generic,
     nil,
     parse_pruned,
     parse_term,
     print_pruned,
     prune,
     prune_count,
+    prune_count_text,
     pruned_fold,
     segs_count,
     segs_generic,
@@ -26,7 +32,7 @@ from segmax import (
 from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
 from segmax.oracles import prune_recursive, prune_via_fold, segs_generic_literal
 from segmax.pruning import GUARD, _segs_items
-from segmax.shapes import Node, term_size
+from segmax.shapes import Node, print_term, term_size
 
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
 EX7_PRUNINGS = [
@@ -84,6 +90,51 @@ def test_count_recurrences_per_shape():
                 return 1 + acc
 
             assert prune_count(t) == by_hand(t)
+
+
+def _outcome(f):
+    try:
+        return "value", f()
+    except SegmaxError as e:
+        return type(e).__name__, str(e), getattr(e, "offset", None)
+
+
+def test_count_text_route_is_parse_then_count():
+    # prune_count_text against parse_term followed by prune_count: the
+    # same count, or an error of the same type, message and offset
+    rng = random.Random(16)
+    texts = [(shape, t) for shape in ShapeKind for _ in range(150)
+             for text in [print_term(gen_term(rng, shape, 6))]
+             for t in (text, mutate(rng, text))]
+    texts += [
+        (ShapeKind.HTREE, "(fork 1 (leaf 2)"),
+        (ShapeKind.HTREE, "(fork 1 (leaf 9223372036854775808) (leaf 2))"),
+        (ShapeKind.LIST, "(cons 1 (cons 2 nil) @"),
+        # past the node limit, though with no more than 10^5 '('
+        (ShapeKind.LIST, print_term(list_term([1] * 100_000))),
+        (ShapeKind.LIST, "(cons 0 " * 100_001 + "nil" + ")" * 100_001),
+    ]
+    seen = set()
+    for shape, text in texts:
+        expected = _outcome(lambda: prune_count(parse_term(text, shape)))
+        assert _outcome(lambda: prune_count_text(text, shape)) == expected
+        seen.add(expected[0])
+    assert seen == {"value", "TermSyntaxError"}
+
+
+def test_counts_are_horner_folds_in_the_counting_semiring():
+    # with every label 1, plus-times' Horner step from seed 1 is
+    # 1 + the product of the children's values: the pruning count; the
+    # scan route sums it over the subterms, which is the segment count.
+    # Counts stay below 2^63, plus-times' range.
+    rng = random.Random(17)
+    for shape in ShapeKind:
+        for _ in range(100):
+            t = gen_term_capped(rng, shape, segs_count, 2**62, max_depth=7, lo=1, hi=1)
+            n = prune_count(t)
+            assert n == horner_generic(PLUS_TIMES, 1, t)
+            assert segs_count(t) == mss_generic(PLUS_TIMES, t)
+            assert prune_count_text(print_term(t), shape) == n
 
 
 def test_prune_matches_literal_fold_and_recurrence_oracles():
