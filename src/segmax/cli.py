@@ -38,7 +38,7 @@ from .horner import (
     mss_quadratic,
     mss_spec,
 )
-from .ints import check_i64
+from .ints import check_i64, parse_int
 from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
 from .pruning import _check_guard, prune_count_text, segs_count
@@ -125,7 +125,7 @@ def _parse_int_list(text: str, limit: int) -> list[int]:
     if len(parts) > limit:
         raise TermSyntaxError(f"list longer than {limit} elements", 0)
     try:
-        return [check_i64(int(p), "element") for p in parts]
+        return [check_i64(parse_int(p), "element") for p in parts]
     except ValueError:
         raise TermSyntaxError("list elements must be integers", 0) from None
 
@@ -313,7 +313,7 @@ def bench(sizes: str, algos: str, seed: int, do_assert: bool, budget: float,
           as_json: bool) -> None:
     """Compare the list algorithms' wall-clock growth."""
     try:
-        ns = [int(p) for p in sizes.split(",") if p.strip()]
+        ns = [parse_int(p) for p in sizes.split(",") if p.strip()]
     except ValueError:
         raise TermSyntaxError("sizes must be integers", 0) from None
     if not ns or any(n <= 0 for n in ns) or ns != sorted(ns):

@@ -71,6 +71,7 @@ from .errors import CarrierError, DistributivityError, ReduceLawError
 from .ints import check_i64, checked_add, checked_mul
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, scan_generic  # noqa: F401
+from .schemes import fold  # noqa: F401
 from .monads import (
     MAX_REDUCE,
     MIN_REDUCE,
@@ -85,7 +86,7 @@ from .monads import (
     reduce_law_failure,
 )
 from .pruning import _segs_items, prune, pruned_fold
-from .schemes import Algebra, contents_term, fold
+from .schemes import Algebra, contents_term
 from .shapes import ShapeKind, Term, _parse, parse_term, postorder
 
 
@@ -284,14 +285,19 @@ def _check_carrier(s: Semiring, t: Term) -> None:
             raise CarrierError(f"label {v} outside the carrier of '{s.name}'")
 
 
-def horner_generic(s: Semiring, b, t: Term):
-    """Fold the Horner step over the whole term.  Equals reducing the
-    layer-products of every pruning of t (checked in the law suite)."""
+def _horner_walk(s: Semiring, b, t: Term, out: list | None = None):
+    """horner_generic, also listing every node's value in preorder in out."""
+    step = horner_step(s, b)
     try:
-        return fold(horner_alg(s, b), t)
+        return postorder(t, lambda n, kids: step(n.tag, n.labels, kids), out=out)
     except (CarrierError, OverflowError):
         _check_carrier(s, t)
         raise
+
+
+def horner_generic(s: Semiring, b, t: Term):
+    """Fold the Horner step over t: its prunings' products, reduced."""
+    return _horner_walk(s, b, t)
 
 
 def horner_generic_brute(s: Semiring, b, t: Term):
@@ -319,13 +325,8 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
     ensure_distributive(s, kind, force)
     b = s.mul_unit
     if via == "scan":
-        step = horner_step(s, b)
         vals: list = []
-        try:
-            postorder(t, lambda n, kids: step(n.tag, n.labels, kids), out=vals)
-        except (CarrierError, OverflowError):
-            _check_carrier(s, t)
-            raise
+        _horner_walk(s, b, t, vals)
     else:
         _check_carrier(s, t)
         if via != "brute":
@@ -342,8 +343,8 @@ def mss_generic_text(s: Semiring, text: str, shape: ShapeKind,
     the scan route in one pass over the text that builds no term, with
     horner_step as the parser's close action (see the module docstring).
     A label outside the carrier or an overflow stops the pass, and the
-    term route then raises the error that comes first: a syntax fault or
-    the node limit, then mss_generic's order.
+    term route then raises the error that comes first: a syntax fault,
+    then mss_generic's order.  The node limit refuses before any pass.
     """
     vals: list = []
     try:

@@ -7,6 +7,9 @@ reductions and I64_MAX for min-style ones, so labels are required to
 stay strictly inside the open interval.
 """
 
+import re
+from decimal import Decimal
+
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
 
@@ -15,6 +18,25 @@ def check_i64(value: int, context: str = "value") -> int:
     if not (I64_MIN <= value <= I64_MAX):
         raise OverflowError(f"{context} {value} outside 64-bit signed range")
     return value
+
+
+# what int() reads as an integer, past its digit limit too
+_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def parse_int(tok: str):
+    """int(tok), judged by value at any length.  int(str) refuses more
+    than 4,300 digits and Decimal has no such limit, so a longer literal
+    is read as a Decimal, made an int when it fits 64 bits, and otherwise
+    kept: it compares and prints as its value, so check_i64 refuses it
+    as it would the int."""
+    try:
+        return int(tok)
+    except ValueError:
+        if not _INT_LITERAL.fullmatch(tok.strip()):
+            raise
+    value = Decimal(tok)
+    return int(value) if I64_MIN <= value <= I64_MAX else value
 
 
 def checked_add(a: int, b: int) -> int:

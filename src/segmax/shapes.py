@@ -49,7 +49,7 @@ from enum import Enum
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import ShapeMismatchError, TermSyntaxError
-from .ints import I64_MAX, I64_MIN, check_i64
+from .ints import I64_MAX, I64_MIN, check_i64, parse_int
 
 
 class ShapeKind(Enum):
@@ -76,6 +76,9 @@ SIGNATURES: dict[ShapeKind, dict[str, CtorSig]] = {
 }
 # the parser reads at most one label per constructor
 assert all(sig.n_labels <= 1 for sigs in SIGNATURES.values() for sig in sigs.values())
+# _parse's node count is exact only while no other tag holds an atom's name
+assert not any(atom in tag for sigs in SIGNATURES.values() for atom, sig in sigs.items()
+               if sig.atom for tag in sigs if tag != atom)
 
 
 def _same(self, other):
@@ -370,14 +373,14 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
     left to right, and returning the root's value; an atom is worth one
     close per parse.  A list out also receives every value in preorder:
     a constructor's slot is reserved at its '(tag' and filled at its ')'.
-    A fault hands the state over to _syntax_error."""
-    nodes = text.count("(")  # every '(' of a term opens a node
-    if nodes > MAX_TREE_NODES:
-        raise TermSyntaxError(f"tree larger than {MAX_TREE_NODES} nodes", 0)
+    A fault goes to _syntax_error.  The one size check is first: a node is
+    a '(' or an atom's name, not 'E', so past MAX_TREE_NODES nothing is read."""
     sigs = SIGNATURES[shape]
+    atoms: dict = {tag: close(tag, (), ()) for tag, sig in sigs.items() if sig.atom}
+    if text.count("(") + sum(map(text.count, atoms)) > MAX_TREE_NODES:
+        raise TermSyntaxError(f"tree larger than {MAX_TREE_NODES} nodes", 0)
     heads = {"(" + tag: (tag, sig.n_labels, sig.n_children)
              for tag, sig in sigs.items() if not sig.atom}
-    atoms: dict = {tag: close(tag, (), ()) for tag, sig in sigs.items() if sig.atom}
     if allow_empty:
         atoms["E"] = EMPTY
     toks = _TOKEN_RE.findall(text)
@@ -395,17 +398,15 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
                     head = heads.get("(" + tok[1:].lstrip())
                 if head is None:
                     raise _syntax_error(text, toks, i, _TERM, shape)
-            elif value is not EMPTY:  # an atom but E is a node
-                nodes += 1
-                if out is not None:
-                    out.append(value)
+            elif out is not None and value is not EMPTY:
+                out.append(value)
         i += 1
         if head is not None:
             tag, k, wanted = head
             labels: tuple = ()
             if k:  # one label: no constructor has more
                 try:
-                    v = int(toks[i])
+                    v = parse_int(toks[i])
                 except ValueError:
                     v = None
                 if v is None or not I64_MIN <= v <= I64_MAX:
@@ -441,8 +442,6 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
         else:
             if i < n:
                 raise _syntax_error(text, toks, i, _END, shape)
-            if nodes > MAX_TREE_NODES:
-                raise TermSyntaxError(f"tree larger than {MAX_TREE_NODES} nodes", 0)
             return value
 
 
@@ -457,7 +456,7 @@ def _syntax_error(text: str, toks: list, i: int, expected: str,
     for m in _TOKEN_RE.finditer(text):
         tok = m.group()
         if _INT_RE.fullmatch(tok):
-            if not I64_MIN <= int(tok) <= I64_MAX:
+            if not I64_MIN <= parse_int(tok) <= I64_MAX:
                 return TermSyntaxError("integer label outside 64-bit range", m.start())
         elif tok[0] not in "()" and not _SYM_RE.fullmatch(tok):
             return TermSyntaxError(f"unexpected character {tok!r}", m.start())
@@ -499,9 +498,9 @@ def parse_term(text: str, shape: ShapeKind) -> Term:
     term.)
 
     Raises TermSyntaxError (with a byte offset) on malformed input, an
-    unknown constructor, or an arity mismatch, and at offset 0 on more
-    than MAX_TREE_NODES (10^5) nodes: after the syntax is checked, or
-    before it is when the text has more than 10^5 '('.
+    unknown constructor, or an arity mismatch.  A text whose '(' and atom
+    names number more than MAX_TREE_NODES (10^5) is refused at offset 0
+    before it is read, whatever its syntax.
     """
     return _parse(text, shape, _build(shape))
 

@@ -71,6 +71,26 @@ def test_mss_overflow_status(runner):
     assert res.exit_code == 4
 
 
+def test_integers_past_the_int_str_digit_limit_are_judged_by_value(runner):
+    # int(str) refuses more than 4,300 digits; such a token is read as the
+    # value it writes, as a shorter one is
+    nines, seven = "9" * 5000, "0" * 4300 + "7"
+    res = invoke(runner, "mss", "--input", f"1,-{nines},x")
+    assert (res.exit_code, res.stderr) == (
+        4, f"error: element -{nines} outside 64-bit signed range\n")
+    assert invoke(runner, "mss", "--input", f"{seven} -1 {seven}").output == "13\n"
+    for args in (["tree", "--input", f"(cons {nines} nil)"],
+                 ["prune", "--count", "--input", f"(cons 1 nil) {nines}"]):
+        res = invoke(runner, *args[:1], "--shape", "list", *args[1:])
+        assert (res.exit_code, res.stderr) == (
+            2, "error: integer label outside 64-bit range (at offset %d)\n"
+            % args[-1].index("9"))
+    assert invoke(runner, "tree", "--shape", "list", "--input",
+                  f"(cons {seven} nil)").output == "7\n"
+    res = invoke(runner, "bench", "--sizes", nines)
+    assert (res.exit_code, res.stderr) == (2, "error: sizes must be at most 1000000\n")
+
+
 def test_tree_fixtures(runner):
     res = invoke(runner, "tree", "--shape", "htree", "--semiring", "max-plus",
                  "--input", EX7)

@@ -10,6 +10,7 @@ from hypothesis import given
 
 import segmax
 from conftest import any_term, terms
+from segmax import shapes
 from segmax import (
     EMPTY,
     CollectionKind,
@@ -20,9 +21,11 @@ from segmax import (
     bimap_node,
     cons,
     fork,
+    MAX_PLUS,
     leaf,
     list_term,
     make_node,
+    mss_generic_text,
     nil,
     parse_pruned,
     parse_term,
@@ -30,6 +33,7 @@ from segmax import (
     print_term,
     prune,
     prune_count,
+    prune_count_text,
     term_depth,
     term_size,
     tip,
@@ -73,6 +77,14 @@ PARSE_ERRORS = [
     (parse_term, "E", ShapeKind.HTREE, "unknown constructor 'E' for shape htree", 0),
     (parse_term, "(cons 99999999999999999999 nil)", ShapeKind.LIST,
      "integer label outside 64-bit range", 6),
+    # past the interpreter's 4,300-digit int(str) limit, judged by value too
+    (parse_term, f"(cons {'9' * 5000} nil)", ShapeKind.LIST,
+     "integer label outside 64-bit range", 6),
+    (parse_term, f"(fork -{'9' * 5000} (leaf 1) (leaf 2))", ShapeKind.HTREE,
+     "integer label outside 64-bit range", 6),
+    (parse_term, f"(cons 1 nil) {'9' * 5000}", ShapeKind.LIST,
+     "integer label outside 64-bit range", 13),
+    (parse_pruned, f"(leaf {'0' * 5000}1 E)", ShapeKind.HTREE, "expected ')'", 5008),
     (parse_term, "", ShapeKind.LIST, "unexpected end of input", 0),
     (parse_term, "@", ShapeKind.LIST, "unexpected character '@'", 0),
     # a character no token accepts is reported before any parse fault
@@ -89,19 +101,21 @@ PARSE_ERRORS = [
     (parse_term, "-", ShapeKind.LIST, "unexpected character '-'", 0),
     (parse_pruned, "(fork 1 E)", ShapeKind.HTREE, "unexpected ')'", 9),
     (parse_pruned, "(leaf 1 E)", ShapeKind.HTREE, "expected ')'", 8),
-    # the node limit: past it a term is refused, and a text with more '('
-    # than it allows is refused before its syntax is read
+    # the node limit: a text with more '(' and atom names than it allows is
+    # refused before its syntax is read
     (parse_term, OVER_LIMIT, ShapeKind.LIST, "tree larger than 100000 nodes", 0),
     (parse_pruned, OVER_LIMIT, ShapeKind.LIST, "tree larger than 100000 nodes", 0),
     (parse_term, "(" * 100_001, ShapeKind.LIST, "tree larger than 100000 nodes", 0),
     # 50,000 '(' but 100,001 nodes: the atoms count too
     (parse_term, "(node 1 nilt " * 50_000 + "nilt" + ")" * 50_000, ShapeKind.ITREE,
      "tree larger than 100000 nodes", 0),
+    # malformed, but past the limit: the size is read before the syntax
+    (parse_term, "nil " * 100_001, ShapeKind.LIST, "tree larger than 100000 nodes", 0),
 ]
 
 
 def _case_id(parse, text, shape) -> str:
-    if len(text) > 40:  # the node-limit rows
+    if len(text) > 40:  # the node-limit and digit-limit rows
         text = f"{parse.__name__}-{len(text)}-chars"
     return f"{text}-{shape}"
 
@@ -120,6 +134,45 @@ def test_parse_errors(parse, text, shape, message, offset):
 def test_the_node_limit_does_not_count_the_empty_marker():
     p = parse_pruned("(cons 0 " * 100_000 + "E" + ")" * 100_000, ShapeKind.LIST)
     assert term_size(p) == 100_000
+
+
+def test_an_oversize_text_is_refused_before_it_is_tokenized(monkeypatch):
+    class Untokenizable:
+        def findall(self, text):
+            raise AssertionError("an oversize text was tokenized")
+
+    monkeypatch.setattr(shapes, "_TOKEN_RE", Untokenizable())
+    texts = [(OVER_LIMIT, ShapeKind.LIST),  # 100,000 '(' and one nil
+             ("(node 1 nilt " * 50_000 + "nilt" + ")" * 50_000, ShapeKind.ITREE)]
+    for text, shape in texts:
+        for parse in (parse_term, lambda text, shape: mss_generic_text(MAX_PLUS, text, shape),
+                      prune_count_text):
+            with pytest.raises(TermSyntaxError) as exc:
+                parse(text, shape)
+            assert str(exc.value) == "tree larger than 100000 nodes (at offset 0)"
+
+
+def test_the_node_count_read_before_the_parse_is_the_term_size(monkeypatch):
+    # the parser refuses a text at a limit one below its term's size and
+    # reads it at its size, so the count it reads first is the size
+    def count_is_size(text, shape, parse, size):
+        monkeypatch.setattr(shapes, "MAX_TREE_NODES", size - 1)
+        with pytest.raises(TermSyntaxError, match="^tree larger than"):
+            parse(text, shape)
+        monkeypatch.setattr(shapes, "MAX_TREE_NODES", size)
+        return term_size(parse(text, shape)) == size
+
+    rng = random.Random(17)
+    for shape in ShapeKind:
+        for _ in range(150):
+            t = gen_term(rng, shape, max_depth=rng.randint(0, 6))
+            text, size = print_term(t), term_size(t)
+            for spaced in (text, text.replace("(", "( "), text.replace("(", "(\n\t")):
+                assert count_is_size(spaced, shape, parse_term, size), spaced
+            items = prune(t).items if prune_count(t) <= 1000 else []
+            for p in rng.sample(items, min(4, len(items))):
+                # 'E' is no node: term_size skips it, and so must the count
+                assert count_is_size(print_pruned(p), shape, parse_pruned, term_size(p)), p
 
 
 def test_postorder_out_receives_every_result_in_preorder():
