@@ -38,7 +38,7 @@ from .horner import (
     mss_quadratic,
     mss_spec,
 )
-from .ints import check_i64, parse_int
+from .ints import check_i64, parse_int, plain_ints
 from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
 from .pruning import _check_guard, prune_count_text, segs_count
@@ -124,6 +124,8 @@ def _parse_int_list(text: str, limit: int) -> list[int]:
     parts = text.replace(",", " ").split(maxsplit=limit)
     if len(parts) > limit:
         raise TermSyntaxError(f"list longer than {limit} elements", 0)
+    if not plain_ints(text):  # a part with '+' or '_' becomes "", which parse_int refuses
+        parts = [p if plain_ints(p) else "" for p in parts]
     try:
         return [check_i64(parse_int(p), "element") for p in parts]
     except ValueError:
@@ -139,7 +141,8 @@ def main() -> None:
 @click.option("--algo", type=click.Choice(["spec", "quadratic", "linear", "prefix"]),
               default="linear", show_default=True)
 @click.option("--input", "inline", default=None,
-              help="Comma or space separated integers.")
+              help="Comma or space separated integers, each an optional '-' "
+                   "and decimal digits, as term labels are.")
 @click.option("--file", "path", default=None, help="Read the list from a file.")
 @click.option("--json", "as_json", is_flag=True)
 @_run

@@ -24,6 +24,13 @@ def check_i64(value: int, context: str = "value") -> int:
 _INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
+def plain_ints(text: str) -> bool:
+    """Whether int() reads a whitespace-free piece of text only when it is
+    -?\\d+, the integer syntax of term labels and list elements: text has
+    no '+' and no '_', the two characters int() reads that it refuses."""
+    return "+" not in text and "_" not in text
+
+
 def parse_int(tok: str):
     """int(tok), judged by value at any length.  int(str) refuses more
     than 4,300 digits and Decimal has no such limit, so a longer literal

@@ -38,6 +38,12 @@ step, so that route scans while parsing and builds no term
 (tests/test_horner.py::test_text_route_is_parse_then_scan checks it
 against parse_term followed by the scan).
 
+The tokens come from str.split when the text has no '+' and no '_'
+(_split_tokens).  At the first split token the parser does not accept,
+it reads the text again from the token pattern _TOKEN_RE, which reads
+every other text too and places every fault.  Both give one result, as
+_parse's docstring argues.
+
 Terms are immutable values (NamedTuples all the way down), so they are
 safe to share freely, including across threads.
 """
@@ -49,7 +55,7 @@ from enum import Enum
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import ShapeMismatchError, TermSyntaxError
-from .ints import I64_MAX, I64_MIN, check_i64, parse_int
+from .ints import I64_MAX, I64_MIN, check_i64, parse_int, plain_ints
 
 
 class ShapeKind(Enum):
@@ -366,15 +372,36 @@ def _build(shape: ShapeKind) -> Callable:
     return lambda tag, labels, kids: new(Node, (shape, tag, labels, kids))
 
 
+class _Fault(Exception):
+    """A token the parser does not accept: its index, and what was expected."""
+
+
+def _split_tokens(text: str) -> list[str]:
+    """text split at whitespace, once each '(' starts a token and each ')'
+    is one: wherever the parser accepts them, _TOKEN_RE's tokens."""
+    return text.replace("(", " (").replace(")", " ) ").split()
+
+
 def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = False,
            out: list | None = None):
-    """One pass over the token list, running close(tag, labels, kids) on
+    """One pass over the text's tokens, running close(tag, labels, kids) on
     each constructor when its ')' is read, so in post-order with children
     left to right, and returning the root's value; an atom is worth one
     close per parse.  A list out also receives every value in preorder:
     a constructor's slot is reserved at its '(tag' and filled at its ')'.
-    A fault goes to _syntax_error.  The one size check is first: a node is
-    a '(' or an atom's name, not 'E', so past MAX_TREE_NODES nothing is read."""
+    The one size check is first: a node is a '(' or an atom's name, not
+    'E', so past MAX_TREE_NODES nothing is read.
+
+    Tokens come first from _split_tokens when the text has no '+' and no
+    '_', labels read by int.  Each split token the read accepts (a '(tag',
+    an atom name, a ')', or a label, which int then reads only as -?\\d+)
+    is a whole _TOKEN_RE token, as \\s is str.isspace, where split splits.
+    So a split read that ends has read the pattern's tokens, and one that
+    stops does so where the lists first part or a fault lies, before any
+    close action past their common prefix.  Then out is cleared and the
+    text read again from _TOKEN_RE, as a text with '+' or '_' is at once;
+    a fault there goes to _syntax_error.  Close actions are pure, so an
+    error one raises (CarrierError, OverflowError) is either list's."""
     sigs = SIGNATURES[shape]
     atoms: dict = {tag: close(tag, (), ()) for tag, sig in sigs.items() if sig.atom}
     if text.count("(") + sum(map(text.count, atoms)) > MAX_TREE_NODES:
@@ -383,7 +410,23 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
              for tag, sig in sigs.items() if not sig.atom}
     if allow_empty:
         atoms["E"] = EMPTY
+    if plain_ints(text):
+        try:
+            return _read(_split_tokens(text), int, heads, atoms, close, out)
+        except _Fault:
+            if out is not None:
+                out.clear()
     toks = _TOKEN_RE.findall(text)
+    try:
+        return _read(toks, parse_int, heads, atoms, close, out)
+    except _Fault as fault:
+        raise _syntax_error(text, toks, *fault.args, shape) from None
+
+
+def _read(toks: list, read_int: Callable, heads: dict, atoms: dict, close: Callable,
+          out: list | None):
+    """_parse's pass over toks, labels read by read_int; it raises _Fault
+    at the first token it does not accept, with toks ended by ""."""
     n = len(toks)
     toks.append("")  # the end of input, which every rule below rejects
     frames: list = []  # per open constructor: tag, labels, kids so far, wanted, slot in out
@@ -397,7 +440,7 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
                 if tok[:1] == "(":  # whitespace between '(' and the tag
                     head = heads.get("(" + tok[1:].lstrip())
                 if head is None:
-                    raise _syntax_error(text, toks, i, _TERM, shape)
+                    raise _Fault(i, _TERM)
             elif out is not None and value is not EMPTY:
                 out.append(value)
         i += 1
@@ -406,11 +449,11 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
             labels: tuple = ()
             if k:  # one label: no constructor has more
                 try:
-                    v = parse_int(toks[i])
+                    v = read_int(toks[i])
                 except ValueError:
                     v = None
                 if v is None or not I64_MIN <= v <= I64_MAX:
-                    raise _syntax_error(text, toks, i, _LABEL, shape)
+                    raise _Fault(i, _LABEL)
                 labels = (v,)
                 i += 1
             if wanted:
@@ -421,7 +464,7 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
                 frames.append((tag, labels, [], wanted, slot))
                 continue
             if toks[i] != ")":
-                raise _syntax_error(text, toks, i, _CLOSE, shape)
+                raise _Fault(i, _CLOSE)
             i += 1
             value = close(tag, labels, ())
             if out is not None:
@@ -434,14 +477,14 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
                 break
             frames.pop()
             if toks[i] != ")":
-                raise _syntax_error(text, toks, i, _CLOSE, shape)
+                raise _Fault(i, _CLOSE)
             i += 1
             value = close(tag, labels, tuple(kids))
             if out is not None:
                 out[slot] = value
         else:
             if i < n:
-                raise _syntax_error(text, toks, i, _END, shape)
+                raise _Fault(i, _END)
             return value
 
 

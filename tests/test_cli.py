@@ -65,6 +65,19 @@ def test_mss_usage_errors(runner):
     assert invoke(runner, "mss", "--input", "1,foo").exit_code == 2
 
 
+def test_mss_elements_take_the_label_syntax(runner):
+    # int() reads '+3' and '1_0'; term labels are -?\d+, and so are list
+    # elements.  The first faulty element decides, as for any other fault
+    for text in ("1_0 +3", "+3", "4,-5,6_0", "1_0 99999999999999999999"):
+        res = invoke(runner, "mss", "--input", text)
+        assert (res.exit_code, res.stderr) == (
+            2, "error: list elements must be integers (at offset 0)\n")
+    assert invoke(runner, "mss", "--input", "99999999999999999999 1_0").exit_code == 4
+    res = invoke(runner, "tree", "--shape", "list", "--input", "(cons +3 nil)")
+    assert (res.exit_code, res.stderr) == (2, "error: unexpected character '+' (at offset 6)\n")
+    assert invoke(runner, "mss", "--input", "-0 4,-5 6").output == "6\n"
+
+
 def test_mss_overflow_status(runner):
     big = str((1 << 62) + (1 << 61))
     res = invoke(runner, "mss", "--algo", "linear", "--input", f"{big},{big}")

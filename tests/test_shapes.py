@@ -2,6 +2,7 @@ import collections
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given
 
 import segmax
-from conftest import any_term, terms
+from conftest import any_term, mutate, terms
 from segmax import shapes
 from segmax import (
+    BOOL_OR_AND,
     EMPTY,
+    I64_MAX,
     CollectionKind,
     Node,
     ShapeKind,
@@ -57,6 +60,11 @@ def test_parse_fixtures():
     assert parse_term("nil", ShapeKind.LIST) == nil()
     assert parse_term("(cons 4 (cons -5 nil))", ShapeKind.LIST) == list_term([4, -5])
     assert parse_term("( fork 1\n(leaf 2) (\tleaf 3))", ShapeKind.HTREE) == fork(1, leaf(2), leaf(3))
+    # a space after '(' splits the head: the split tokens differ, and the
+    # text answers through the token pattern
+    text = "( fork 1 (leaf 2) (leaf 3))"
+    assert shapes._split_tokens(text) != shapes._TOKEN_RE.findall(text)
+    assert parse_term(text, ShapeKind.HTREE) == fork(1, leaf(2), leaf(3))
 
 
 OVER_LIMIT = "(cons 0 " * 100_000 + "nil" + ")" * 100_000  # 100,001 nodes
@@ -99,6 +107,9 @@ PARSE_ERRORS = [
     (parse_term, "(cons 1 nil nil)", ShapeKind.LIST, "expected ')'", 12),
     (parse_term, "(bin (tip 1) (tip 2) (tip 3))", ShapeKind.ETREE, "expected ')'", 21),
     (parse_term, "-", ShapeKind.LIST, "unexpected character '-'", 0),
+    # int() reads '+5' and '1_0', which the label syntax -?\d+ refuses
+    (parse_term, "(leaf +5)", ShapeKind.HTREE, "unexpected character '+'", 6),
+    (parse_term, "(cons 1_0 nil)", ShapeKind.LIST, "unexpected character '_'", 7),
     (parse_pruned, "(fork 1 E)", ShapeKind.HTREE, "unexpected ')'", 9),
     (parse_pruned, "(leaf 1 E)", ShapeKind.HTREE, "expected ')'", 8),
     # the node limit: a text with more '(' and atom names than it allows is
@@ -141,7 +152,11 @@ def test_an_oversize_text_is_refused_before_it_is_tokenized(monkeypatch):
         def findall(self, text):
             raise AssertionError("an oversize text was tokenized")
 
+    def unsplittable(text):
+        raise AssertionError("an oversize text was split")
+
     monkeypatch.setattr(shapes, "_TOKEN_RE", Untokenizable())
+    monkeypatch.setattr(shapes, "_split_tokens", unsplittable)
     texts = [(OVER_LIMIT, ShapeKind.LIST),  # 100,000 '(' and one nil
              ("(node 1 nilt " * 50_000 + "nilt" + ")" * 50_000, ShapeKind.ITREE)]
     for text, shape in texts:
@@ -150,6 +165,90 @@ def test_an_oversize_text_is_refused_before_it_is_tokenized(monkeypatch):
             with pytest.raises(TermSyntaxError) as exc:
                 parse(text, shape)
             assert str(exc.value) == "tree larger than 100000 nodes (at offset 0)"
+
+
+def test_split_and_the_token_pattern_agree_on_every_code_point():
+    # the split tokens are the pattern's only if both split at the same
+    # characters, and a label that int() reads is -?\d+ only if int()'s
+    # digits are \d's
+    chars = "".join(map(chr, range(0x110000)))
+    spaces = {ch for ch in chars if ch.isspace()}
+    assert set(re.findall(r"\s", chars)) == spaces
+    assert set(chars) - set("".join(chars.split())) == spaces
+    digits = {ch for ch in chars if ch.isdecimal()}
+    assert set(re.findall(r"\d", chars)) == digits
+    read = set()
+    for ch in chars:
+        try:
+            int(ch)
+        except ValueError:
+            continue
+        read.add(ch)
+    assert read == digits
+
+
+def _respaced(rng, text: str) -> str:
+    """text with each space replaced by a random run of separators, and
+    some spaces before '(' dropped."""
+    text = re.sub(r"(?<=[)\w]) (?=\()", lambda m: rng.choice(("", " ")), text)
+    return re.sub(" ", lambda m: "".join(rng.choices(
+        [" ", "\t", "\n", "\u00a0", "\u3000", "\r\n"], k=rng.randint(1, 2))), text)
+
+
+def test_split_tokens_are_the_token_patterns_on_well_formed_texts():
+    rng = random.Random(18)
+    for shape in ShapeKind:
+        for _ in range(60):
+            t = gen_term_capped(rng, shape, prune_count, 200, max_depth=5, lo=-99, hi=99)
+            texts = [print_term(t)]
+            texts += [print_pruned(p) for p in rng.choices(prune(t).items, k=3)]
+            for text in texts:
+                for spaced in (text, _respaced(rng, text)):
+                    assert shapes._split_tokens(spaced) == shapes._TOKEN_RE.findall(spaced)
+
+
+def _syntax_outcome(f):
+    try:
+        return "value", f()
+    except (segmax.SegmaxError, OverflowError) as e:
+        return type(e).__name__, str(e), getattr(e, "offset", None)
+
+
+def test_the_split_tokens_answer_as_the_token_pattern_does(monkeypatch):
+    # on mutated texts, well-formed or not, every text route gives the same
+    # value or the same error, message and offset with the token pattern
+    # alone: the split read gives way at the first token it does not accept
+    rng = random.Random(19)
+    cases = []
+    for shape in ShapeKind:
+        for _ in range(250):
+            t = gen_term_capped(rng, shape, prune_count, 200, max_depth=5, lo=-99, hi=99)
+            text = rng.choice([print_term(t), print_pruned(rng.choice(prune(t).items))])
+            text = _respaced(rng, text) if rng.random() < 0.3 else text
+            i, op = rng.randrange(len(text) + 1), rng.random()
+            if op < 0.2:
+                text = mutate(rng, text)
+            elif op < 0.3:  # a space after a '(': the pattern still reads it
+                k = text.rfind("(", 0, i)
+                text = text[:k + 1] + " " + text[k + 1:] if k >= 0 else text
+            elif op < 0.45:  # text the split read and the pattern may part on
+                text = text[:i] + rng.choice(["( ", "+", "_", "\u3000", "x", "@", "5",
+                                              str(I64_MAX + 1), ")(", "E "]) + text[i:]
+            cases.append((shape, text))
+    routes = [parse_pruned, prune_count_text,
+              lambda text, shape: mss_generic_text(MAX_PLUS, text, shape),
+              lambda text, shape: mss_generic_text(BOOL_OR_AND, text, shape)]
+
+    def outcomes():
+        return [_syntax_outcome(lambda: route(text, shape))
+                for shape, text in cases for route in routes]
+
+    split = outcomes()
+    monkeypatch.setattr(shapes, "plain_ints", lambda text: False)
+    assert outcomes() == split
+    kinds = collections.Counter(o[0] for o in split)
+    assert kinds["value"] >= 1200 and kinds["TermSyntaxError"] >= 1200, kinds
+    assert kinds["CarrierError"] > 0, kinds
 
 
 def test_the_node_count_read_before_the_parse_is_the_term_size(monkeypatch):
