@@ -41,9 +41,9 @@ from .horner import (
 from .ints import check_i64, parse_int, plain_ints
 from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
-from .pruning import _check_guard, prune_count_text, segs_count
+from .pruning import _check_guard, print_step, prune_count_text, segs_count
 from .pruning import prune as prune_term
-from .shapes import ShapeKind, parse_term, print_items
+from .shapes import ShapeKind, parse_term
 # segbench's traced run rebinds these names here, so they stay bound
 from .pruning import prune_count  # noqa: F401
 from .shapes import print_pruned, term_size  # noqa: F401
@@ -230,19 +230,19 @@ def prune(shape: str, monad: str, count_only: bool, inline: str | None,
 
     --count reads the text and builds no term.  The printed size of an
     enumeration is the sum of the prunings' sizes, which no guard bounds:
-    it is quadratic in the length of a list (72 MB at 4,000 elements)."""
+    it is quadratic in the length of a list (72 MB at 4,000 elements,
+    written in about a second, as each text is written once)."""
     text = _read_source(inline, path)
     if count_only:  # counted while parsing: no term is built
         count = prune_count_text(text, ShapeKind(shape))
         digits = str(Decimal(count))  # str(int) stops at 4,300 digits
         _echo('{"count": ' + digits + "}" if as_json else digits)
         return
-    c = prune_term(parse_term(text, ShapeKind(shape)), CollectionKind(monad))
-    texts = print_items(c.items)
+    c = prune_term(parse_term(text, ShapeKind(shape)), CollectionKind(monad), print_step)
     if as_json:
-        _echo(json.dumps({"kind": monad, "items": texts}))
+        _echo(json.dumps({"kind": monad, "items": c.items}))
     else:
-        _echo(to_text(c._replace(items=texts)))
+        _echo(to_text(c))
 
 
 @main.command()
@@ -316,7 +316,8 @@ def bench(sizes: str, algos: str, seed: int, do_assert: bool, budget: float,
           as_json: bool) -> None:
     """Compare the list algorithms' wall-clock growth."""
     try:
-        ns = [parse_int(p) for p in sizes.split(",") if p.strip()]
+        # a part with '+' or '_' becomes "", which parse_int refuses
+        ns = [parse_int(p if plain_ints(p) else "") for p in sizes.split(",") if p.strip()]
     except ValueError:
         raise TermSyntaxError("sizes must be integers", 0) from None
     if not ns or any(n <= 0 for n in ns) or ns != sorted(ns):

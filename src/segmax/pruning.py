@@ -12,8 +12,15 @@ total count grows multiplicatively with depth, so enumeration is fenced
 by an element guard, GUARD = 10^6.  The guard counts prunings, not their
 size: printed, the collection is the sum of the prunings' sizes, which
 is quadratic on a list (n + 2 prunings of up to n nodes; 72 MB of text
-at 4,000 elements), and nothing bounds it.  Prunings share their
-children, so shapes.print_items writes each shared child once.
+at 4,000 elements), and nothing bounds it.  prune(t, kind, print_step)
+is map print_pruned . prune fused into one fold, a deforestation: each
+pruning's text is written from its children's texts, and no pruning is
+built.  A two-child node copies each child text into at least two of
+its own, so its copies add up to at most twice its output.  A one-child
+node leaves its texts unwritten, its head over its child's (_Chain),
+and a chain of them is written once, prefix by prefix, where a two-child
+node or the root reads it; writing at every cons would copy each text
+once per ancestor, cubic on a list.
 
 Counting and enumerating prunings are post-order steps, and by the
 scan lemma (map (fold f) . subterms = scan f) the segments take one
@@ -49,7 +56,8 @@ import math
 from .errors import SizeGuardError
 from .monads import Collection, CollectionKind, collection
 from .schemes import Algebra
-from .shapes import EMPTY, Node, ShapeKind, Term, _parse, postorder, zip_slots
+from .shapes import (EMPTY, Node, ShapeKind, Term, _head, _parse, postorder, print_pruned,
+                     zip_slots)
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, subterms  # noqa: F401
 from .schemes import fold  # noqa: F401
@@ -90,16 +98,46 @@ def _prune_step(n: Node, kids: tuple) -> list:
                      for picked in itertools.product(*kids))]
 
 
-def _prune_items(t: Term) -> list:
-    """All prunings in the canonical order, duplicate-free, so the list
-    is a canonical bag and set."""
-    return postorder(t, _prune_step)
+class _Chain:
+    """A one-child node's texts, unwritten: its head over its child's
+    texts.  Iterating writes a chain of them, prefix by prefix."""
+
+    __slots__ = ("head", "child")
+
+    def __init__(self, head: str, child) -> None:
+        self.head, self.child = head, child
+
+    def __iter__(self):
+        yield "E"
+        prefix, ends, f = self.head[1:], ")", self.child
+        while True:
+            yield f"{prefix} E{ends}"
+            if type(f) is not _Chain:
+                break
+            prefix += f.head
+            ends += ")"
+            f = f.child
+        for text in f[1:]:  # past the child's own "E"
+            yield f"{prefix} {text}{ends}"
 
 
-def prune(t: Term, kind: CollectionKind = CollectionKind.BAG) -> Collection:
-    """The collection of all prunings of t, if there are at most GUARD."""
+def print_step(n: Node, kids: tuple):
+    """_prune_step's prunings of n as their texts, from its children's
+    texts: "E" first, then one text per choice of child texts."""
+    if not kids:
+        return ["E", print_pruned(n)]
+    if len(kids) == 1:
+        return _Chain(_head(n), kids[0])
+    head = _head(n)[1:]  # two children: no constructor has more
+    return ["E", *[f"{head} {a} {b})" for a, b in itertools.product(*kids)]]
+
+
+def prune(t: Term, kind: CollectionKind = CollectionKind.BAG,
+          step=_prune_step) -> Collection:
+    """All prunings of t, if there are at most GUARD, folded by step, in
+    the canonical order and duplicate-free (a canonical bag and set)."""
     _check_guard(prune_count(t))
-    return Collection(kind, tuple(_prune_items(t)))
+    return Collection(kind, tuple(postorder(t, step)))
 
 
 def pruned_fold(b, alg: Algebra, p, memo: dict | None = None) -> object:

@@ -605,35 +605,6 @@ def print_pruned(p) -> str:
     return _emit(p)
 
 
-def print_items(items) -> list[str]:
-    """[print_pruned(p) for p in items], written the way prunings are
-    built: each item's own layer joined with its children's texts, and a
-    child object shared by several items is written once.
-
-    The memo is one level deep, keyed by object identity: the prunings
-    of one term share their children.  For text, a memo at every depth
-    would keep a string per sub-pruning, and a cons chain shares none of
-    them, so it costs more than it saves.  pruning.pruned_fold memoises
-    at every depth: its values are single ints, and every sub-pruning of
-    a segment is itself a segment, folded anyway.  The items keep every
-    child alive, so no identity is reused meanwhile."""
-    memo: dict[int, str] = {}
-    texts: list[str] = []
-    for p in items:
-        if p is EMPTY or not p.children:
-            texts.append(_emit(p))
-            continue
-        parts = [_head(p)[1:]]
-        for c in p.children:
-            s = memo.get(id(c))
-            if s is None:
-                s = memo[id(c)] = " " + _emit(c)
-            parts.append(s)
-        parts.append(")")
-        texts.append("".join(parts))
-    return texts
-
-
 # ---------------------------------------------------------------------------
 # canonical order and measurements
 

@@ -366,6 +366,10 @@ def test_bench_usage_errors(runner):
     assert invoke(runner, "bench", "--sizes", "800,400").exit_code == 2
     assert invoke(runner, "bench", "--sizes", "0").exit_code == 2
     assert invoke(runner, "bench", "--algos", "warp").exit_code == 2
+    # sizes take the label syntax -?\d+, not int()'s '+' and '_'
+    res = invoke(runner, "bench", "--sizes", "+5,1_0", "--algos", "linear")
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "error: sizes must be integers (at offset 0)\n")
     for budget in ("nan", "0", "-1"):
         assert invoke(runner, "bench", "--budget", budget).exit_code == 2, budget
 

@@ -5,10 +5,11 @@ Every run must end in an answer or in a mapped exit status (2-5) with a
 single error line on stderr -- never in a traceback.  The brute route
 runs on terms the guard refuses and on a list just under it.  The cubic
 and quadratic mss algorithms have limits of their own, and are run only
-past them.  Left out: prune enumeration of long lists (its printed output
-grows quadratically with the length).
+past them.  Prune enumeration runs on a list of 2,000 elements only: its
+printed output grows quadratically with the length.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -21,8 +22,9 @@ import pytest
 from click.testing import CliRunner
 
 import segmax
-from segmax import I64_MAX, I64_MIN, list_term, mss_linear, print_term
+from segmax import I64_MAX, I64_MIN, list_term, mss_linear, print_pruned, print_term, prune
 from segmax.cli import main
+from segmax.monads import to_text
 from segmax.pruning import GUARD, segs_count
 
 N_LIST = 99_999  # cons nodes, so the term has 100,000 nodes with its nil
@@ -205,3 +207,20 @@ def test_brute_route_answers_a_list_at_the_guards_edge(tmp_path):
     assert (code, stdout, stderr) == (0, f"scan = {v}\nbrute = {v}\n", "")
     assert elapsed < 60, elapsed
     assert peak_kib < 512 * 1024, peak_kib
+
+
+def test_prune_prints_a_long_list_at_a_bounded_cost(tmp_path):
+    # 2,002 prunings of up to 2,000 nodes, 21 MB of text: each text is
+    # written once, where building every pruning as a Node and printing
+    # it afterwards peaked at about 360 MiB
+    rng = random.Random(19)
+    t = list_term([rng.randint(-100, 100) for _ in range(2000)])
+    path = tmp_path / "list-2000"
+    path.write_text(print_term(t), encoding="utf-8")
+    code, stdout, stderr, peak_kib = _measured("prune", "--shape", "list", "--file", str(path))
+    assert (code, stderr) == (0, "")
+    nodes = prune(t)
+    expected = to_text(nodes._replace(items=tuple(map(print_pruned, nodes.items)))) + "\n"
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert digest(stdout) == digest(expected)
+    assert peak_kib < 150 * 1024, peak_kib

@@ -16,6 +16,8 @@ from segmax import (
     BOOL_OR_AND,
     EMPTY,
     I64_MAX,
+    I64_MIN,
+    Collection,
     CollectionKind,
     Node,
     ShapeKind,
@@ -42,7 +44,8 @@ from segmax import (
     tip,
 )
 from segmax.lawcheck import gen_term, gen_term_capped
-from segmax.shapes import SIGNATURES, iter_nodes, postorder, print_items, struct_key
+from segmax.pruning import print_step
+from segmax.shapes import SIGNATURES, iter_nodes, postorder, struct_key
 
 EX7 = "(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))"
 
@@ -323,33 +326,30 @@ def _token_print(p) -> str:
     return text
 
 
-def test_print_items_prints_every_pruning_as_print_pruned():
+def test_print_step_prints_every_pruning_as_print_pruned():
+    # the fused printer against the Node prunings printed one by one
     rng = random.Random(5)
-    for shape in ShapeKind:
-        for _ in range(40):
-            t = gen_term_capped(rng, shape, prune_count, 1000, max_depth=6, lo=-12, hi=12)
-            for kind in CollectionKind:
-                items = prune(t, kind).items
-                texts = print_items(items)
-                assert texts == [print_pruned(p) for p in items]
-                assert texts == [_token_print(p) for p in items]
-                assert [parse_pruned(s, shape) for s in texts] == list(items)
-
-
-def test_print_items_without_sharing():
-    # no child object shared, repeated equal children, atoms and E
-    t = parse_term(EX7, ShapeKind.HTREE)
-    items = [
-        EMPTY, t, leaf(-3), nil(), make_node(ShapeKind.ITREE, "nilt", (), ()),
-        parse_pruned("(bin (tip 1) E)", ShapeKind.ETREE),
-        parse_pruned("(node 0 nilt (node -9223372036854775808 E nilt))", ShapeKind.ITREE),
-        fork(1, leaf(2), leaf(2)), fork(1, leaf(2), leaf(2)), list_term(range(-2, 40)),
-        parse_pruned("(cons 7 E)", ShapeKind.LIST), EMPTY,
+    terms = [gen_term_capped(rng, shape, prune_count, 1000, max_depth=6, lo=-12, hi=12)
+             for shape in ShapeKind for _ in range(40)]
+    shared = leaf(2)  # one child object in both slots
+    terms += [
+        parse_term(EX7, ShapeKind.HTREE), leaf(-3), nil(),
+        make_node(ShapeKind.ITREE, "nilt", (), ()), fork(1, leaf(2), leaf(2)),
+        fork(1, shared, shared), list_term(range(-2, 40)),
+        parse_term("(bin (tip 1) (bin (tip -0) (tip 007)))", ShapeKind.ETREE),
+        parse_term("(node 0 nilt (node -9223372036854775808 nilt nilt))", ShapeKind.ITREE),
+        fork(I64_MAX, leaf(I64_MIN), leaf(I64_MAX)),
+        parse_term("(cons 7 nil)", ShapeKind.LIST),
     ]
-    assert print_items(items) == [print_pruned(p) for p in items]
-    assert print_items(items) == [_token_print(p) for p in items]
-    assert print_items([]) == []
-    assert print_pruned(nil()) == "nil" and print_items([EMPTY]) == ["E"]
+    edges = [I64_MAX, I64_MIN, 0, -1, 7]
+    terms += [list_term(rng.choice(edges) for _ in range(n)) for n in range(61)]
+    for t in terms:
+        for kind in CollectionKind:
+            items = prune(t, kind).items
+            texts = prune(t, kind, print_step)
+            assert texts == Collection(kind, tuple(map(print_pruned, items)))
+            assert list(texts.items) == [_token_print(p) for p in items]
+            assert [parse_pruned(s, t.shape) for s in texts.items] == list(items)
 
 
 def test_bimap_fixtures():
