@@ -38,7 +38,7 @@ from .horner import (
     mss_quadratic,
     mss_spec,
 )
-from .ints import check_i64, parse_int, plain_ints
+from .ints import I64_MAX, I64_MIN, check_i64, parse_int, plain_ints
 from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
 from .pruning import _check_guard, print_step, prune_count_text, segs_count
@@ -124,8 +124,17 @@ def _parse_int_list(text: str, limit: int) -> list[int]:
     parts = text.replace(",", " ").split(maxsplit=limit)
     if len(parts) > limit:
         raise TermSyntaxError(f"list longer than {limit} elements", 0)
-    if not plain_ints(text):  # a part with '+' or '_' becomes "", which parse_int refuses
+    if plain_ints(text):
+        try:
+            xs = list(map(int, parts))
+            if not xs or I64_MIN <= min(xs) and max(xs) <= I64_MAX:
+                return xs
+        except ValueError:
+            pass
+    else:  # a part with '+' or '_' becomes "", which parse_int refuses
         parts = [p if plain_ints(p) else "" for p in parts]
+    # only this loop names the first faulty element, by syntax or by range,
+    # and reads a literal past int()'s 4,300-digit limit by value
     try:
         return [check_i64(parse_int(p), "element") for p in parts]
     except ValueError:
@@ -239,8 +248,9 @@ def prune(shape: str, monad: str, count_only: bool, inline: str | None,
         _echo('{"count": ' + digits + "}" if as_json else digits)
         return
     c = prune_term(parse_term(text, ShapeKind(shape)), CollectionKind(monad), print_step)
-    if as_json:
-        _echo(json.dumps({"kind": monad, "items": c.items}))
+    if as_json:  # json.dumps, written out: there is always a text, "E", and the
+        # texts hold only ASCII letters, digits, '(', ')', '-' and spaces
+        _echo('{"kind": "' + monad + '", "items": ["' + '", "'.join(c.items) + '"]}')
     else:
         _echo(to_text(c))
 

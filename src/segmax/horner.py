@@ -8,6 +8,10 @@ The classical chain on integer lists:
     mss_linear     maximum . scanr step 0              (linear)
                    where  step u z = 0 `max` (u + z)
 
+mss_linear runs scanr step 0 as accumulate over the reversed list, by
+scanr f e = reverse . scanl (flip f) e . reverse, and max_prefix_sum
+runs foldr step 0 as a reduce: the same sums in the same order.
+
 The step in mss_linear is one instance of Horner's rule: over any
 semiring (add, mul),
 
@@ -68,7 +72,7 @@ from itertools import accumulate, islice
 from typing import Callable, NamedTuple
 
 from .errors import CarrierError, DistributivityError, ReduceLawError
-from .ints import check_i64, checked_add, checked_mul
+from .ints import I64_MAX, I64_MIN, check_i64, checked_add, checked_mul
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, scan_generic  # noqa: F401
 from .schemes import fold  # noqa: F401
@@ -210,21 +214,23 @@ def mss_quadratic(xs: list) -> int:
     return best
 
 
-def _mss_step(u: int, z: int) -> int:
-    s = checked_add(u, z)
+def _mss_step(z: int, u: int) -> int:  # step u z, accumulator first
+    s = u + z
+    if not I64_MIN <= s <= I64_MAX:  # check_i64 writes the message
+        check_i64(s, "sum")
     return s if s > 0 else 0
 
 
 def max_prefix_sum(xs: list) -> int:
     """maximum . map sum . inits, as the single fold
     foldr step 0 where step u z = 0 `max` (u + z)."""
-    return foldr_list(_mss_step, 0, xs)
+    return functools.reduce(_mss_step, reversed(xs), 0)
 
 
 def mss_linear(xs: list) -> int:
     """Maximum segment sum in linear time: the fold above, scanned over
     every tail, then maximised."""
-    return max(scanr_list(_mss_step, 0, xs))
+    return max(accumulate(reversed(xs), _mss_step, initial=0))
 
 
 def horner_list(s: Semiring, xs: list):

@@ -1,3 +1,4 @@
+import collections
 import gc
 import json
 import os
@@ -13,8 +14,12 @@ import pytest
 from click.testing import CliRunner
 
 import segmax
-from segmax import list_term, print_term
-from segmax.cli import main
+from segmax import CollectionKind, ShapeKind, TermSyntaxError, list_term, map_term, print_term
+from segmax.cli import _EXIT_CODES, _parse_int_list, main
+from segmax.ints import I64_MAX, I64_MIN, check_i64, parse_int, plain_ints
+from segmax.lawcheck import gen_term_capped
+from segmax.pruning import prune, prune_count
+from segmax.shapes import print_pruned
 
 EX3 = "4,-5,6,-3,2,0,-4,5,-6,5"
 EX7 = "(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))"
@@ -76,6 +81,55 @@ def test_mss_elements_take_the_label_syntax(runner):
     res = invoke(runner, "tree", "--shape", "list", "--input", "(cons +3 nil)")
     assert (res.exit_code, res.stderr) == (2, "error: unexpected character '+' (at offset 6)\n")
     assert invoke(runner, "mss", "--input", "-0 4,-5 6").output == "6\n"
+
+
+def _per_element_read(text, limit):
+    # the list read as one check_i64(parse_int(p)) per element, as it was
+    # before the read tried map(int) first
+    parts = text.replace(",", " ").split(maxsplit=limit)
+    if len(parts) > limit:
+        raise TermSyntaxError(f"list longer than {limit} elements", 0)
+    if not plain_ints(text):
+        parts = [p if plain_ints(p) else "" for p in parts]
+    try:
+        return [check_i64(parse_int(p), "element") for p in parts]
+    except ValueError:
+        raise TermSyntaxError("list elements must be integers", 0) from None
+
+
+def _read_outcome(read, text, limit):
+    try:
+        xs = read(text, limit)
+    except tuple(_EXIT_CODES) as e:
+        code = next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
+        return type(e), str(e), code
+    return xs, [type(x) for x in xs]
+
+
+def test_the_list_read_answers_as_the_per_element_read():
+    # the same list, or the same error type, message and exit status, on
+    # texts the fast read takes and texts it leaves to the per-element loop
+    edges = [I64_MAX, -I64_MAX, I64_MIN, I64_MAX + 1, -(I64_MAX + 1) - 1]
+    words = ["+", "_", "1_0", "99999999999999999999", "+3", "-0", "x", "--1", "1.5",
+             "\u0663\u0664", "-\uff11\uff12", "0" * 4300 + "7", "9" * 4301,
+             *map(str, edges), "0", "-1", "42"]
+    seps = [",", " ", "\t", "\n", ", ", ",,", " \r\n"]
+    texts = ["", ",", " \t\n", "1_0 99999999999999999999", "99999999999999999999 1_0",
+             "+ _", "_ +", "\u0663\u0664,\uff11\uff12", "0" * 4300 + "7"]
+    texts += [",".join(map(str, edges[:k])) for k in range(1, 6)]
+    rng = random.Random(20)
+    for _ in range(600):
+        k = rng.randint(0, 6)
+        text = "".join(rng.choice(words + [str(rng.randint(-99, 99))] * 4) + rng.choice(seps)
+                       for _ in range(k))
+        texts.append(text[:rng.randint(len(text) - 2, len(text))] if text else text)
+    outcomes = collections.Counter()
+    for text in texts:
+        for limit in (10**6, 3):
+            got = _read_outcome(_parse_int_list, text, limit)
+            assert got == _read_outcome(_per_element_read, text, limit), (text, limit)
+            outcomes[got[-1] if isinstance(got[-1], int) else "list"] += 1
+    assert min(outcomes[k] for k in ("list", 2, 4)) >= 100, outcomes
 
 
 def test_mss_overflow_status(runner):
@@ -240,6 +294,22 @@ def test_prune_json(runner):
     res = invoke(runner, "prune", "--input", "(leaf 2)", "--json")
     blob = json.loads(res.output)
     assert blob == {"kind": "bag", "items": ["E", "(leaf 2)"]}
+
+
+def test_prune_json_is_json_dumps(runner):
+    # the JSON enumeration is written by a join, json.dumps' output byte for
+    # byte, with labels at the 64-bit edges
+    rng = random.Random(20)
+    edges = (I64_MIN, I64_MAX, -1, 0)
+    for shape in ShapeKind:
+        for _ in range(12):
+            t = gen_term_capped(rng, shape, prune_count, 300, max_depth=4)
+            t = map_term(lambda v: rng.choice(edges), t)
+            for kind in CollectionKind:
+                items = [print_pruned(p) for p in prune(t, kind).items]
+                res = invoke(runner, "prune", "--shape", shape.value, "--monad", kind.value,
+                             "--json", "--input", print_term(t))
+                assert res.stdout == json.dumps({"kind": kind.value, "items": items}) + "\n"
 
 
 PRUNE_OUTPUTS = [  # the prunings of each input, in each monad's brackets

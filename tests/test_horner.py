@@ -146,6 +146,33 @@ def test_mss_spec_agrees_at_the_64_bit_edges():
     assert seen == {False, True}
 
 
+def _overflow_message_or_value(f, *args):
+    try:
+        return f(*args)
+    except OverflowError as e:
+        return OverflowError, str(e)
+
+
+def test_list_chain_runs_the_step_as_scanr_and_foldr_do():
+    # accumulate and reduce over the reversed list sum in foldr's order, so
+    # they give the value, or the first overflow and its message, that the
+    # literal scanr and foldr give with the step through checked_add
+    def step(u, z):
+        s = checked_add(u, z)
+        return s if s > 0 else 0
+
+    rng = random.Random(20)
+    overflows = 0
+    for _ in range(2000):
+        xs = [rng.choice(_EDGES + (rng.randint(-99, 99),)) for _ in range(rng.randint(0, 8))]
+        scanned = _overflow_message_or_value(lambda: max(scanr_list(step, 0, xs)))
+        assert _overflow_message_or_value(mss_linear, xs) == scanned, xs
+        folded = _overflow_message_or_value(foldr_list, step, 0, xs)
+        assert _overflow_message_or_value(max_prefix_sum, xs) == folded, xs
+        overflows += isinstance(scanned, tuple) + isinstance(folded, tuple)
+    assert overflows >= 500, overflows
+
+
 @given(int_lists)
 def test_max_prefix_sum_oracle(xs):
     best, acc = 0, 0
