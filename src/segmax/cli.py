@@ -248,8 +248,8 @@ def prune(shape: str, monad: str, count_only: bool, inline: str | None,
         _echo('{"count": ' + digits + "}" if as_json else digits)
         return
     c = prune_term(parse_term(text, ShapeKind(shape)), CollectionKind(monad), print_step)
-    if as_json:  # json.dumps, written out: there is always a text, "E", and the
-        # texts hold only ASCII letters, digits, '(', ')', '-' and spaces
+    if as_json:  # json.dumps, written out: there is always "E", and print_step's
+        # texts need no escaping (its docstring gives their alphabet)
         _echo('{"kind": "' + monad + '", "items": ["' + '", "'.join(c.items) + '"]}')
     else:
         _echo(to_text(c))

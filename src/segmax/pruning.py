@@ -123,7 +123,9 @@ class _Chain:
 
 def print_step(n: Node, kids: tuple):
     """_prune_step's prunings of n as their texts, from its children's
-    texts: "E" first, then one text per choice of child texts."""
+    texts: "E" first, then one text per choice of child texts.  A text
+    holds only ASCII letters, digits, '(', ')', '-' and spaces, so it
+    needs no JSON escaping (cli.prune --json writes them by a join)."""
     if not kids:
         return ["E", print_pruned(n)]
     if len(kids) == 1:

@@ -395,8 +395,7 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
     Tokens come first from _split_tokens when the text has no '+' and no
     '_', labels read by int.  Each split token the read accepts (a '(tag',
     an atom name, a ')', or a label, which int then reads only as -?\\d+)
-    is a whole _TOKEN_RE token, as \\s is str.isspace, where split splits,
-    and so is a lone '(' read with its tag (no pattern '(' has a tag next).
+    is a whole _TOKEN_RE token, as \\s is str.isspace, where split splits.
     So a split read that ends has read the pattern's tokens, and one that
     stops does so where the lists first part or a fault lies, before any
     close action past their common prefix.  Then out is cleared and the
@@ -438,10 +437,7 @@ def _read(toks: list, read_int: Callable, heads: dict, atoms: dict, close: Calla
         if head is None:
             value = atoms.get(tok, _NO_ATOM)
             if value is _NO_ATOM:
-                if tok == "(" and "(" + toks[i + 1] in heads:  # split '(' and tag
-                    i += 1
-                    head = heads["(" + toks[i]]
-                elif tok[:1] == "(":  # whitespace between '(' and the tag
+                if tok[:1] == "(":  # whitespace between '(' and the tag
                     head = heads.get("(" + tok[1:].lstrip())
                 if head is None:
                     raise _Fault(i, _TERM)

@@ -64,33 +64,10 @@ def test_parse_fixtures():
     assert parse_term("(cons 4 (cons -5 nil))", ShapeKind.LIST) == list_term([4, -5])
     assert parse_term("( fork 1\n(leaf 2) (\tleaf 3))", ShapeKind.HTREE) == fork(1, leaf(2), leaf(3))
     # a space after '(' splits the head: the split tokens differ, and the
-    # split read takes the lone '(' and the tag as one head
+    # text answers through the token pattern
     text = "( fork 1 (leaf 2) (leaf 3))"
     assert shapes._split_tokens(text) != shapes._TOKEN_RE.findall(text)
     assert parse_term(text, ShapeKind.HTREE) == fork(1, leaf(2), leaf(3))
-
-
-def test_a_space_after_a_paren_is_not_read_again(monkeypatch):
-    # the split read takes '(' and the tag after it as the head, so such a
-    # text is read once, with the values the token pattern alone gives
-    texts = [("( fork 1 (leaf 2) (\tleaf 3))", ShapeKind.HTREE),
-             ("(cons 4 (\n cons -5 ( cons 6 nil)))", ShapeKind.LIST),
-             ("( bin (tip 1) ( bin ( tip -2) (tip 1)))", ShapeKind.ETREE),
-             ("(node 5 nilt ( node -1 nilt nilt))", ShapeKind.ITREE)]
-    routes = [parse_term, prune_count_text,
-              lambda text, shape: mss_generic_text(MAX_PLUS, text, shape)]
-    monkeypatch.setattr(shapes, "plain_ints", lambda text: False)
-    want = [route(text, shape) for text, shape in texts for route in routes]
-    monkeypatch.undo()
-
-    class Untokenizable:
-        def findall(self, text):
-            raise AssertionError("the text was read again from the token pattern")
-
-    monkeypatch.setattr(shapes, "_TOKEN_RE", Untokenizable())
-    assert [route(text, shape) for text, shape in texts for route in routes] == want
-    with pytest.raises(AssertionError, match="read again"):
-        parse_term("( leaf)", ShapeKind.HTREE)  # a fault still goes to the pattern
 
 
 OVER_LIMIT = "(cons 0 " * 100_000 + "nil" + ")" * 100_000  # 100,001 nodes
