@@ -2,10 +2,11 @@
 shape-generic pipeline over collection monads and semirings, with every
 supporting equality runnable as a law case."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BenchBudgetError,
     CarrierError,
-    DepthExceededError,
     DistributivityError,
     KindMismatchError,
     ReduceLawError,
@@ -36,7 +37,6 @@ from .horner import (
     mss_linear,
     mss_quadratic,
     mss_spec,
-    poly_horner,
     scanr_list,
     segs_list,
     tails_list,
@@ -87,7 +87,6 @@ from .schemes import (
     fold,
     map_term,
     para,
-    unfold_bounded,
 )
 from .shapes import (
     EMPTY,
@@ -108,9 +107,11 @@ from .shapes import (
     parse_term,
     print_pruned,
     print_term,
-    term_depth,
     term_size,
     tip,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here too; a star-import takes only their exports
+__all__ = [
+    n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)
+]

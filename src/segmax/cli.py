@@ -4,8 +4,10 @@ Subcommands: mss (list algorithms), tree (generic pipeline), prune
 (enumerate or count prunings), laws (run the law registry), bench
 (wall-clock comparison of the list algorithms).
 
-Exit statuses: 0 ok, 2 usage or parse problem, 3 distributivity gate,
-4 arithmetic overflow, 5 collection size guard, 6 bench budget.
+Exit statuses: 0 ok, 1 a check failed (tree --check routes disagree,
+laws misses an expectation, bench --assert finds the algorithms out of
+order), 2 usage or parse problem, 3 distributivity gate, 4 arithmetic
+overflow, 5 collection size guard, 6 bench budget.
 """
 
 from __future__ import annotations

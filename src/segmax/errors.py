@@ -25,14 +25,6 @@ class ShapeMismatchError(SegmaxError):
     """Constructor, arity, or child shape does not fit the declared shape."""
 
 
-class DepthExceededError(SegmaxError):
-    """Bounded unfold still had unexpanded seeds at the depth limit."""
-
-    def __init__(self, max_depth: int):
-        super().__init__(f"unfold exceeded depth bound {max_depth}")
-        self.max_depth = max_depth
-
-
 class KindMismatchError(SegmaxError):
     """Collections of different kinds were combined."""
 

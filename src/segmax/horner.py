@@ -239,14 +239,6 @@ def horner_list(s: Semiring, xs: list):
     return foldr_list(lambda u, z: s.reduce_op.fn(s.mul_unit, s.mul(u, z)), s.mul_unit, xs)
 
 
-def poly_horner(coeffs: list, x: int) -> int:
-    """Evaluate sum(coeffs[i] * x**i) by nested multiplication."""
-    acc = 0
-    for a in reversed(coeffs):
-        acc = checked_add(a, checked_mul(x, acc))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # the generic pipeline
 

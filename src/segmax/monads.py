@@ -127,12 +127,6 @@ def dist_list(mbs, kind: CollectionKind) -> Collection:
     return acc
 
 
-def zero_axiom_holds(x: Collection) -> bool:
-    """Optional extra axiom: mapping everything to empty then joining
-    yields empty.  Checked on demand, never assumed."""
-    return join_c(map_c(lambda _a: empty(x.kind), x)) == empty(x.kind)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 

@@ -6,16 +6,14 @@ induces:
 
     fold alg t  =  alg (node with every child replaced by its fold)
 
-para is the variant whose step also sees the original child subterms,
-and unfold_bounded is the dual construction with an explicit depth
-guard (seeds may expand only down to the bound).  contents and the
-distributors are the positional traversals the generic developments
-build on: every constructor exposes a fixed left-to-right sequence of
-element positions (labels first, then children).
+para is the variant whose step also sees the original child subterms.
+contents and the distributors are the positional traversals the generic
+developments build on: every constructor exposes a fixed left-to-right
+sequence of element positions (labels first, then children).
 
 fold and para are instances of the post-order walk in shapes, so
 deeply right-nested terms (long list-shaped chains) do not hit the
-interpreter recursion limit; unfold_bounded keeps its own explicit stack.
+interpreter recursion limit.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable
 
-from .errors import DepthExceededError, KindMismatchError
+from .errors import KindMismatchError
 from .monads import Collection, CollectionKind, collection
 from .shapes import Node, Term, _label, iter_nodes, postorder
 
@@ -41,33 +39,6 @@ def para(palg: Callable[[Node], Any], t: Term):
     return postorder(
         t, lambda n, kids: palg(Node(n.shape, n.tag, n.labels, tuple(zip(kids, n.children))))
     )
-
-
-def unfold_bounded(coalg: Callable[[Any], Node], seed, max_depth: int) -> Term:
-    """Anamorphism with a depth guard.
-
-    Seeds are expanded layer by layer; a child seed that would have to be
-    expanded below max_depth raises DepthExceededError instead.  A
-    coalgebra that stops (emits a childless node) succeeds at any bound.
-    """
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
-    shell = coalg(seed)
-    stack: list[list] = [[shell, 0, [], 0]]  # node, next child, built, depth
-    while True:
-        frame = stack[-1]
-        node, idx, built, depth = frame
-        if idx == len(node.children):
-            stack.pop()
-            done = Node(node.shape, node.tag, node.labels, tuple(built))
-            if not stack:
-                return done
-            stack[-1][2].append(done)
-            stack[-1][1] += 1
-        else:
-            if depth + 1 > max_depth:
-                raise DepthExceededError(max_depth)
-            stack.append([coalg(node.children[idx]), 0, [], depth + 1])
 
 
 def contents_node(n: Node) -> list:

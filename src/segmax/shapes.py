@@ -636,8 +636,3 @@ def iter_nodes(t: Term) -> Iterator[Node]:
 def term_size(t: Term) -> int:
     """Number of nodes."""
     return sum(1 for _ in iter_nodes(t))
-
-
-def term_depth(t: Term) -> int:
-    """Length of the longest root-to-leaf node chain."""
-    return postorder(t, lambda _n, kids: 1 + max(kids, default=0), 0)

@@ -394,6 +394,23 @@ def test_entry_point_in_a_real_process(case, tmp_path):
         int((d / "status").read_text()))
 
 
+def test_the_tree_check_order_fixtures_hide_a_second_error(runner):
+    # each input holds a second fault that another order would report: the
+    # brute route alone overflows at another sum, and with its one label
+    # outside the carrier made a bit, the 63-node htree meets the guard
+    def args(case):
+        return (FIXTURES / case / "args").read_text().splitlines()
+
+    *_, text = args("tree-check-scan-overflow-first")
+    res = invoke(runner, "tree", "--via", "brute", "--input", text)
+    assert (res.exit_code, res.stderr) == (
+        4, "error: sum 9223372036854775808 outside 64-bit signed range\n")
+    *opts, text = args("tree-check-carrier-before-guard")
+    res = invoke(runner, *opts, text.replace("(leaf 7)", "(leaf 1)"))
+    assert (res.exit_code, res.stderr) == (
+        5, "error: collection of 210067308621 elements exceeds guard 1000000\n")
+
+
 def test_laws_single_id_with_witness(runner):
     res = invoke(runner, "laws", "--id", "set-plus-nonidempotent", "--trials", "500")
     assert res.exit_code == 0

@@ -25,8 +25,7 @@ from segmax import (
 )
 from segmax.horner import Semiring, ensure_distributive
 from segmax.ints import I64_MAX, I64_MIN, checked_mul
-from segmax.monads import (MAX_REDUCE, SUM_REDUCE, broken_reduction_law, first_broken_law,
-                           zero_axiom_holds)
+from segmax.monads import MAX_REDUCE, SUM_REDUCE, broken_reduction_law, first_broken_law
 from segmax.oracles import dist_list_lifted
 
 kinds = st.sampled_from(list(CollectionKind))
@@ -237,14 +236,6 @@ def test_set_times_distributivity_fails_with_duplicate_products():
             found = True
             break
     assert found
-
-
-def test_zero_axiom_optional_check_holds_for_all_kinds():
-    rng = random.Random(7)
-    for _ in range(200):
-        kind = rng.choice(list(CollectionKind))
-        x = collection(kind, [rng.randint(-5, 5) for _ in range(rng.randint(0, 5))])
-        assert zero_axiom_holds(x)
 
 
 def test_to_text():

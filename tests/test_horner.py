@@ -45,19 +45,18 @@ from segmax import (
     nil,
     parse_term,
     preorder_values,
-    poly_horner,
     reduce,
     scan_generic,
     scanr_list,
     segs_list,
     tails_list,
 )
-from segmax.horner import _check_carrier
+from segmax.horner import _check_carrier, horner_step
 from segmax.ints import I64_MAX, I64_MIN, checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
-from segmax.monads import MAX_REDUCE, MIN_REDUCE, SUM_REDUCE, reduce_law_failure
+from segmax.monads import MAX_REDUCE, MIN_REDUCE, SUM_REDUCE, _law_pool, reduce_law_failure
 from segmax.pruning import _segs_items, prune, pruned_fold, segs_count
-from segmax.shapes import Node, print_term
+from segmax.shapes import SIGNATURES, Node, print_term
 
 EX3 = [4, -5, 6, -3, 2, 0, -4, 5, -6, 5]
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
@@ -199,17 +198,6 @@ def test_horner_list_against_prefix_oracles():
         xs = [rng.randint(-8, 8) for _ in range(rng.randint(0, 8))]
         sums = [sum(seg) for seg in inits_list(xs)]
         assert horner_list(MAX_PLUS, xs) == max(sums)
-
-
-def test_poly_horner():
-    assert poly_horner([], 5) == 0
-    assert poly_horner([7], 5) == 7
-    assert poly_horner([1, 2, 3], 2) == 17
-    rng = random.Random(23)
-    for _ in range(300):
-        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
-        x = rng.randint(-9, 9)
-        assert poly_horner(coeffs, x) == sum(a * x**i for i, a in enumerate(coeffs))
 
 
 def _assert_mul_laws(s, samples):
@@ -358,6 +346,58 @@ def test_scan_and_brute_agree_wherever_the_gate_passes():
     assert mss_generic(max_times, t, via="brute", force=True) == 24
 
 
+# the small scope, in nodes: lists of up to 4 elements, etrees of up to 5
+# nodes, itrees of up to 3 labelled nodes, htrees of up to 3 nodes
+_SCOPE = {ShapeKind.LIST: 5, ShapeKind.ETREE: 5, ShapeKind.ITREE: 7, ShapeKind.HTREE: 3}
+
+
+def _terms_of_size(shape, n, labels, memo):
+    """Every term of shape with exactly n nodes, labels drawn from labels."""
+    if (shape, n) not in memo:
+        memo[shape, n] = [
+            Node(shape, tag, labs, kids)
+            for tag, sig in SIGNATURES[shape].items()
+            for labs in itertools.product(labels, repeat=sig.n_labels)
+            for kids in _forests(shape, n - 1, sig.n_children, labels, memo)]
+    return memo[shape, n]
+
+
+def _forests(shape, n, width, labels, memo):
+    """Every tuple of width terms of shape whose sizes sum to n."""
+    if width == 0:
+        return [()] if n == 0 else []
+    return [(t,) + rest for k in range(1, n + 1)
+            for t in _terms_of_size(shape, k, labels, memo)
+            for rest in _forests(shape, n - k, width - 1, labels, memo)]
+
+
+def _terms_in_scope(shape, labels):
+    memo = {}
+    return [t for n in range(1, _SCOPE[shape] + 1) for t in _terms_of_size(shape, n, labels, memo)]
+
+
+def test_scan_and_brute_agree_on_every_term_in_the_small_scope():
+    # bounded-exhaustive: every term in scope, labelled from the gate's own
+    # pool, on every CLI semiring and kind the gate passes
+    refused, counts = [], {}
+    for s, kind in itertools.product(SEMIRINGS.values(), CollectionKind):
+        try:
+            ensure_distributive(s, kind)
+        except SegmaxError:
+            refused.append((s.name, kind))
+            continue
+        for shape in ShapeKind:
+            ts = _terms_in_scope(shape, _law_pool(s.reduce_op.element_ok))
+            counts[s.name, shape] = len(ts)
+            for t in ts:
+                assert _outcome(lambda: mss_generic(s, t, kind=kind)) == _outcome(
+                    lambda: mss_generic(s, t, via="brute", kind=kind)), (
+                    s.name, kind, print_term(t))
+    assert refused == [("plus-times", CollectionKind.SET)]
+    # the full six-value pool gives the scope's 3,410 terms
+    assert [counts["plus-times", shape] for shape in ShapeKind] == [1555, 474, 1159, 222]
+
+
 def test_the_gate_refuses_last_max_on_every_kind():
     # max does not distribute over the last nonzero element, at (0, 1, -3):
     # max(0, last(1, -3)) is 0, last(max(0, 1), max(0, -3)) is 1
@@ -390,6 +430,36 @@ def test_the_gate_names_the_set_law_that_failed():
     assert reduce_law_failure(last_plus.reduce_op, CollectionKind.SET).startswith(
         "'last' is not commutative at ")
     assert refusal(last_plus) == f"semiring 'last-plus' has a non-commutative add; {tail}"
+
+
+# the first nonzero factor: associative with unit 0, distributes over max
+# on the left only, and is not commutative, so a product's order shows
+_FIRST = Semiring("max-first", MAX_REDUCE, lambda a, b: a if a != 0 else b, 0)
+_FORK_0_1_5 = parse_term("(fork 0 (leaf 1) (leaf 5))", ShapeKind.HTREE)
+
+
+def test_the_gate_refuses_a_mul_that_distributes_on_the_left_only():
+    for kind in CollectionKind:
+        with pytest.raises(DistributivityError) as e:
+            ensure_distributive(_FIRST, kind)
+        assert str(e.value) == (
+            "semiring 'max-first' has a non-right-distributive mul at (-3, -1, 0); "
+            "Horner's rule does not hold for it (use --force to run anyway)")
+    # the refusal is needed: the fused fold and the pruning reduction differ
+    assert horner_generic(_FIRST, 0, _FORK_0_1_5) == 1
+    assert horner_generic_brute(_FIRST, 0, _FORK_0_1_5) == 5
+
+
+def test_the_horner_step_multiplies_labels_then_kids_in_order():
+    # b `add` foldr mul b (labels ++ kids); the reversed product mul(acc, x)
+    # would give 5 on the fork's root layer
+    add, mul = _FIRST.reduce_op.fn, _FIRST.mul
+    for b in (0, 2):
+        step = horner_step(_FIRST, b)
+        assert step("fork", (0,), (1, 5)) == max(b, 1)
+        for labels, kids in itertools.product(
+                [(v,) for v in (-1, 0, 3)], itertools.product((0, -2, 4), repeat=2)):
+            assert step("fork", labels, kids) == add(b, foldr_list(mul, b, labels + kids))
 
 
 def test_mss_generic_set_plus_times_rejected_unless_forced():
@@ -652,5 +722,3 @@ def test_overflow_propagates():
         mss_linear([big, big])
     with pytest.raises(OverflowError):
         mss_spec([big, big])
-    with pytest.raises(OverflowError):
-        poly_horner([1 << 40, 1 << 40], 1 << 40)

@@ -7,7 +7,6 @@ from conftest import any_term, terms
 from segmax import (
     Collection,
     CollectionKind,
-    DepthExceededError,
     KindMismatchError,
     Node,
     ShapeKind,
@@ -28,7 +27,6 @@ from segmax import (
     para,
     parse_term,
     tip,
-    unfold_bounded,
 )
 from segmax.lawcheck import ALGEBRAS, gen_term
 from segmax.monads import dist_list
@@ -51,30 +49,6 @@ def test_fold_universal_property(t):
             Node(t.shape, t.tag, t.labels, tuple(fold(alg, c) for c in t.children))
         )
         assert fold(alg, t) == one_step
-
-
-def _countdown(k: int) -> Node:
-    if k == 0:
-        return Node(ShapeKind.LIST, "nil", (), ())
-    return Node(ShapeKind.LIST, "cons", (k,), (k - 1,))
-
-
-def test_unfold_countdown():
-    t = unfold_bounded(_countdown, 3, 10)
-    assert t == list_term([3, 2, 1])
-
-
-def test_unfold_immediate_stop_any_bound():
-    stop = lambda _seed: nil()
-    assert unfold_bounded(stop, "whatever", 0) == nil()
-    assert unfold_bounded(stop, "whatever", 9) == nil()
-
-
-def test_unfold_depth_guard():
-    forever = lambda seed: Node(ShapeKind.LIST, "cons", (1,), (seed,))
-    with pytest.raises(DepthExceededError) as exc:
-        unfold_bounded(forever, 0, 4)
-    assert exc.value.max_depth == 4
 
 
 @given(any_term)

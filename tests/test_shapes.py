@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given
@@ -39,7 +40,6 @@ from segmax import (
     prune,
     prune_count,
     prune_count_text,
-    term_depth,
     term_size,
     tip,
 )
@@ -482,16 +482,9 @@ def test_deep_terms_hash_and_compare_in_a_subprocess():
     assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr
 
 
-@given(terms(ShapeKind.LIST))
-def test_size_and_depth_agree_on_lists(t):
-    # a list-shaped term is a chain: size equals depth
-    assert term_size(t) == term_depth(t)
-
-
 def test_size_depth_fixtures():
     t = parse_term(EX7, ShapeKind.HTREE)
     assert term_size(t) == 5
-    assert term_depth(t) == 3
 
 
 def test_deep_chain_no_recursion_limit():
@@ -532,3 +525,12 @@ def test_repr_of_a_deep_term_does_not_recurse():
     assert text.count("tag='cons'") == 10_000
     assert text.endswith("children=())" + ",))" * 10_000)
     assert repr(segmax.subterms(list_term(range(2_000)))).startswith("Labelled(value=Node(")
+
+
+def test_a_star_import_binds_no_module():
+    # the package binds its submodules as attributes; they are not exports
+    ns = {}
+    exec("from segmax import *", ns)
+    assert [n for n, v in ns.items() if isinstance(v, types.ModuleType)] == []
+    assert set(ns) - {"__builtins__"} == set(segmax.__all__)
+    assert {"parse_term", "mss_generic", "SegmaxError"} <= set(ns)
