@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import re
 import statistics
 import sys
 import time
@@ -61,6 +62,10 @@ MAX_LIST_LEN = 10**6
 # 3.11 on a shared 2-vCPU VM, spec took 2.9 s at 1,000 elements and
 # quadratic 1.9 s at 10,000
 ALGO_MAX_LEN = {"spec": 1_000, "quadratic": 10_000}
+# mss lists are read in chunks of _CHUNK characters, each cut where split()
+# cuts: at a comma or a character for which str.isspace holds (re's \s)
+_CHUNK = 1 << 16
+_SEPARATOR = re.compile(r"[\s,]")
 
 _SHAPE_CHOICES = [k.value for k in ShapeKind]
 _MONAD_CHOICES = [k.value for k in CollectionKind]
@@ -122,18 +127,27 @@ def _read_source(inline: str | None, path: str | None) -> str:
 
 
 def _parse_int_list(text: str, limit: int) -> list[int]:
+    if plain_ints(text):
+        xs, start = [], 0
+        try:  # one chunk's parts are alive at a time
+            while start < len(text) and len(xs) <= limit:
+                cut = _SEPARATOR.search(text, start + _CHUNK)
+                end = cut.start() if cut else len(text)
+                xs.extend(map(int, text[start:end].replace(",", " ").split()))
+                start = end
+        except ValueError:
+            pass
+        else:
+            if len(xs) > limit:
+                raise TermSyntaxError(f"list longer than {limit} elements", 0)
+            if not xs or I64_MIN <= min(xs) and max(xs) <= I64_MAX:
+                return xs
+        del xs  # freed before the whole-text read splits the text
     # one part past the limit is enough to refuse a list before converting it
     parts = text.replace(",", " ").split(maxsplit=limit)
     if len(parts) > limit:
         raise TermSyntaxError(f"list longer than {limit} elements", 0)
-    if plain_ints(text):
-        try:
-            xs = list(map(int, parts))
-            if not xs or I64_MIN <= min(xs) and max(xs) <= I64_MAX:
-                return xs
-        except ValueError:
-            pass
-    else:  # a part with '+' or '_' becomes "", which parse_int refuses
+    if not plain_ints(text):  # a part with '+' or '_' becomes "", which parse_int refuses
         parts = [p if plain_ints(p) else "" for p in parts]
     # only this loop names the first faulty element, by syntax or by range,
     # and reads a literal past int()'s 4,300-digit limit by value
@@ -161,7 +175,9 @@ def mss(algo: str, inline: str | None, path: str | None, as_json: bool) -> None:
     """Maximum segment sum of an integer list (prefix = best prefix sum).
 
     Lists may have up to 1,000,000 elements, except that --algo spec
-    (cubic) takes at most 1,000 and --algo quadratic at most 10,000."""
+    (cubic) takes at most 1,000 and --algo quadratic at most 10,000.
+    The list is read in chunks of about 64 KiB of text, so only one
+    chunk's split parts are held at a time."""
     xs = _parse_int_list(_read_source(inline, path), ALGO_MAX_LEN.get(algo, MAX_LIST_LEN))
     fn = {"spec": mss_spec, "quadratic": mss_quadratic,
           "linear": mss_linear, "prefix": max_prefix_sum}[algo]

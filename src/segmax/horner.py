@@ -68,6 +68,7 @@ first half, and ::test_routes_agree_at_the_sentinels the second.
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import accumulate, islice
 from typing import Callable, NamedTuple
 
@@ -108,7 +109,7 @@ class Semiring(NamedTuple):
 MAX_PLUS = Semiring("max-plus", MAX_REDUCE, checked_add, 0)
 MIN_PLUS = Semiring("min-plus", MIN_REDUCE, checked_add, 0)
 PLUS_TIMES = Semiring("plus-times", SUM_REDUCE, checked_mul, 1)
-BOOL_OR_AND = Semiring("bool-or-and", OR_REDUCE, lambda a, b: a & b, 1)
+BOOL_OR_AND = Semiring("bool-or-and", OR_REDUCE, operator.and_, 1)
 
 SEMIRINGS = {s.name: s for s in (MAX_PLUS, MIN_PLUS, PLUS_TIMES, BOOL_OR_AND)}
 

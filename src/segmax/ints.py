@@ -47,8 +47,14 @@ def parse_int(tok: str):
 
 
 def checked_add(a: int, b: int) -> int:
-    return check_i64(a + b, "sum")
+    s = a + b
+    if not I64_MIN <= s <= I64_MAX:  # one frame a call; check_i64 writes the message
+        check_i64(s, "sum")
+    return s
 
 
 def checked_mul(a: int, b: int) -> int:
-    return check_i64(a * b, "product")
+    p = a * b
+    if not I64_MIN <= p <= I64_MAX:  # as in checked_add
+        check_i64(p, "product")
+    return p

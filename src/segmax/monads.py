@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from enum import Enum
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -57,7 +58,10 @@ def collection(kind: CollectionKind, items: Iterable) -> Collection:
     if kind is CollectionKind.LIST:
         return Collection(kind, tup)
     # exact ints sort by value, in the order canonical_key gives them
-    ordered = sorted(tup) if set(map(type, tup)) <= {int} else sorted(tup, key=canonical_key)
+    ints = set(map(type, tup)) <= {int}
+    if ints and kind is CollectionKind.SET:
+        return Collection(kind, tuple(sorted(set(tup))))
+    ordered = sorted(tup) if ints else sorted(tup, key=canonical_key)
     if kind is CollectionKind.BAG:
         return Collection(kind, tuple(ordered))
     out: list = []
@@ -203,9 +207,9 @@ def reduce(op: ReduceOp, x: Collection, *, check: bool = True) -> Any:
     """
     if check and broken_reduction_law(op, x.kind) is not None:
         raise ReduceLawError(reduce_law_failure(op, x.kind))
-    acc = op.unit
+    acc, fn = op.unit, op.fn
     for e in x.items:
-        acc = op.fn(acc, e)
+        acc = fn(acc, e)
     return acc
 
 
@@ -224,7 +228,7 @@ def _is_bit(e) -> bool:
 MAX_REDUCE = ReduceOp("max", max, I64_MIN, _above_bottom)
 MIN_REDUCE = ReduceOp("min", min, I64_MAX, _below_top)
 SUM_REDUCE = ReduceOp("sum", checked_add, 0)
-OR_REDUCE = ReduceOp("or", lambda a, b: a | b, 0, _is_bit)
+OR_REDUCE = ReduceOp("or", operator.or_, 0, _is_bit)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from segmax import (
     SEMIRINGS,
     CollectionKind,
     ShapeKind,
-    collection,
     cp,
     dist_list,
     distribute_node,
@@ -39,7 +38,6 @@ from segmax import (
     mss_quadratic,
     mss_spec,
     parse_term,
-    preorder_values,
     prune,
     reduce,
     run_law,

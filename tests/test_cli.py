@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 import segmax
 from segmax import CollectionKind, ShapeKind, TermSyntaxError, list_term, map_term, print_term
-from segmax.cli import _EXIT_CODES, _parse_int_list, main
+from segmax.cli import _EXIT_CODES, _SEPARATOR, _parse_int_list, main
 from segmax.ints import I64_MAX, I64_MIN, check_i64, parse_int, plain_ints
 from segmax.lawcheck import gen_term_capped
 from segmax.pruning import prune, prune_count
@@ -106,9 +106,8 @@ def _read_outcome(read, text, limit):
     return xs, [type(x) for x in xs]
 
 
-def test_the_list_read_answers_as_the_per_element_read():
-    # the same list, or the same error type, message and exit status, on
-    # texts the fast read takes and texts it leaves to the per-element loop
+def _list_read_corpus():
+    """Texts the chunked read takes and texts it leaves to the per-element loop."""
     edges = [I64_MAX, -I64_MAX, I64_MIN, I64_MAX + 1, -(I64_MAX + 1) - 1]
     words = ["+", "_", "1_0", "99999999999999999999", "+3", "-0", "x", "--1", "1.5",
              "\u0663\u0664", "-\uff11\uff12", "0" * 4300 + "7", "9" * 4301,
@@ -123,13 +122,51 @@ def test_the_list_read_answers_as_the_per_element_read():
         text = "".join(rng.choice(words + [str(rng.randint(-99, 99))] * 4) + rng.choice(seps)
                        for _ in range(k))
         texts.append(text[:rng.randint(len(text) - 2, len(text))] if text else text)
+    return texts
+
+
+def _assert_reads_agree(texts, limits):
+    """The same list, or the same error type, message and exit status, as
+    the per-element read; returns how often each outcome came."""
     outcomes = collections.Counter()
     for text in texts:
-        for limit in (10**6, 3):
+        for limit in limits:
             got = _read_outcome(_parse_int_list, text, limit)
             assert got == _read_outcome(_per_element_read, text, limit), (text, limit)
             outcomes[got[-1] if isinstance(got[-1], int) else "list"] += 1
+    return outcomes
+
+
+def test_the_list_read_answers_as_the_per_element_read():
+    outcomes = _assert_reads_agree(_list_read_corpus(), (10**6, 3))
     assert min(outcomes[k] for k in ("list", 2, 4)) >= 100, outcomes
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+def test_the_chunked_list_read_answers_as_the_per_element_read(chunk, monkeypatch):
+    # the read cuts its text into chunks at separators; with chunks this
+    # short, every text of two or more characters is read across cuts
+    monkeypatch.setattr("segmax.cli._CHUNK", chunk)
+    outcomes = _assert_reads_agree(_list_read_corpus(), (10**6, 3))
+    assert min(outcomes[k] for k in ("list", 2, 4)) >= 100, outcomes
+    texts = []
+    # a cut on each separator, at every offset around the first chunk's end
+    # (a cut between CR and LF included)
+    for sep in (",", "\t", "\r\n", "\u00a0", "\u3000", ", ", " \u3000,"):
+        texts += [sep.join(["1" * k, "-23", "4", "", "56"]) for k in range(1, 2 * chunk + 3)]
+    # tokens longer than one chunk, in range and past it
+    texts += ["12345678901 -2", "-" + "0" * 30 + "5,7", "1 " + "9" * 25, "9" * 4301 + " 1"]
+    # a fault in a later chunk, by syntax or by range, on lists under and
+    # over the limit of 5
+    for fault in ("x", "1_0", "+1", str(I64_MAX + 1), str(I64_MIN - 1)):
+        for n in (2, 4, 5, 6, 20):
+            texts.append(" ".join(["7"] * n + [fault]))
+            texts.append(",".join(["-7"] * 3 + [fault] + ["7"] * n))
+    outcomes = _assert_reads_agree(texts, (10**6, 5))
+    assert min(outcomes[k] for k in ("list", 2, 4)) >= 20, outcomes
+    # split() cuts at exactly the characters the read cuts chunks at
+    assert all(bool(_SEPARATOR.fullmatch(c)) == (c.isspace() or c == ",")
+               for c in map(chr, range(sys.maxunicode + 1)))
 
 
 def test_mss_overflow_status(runner):

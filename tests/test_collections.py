@@ -5,7 +5,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from segmax import (
-    Collection,
     CollectionKind,
     KindMismatchError,
     ReduceLawError,

@@ -1,13 +1,13 @@
 import itertools
+import os
 import random
 import re
 from collections import Counter
 
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
-from conftest import int_lists, mutate, terms
+from conftest import int_lists, mutate
 from segmax import (
     BOOL_OR_AND,
     MAX_PLUS,
@@ -26,7 +26,6 @@ from segmax import (
     contents_term,
     ensure_distributive,
     foldr_list,
-    fork,
     generic_product_alg,
     horner_alg,
     horner_generic,
@@ -54,7 +53,8 @@ from segmax import (
 from segmax.horner import _check_carrier, horner_step
 from segmax.ints import I64_MAX, I64_MIN, checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
-from segmax.monads import MAX_REDUCE, MIN_REDUCE, SUM_REDUCE, _law_pool, reduce_law_failure
+from segmax.monads import (MAX_REDUCE, MIN_REDUCE, OR_REDUCE, SUM_REDUCE, _law_pool,
+                           reduce_law_failure)
 from segmax.pruning import _segs_items, prune, pruned_fold, segs_count
 from segmax.shapes import SIGNATURES, Node, print_term
 
@@ -398,6 +398,31 @@ def test_scan_and_brute_agree_on_every_term_in_the_small_scope():
     assert [counts["plus-times", shape] for shape in ShapeKind] == [1555, 474, 1159, 222]
 
 
+@pytest.mark.skipif(not os.environ.get("SEGMAX_FULL_SCOPE"),
+                    reason="about 12 s; set SEGMAX_FULL_SCOPE=1 to run it, as CI does")
+def test_scan_and_brute_agree_on_every_term_in_the_small_scope_for_the_whole_sweep():
+    # the exhaustive check above, over the seeded sweep's 48 add x mul x kind
+    # combinations: the same value or the same error type and message
+    # wherever the gate passes
+    scopes, passed = {}, []
+    for (add_name, add), (mul_name, (mul, one)), kind in itertools.product(
+            _ADDS.items(), _MULS.items(), CollectionKind):
+        s = Semiring(f"{add_name}-{mul_name}", add, mul, one)
+        try:
+            ensure_distributive(s, kind)
+        except SegmaxError:
+            continue
+        passed.append((s.name, kind.value))
+        pool = _law_pool(add.element_ok)
+        if pool not in scopes:
+            scopes[pool] = [t for shape in ShapeKind for t in _terms_in_scope(shape, pool)]
+        for t in scopes[pool]:
+            assert _outcome(lambda: mss_generic(s, t, kind=kind)) == _outcome(
+                lambda: mss_generic(s, t, via="brute", kind=kind)), (
+                s.name, kind, print_term(t))
+    assert len(passed) == 21, passed  # of the 48; the rest the gate refuses
+
+
 def test_the_gate_refuses_last_max_on_every_kind():
     # max does not distribute over the last nonzero element, at (0, 1, -3):
     # max(0, last(1, -3)) is 0, last(max(0, 1), max(0, -3)) is 1
@@ -722,3 +747,23 @@ def test_overflow_propagates():
         mss_linear([big, big])
     with pytest.raises(OverflowError):
         mss_spec([big, big])
+
+
+def test_checked_ops_reach_the_64_bit_edges_and_refuse_one_step_past():
+    assert checked_add(I64_MAX - 1, 1) == I64_MAX and checked_add(I64_MIN + 1, -1) == I64_MIN
+    assert checked_mul(7, 1317624576693539401) == I64_MAX
+    assert checked_mul(-(1 << 31), 1 << 32) == I64_MIN
+    past = [(checked_add, I64_MAX, 1, "sum 9223372036854775808"),
+            (checked_add, I64_MIN, -1, "sum -9223372036854775809"),
+            (checked_mul, 1 << 62, 2, "product 9223372036854775808"),
+            (checked_mul, -3, 3074457345618258603, "product -9223372036854775809")]
+    for f, a, b, message in past:
+        with pytest.raises(OverflowError) as e:
+            f(a, b)
+        assert str(e.value) == f"{message} outside 64-bit signed range"
+
+
+def test_the_bool_semiring_ops_are_and_and_or_on_bits():
+    for a, b in itertools.product((0, 1), repeat=2):
+        for got, want in ((BOOL_OR_AND.mul(a, b), a & b), (OR_REDUCE.fn(a, b), a | b)):
+            assert (got, type(got)) == (want, int)

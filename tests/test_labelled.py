@@ -2,10 +2,9 @@ import random
 
 from hypothesis import given
 
-from conftest import any_term, terms
+from conftest import any_term
 from segmax import (
     ShapeKind,
-    cons,
     fold,
     fork,
     leaf,

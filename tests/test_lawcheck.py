@@ -17,7 +17,7 @@ from segmax.lawcheck import (
     get_law,
     reports_to_json,
 )
-from segmax.monads import Collection, CollectionKind, collection, reduce, SUM_REDUCE, union
+from segmax.monads import CollectionKind, collection, reduce, SUM_REDUCE, union
 from segmax.shapes import EMPTY, ShapeKind, leaf
 
 EXPECTED_IDS = {

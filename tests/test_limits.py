@@ -187,6 +187,33 @@ def test_an_over_long_list_is_refused_at_a_bounded_cost(tmp_path):
     assert peak_kib < 250 * 1024, peak_kib
 
 
+def test_a_list_at_the_limit_is_read_in_bounded_memory(tmp_path):
+    # 10^6 labels of up to seven digits (7.9 MB of text): the read converts
+    # the text a 64 KiB chunk at a time, so only one chunk's split parts are
+    # alive at once, and it peaks at 63-70 MiB; splitting the whole text
+    # first peaked at 139 MiB
+    rng = random.Random(22)
+    labels = [rng.randint(-10**6, 10**6) for _ in range(10**6)]
+    expected = (0, f"{mss_linear(labels)}\n", "")
+    for sep in (" ", ","):
+        path = tmp_path / "list-1000000"
+        path.write_text(sep.join(map(str, labels)), encoding="utf-8")
+        code, stdout, stderr, peak_kib = _measured("mss", "--file", str(path))
+        assert (code, stdout, stderr) == expected, sep
+        assert peak_kib < 80 * 1024, (sep, peak_kib)
+    # a fault in the last chunk sends the read back to the whole text,
+    # which names the element; the chunks' values are freed first (held,
+    # they took the peak to 170 MiB)
+    text = " ".join(map(str, labels[:-1]))
+    for last, status, message in ((" x", 2, "list elements must be integers (at offset 0)"),
+                                  (f" {I64_MAX + 1}", 4,
+                                   f"element {I64_MAX + 1} outside 64-bit signed range")):
+        path.write_text(text + last, encoding="utf-8")
+        code, stdout, stderr, peak_kib = _measured("mss", "--file", str(path))
+        assert (code, stdout, stderr) == (status, "", f"error: {message}\n"), last
+        assert peak_kib < 150 * 1024, (last, peak_kib)
+
+
 def test_brute_route_answers_a_list_at_the_guards_edge(tmp_path):
     # 1,400 elements are 983,502 segments, just under the guard; each
     # segment folds only its own layer over its children's shared values,

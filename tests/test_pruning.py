@@ -11,14 +11,12 @@ from segmax import (
     SegmaxError,
     ShapeKind,
     SizeGuardError,
-    cons,
     fork,
     horner_generic,
     is_pruning_of,
     leaf,
     list_term,
     mss_generic,
-    nil,
     parse_pruned,
     parse_term,
     print_pruned,
@@ -32,7 +30,7 @@ from segmax import (
 from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
 from segmax.oracles import prune_recursive, prune_via_fold, segs_generic_literal
 from segmax.pruning import GUARD, _segs_items
-from segmax.shapes import Node, print_term, term_size
+from segmax.shapes import print_term, term_size
 
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
 EX7_PRUNINGS = [

@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import any_term, terms
+from conftest import any_term
 from segmax import (
-    Collection,
     CollectionKind,
     KindMismatchError,
     Node,
@@ -13,12 +12,10 @@ from segmax import (
     bidist_node,
     bimap_node,
     collection,
-    cons,
     contents_node,
     contents_term,
     distribute_node,
     fold,
-    fork,
     leaf,
     list_term,
     map_c,
@@ -28,7 +25,7 @@ from segmax import (
     parse_term,
     tip,
 )
-from segmax.lawcheck import ALGEBRAS, gen_term
+from segmax.lawcheck import ALGEBRAS
 from segmax.monads import dist_list
 
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
