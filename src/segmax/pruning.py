@@ -37,7 +37,8 @@ as horner.mss_generic_text scans while parsing.
 Every child of a segment is itself a segment, so the brute route
 folds the segments through one memo keyed by identity (pruned_fold):
 each pruned node is folded once over all of them, while the caller
-keeps the prunings alive.
+keeps the prunings alive, and a segment whose children are folded
+takes the walk's one layer step without the walk.
 
 The default collection kind for consumers is the bag: multiplicity is
 meaningful for sum-like reductions, and bag union is not idempotent, so
@@ -56,8 +57,8 @@ import math
 from .errors import SizeGuardError
 from .monads import Collection, CollectionKind, collection
 from .schemes import Algebra
-from .shapes import (EMPTY, Node, ShapeKind, Term, _head, _parse, postorder, print_pruned,
-                     zip_slots)
+from .shapes import (_AFTER, _TREES, EMPTY, Node, ShapeKind, Term, _head, _parse, postorder,
+                     print_pruned, zip_slots)
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, subterms  # noqa: F401
 from .schemes import fold  # noqa: F401
@@ -148,15 +149,29 @@ def pruned_fold(b, alg: Algebra, p, memo: dict | None = None) -> object:
 
     A memo (shapes.postorder's, keyed by identity, so the caller keeps
     the prunings alive) shares the folds among calls with the same b and
-    alg.  Over the segments of one term, each pruned node is then folded
-    once, and each call folds its own constructor layer over its
-    children's memoised values.
+    alg.  A memoised p is worth its entry, a p whose children are each
+    the empty marker or memoised takes one layer step, alg over a Node of
+    their values, and any other p is walked: each pruned node of the
+    segments of one term is then folded once.
 
-    The error order is the memo-free calls'.  Every memoised sub-fold
-    finished without overflow, and a fold depends only on its node, so
-    each call meets its first overflow at the same node as without the
-    memo, and the first call to overflow is the same segment."""
+    The error order is the memo-free calls': memoised sub-folds finished
+    without overflow, a fold depends only on its node, and the layer step
+    is the walk's step once it has met each child, so each call overflows
+    first at the same node as without the memo, in the same segment."""
     new = tuple.__new__  # Node(...) without its Python-level __new__
+    if memo is not None:
+        v = memo.get(id(p), _AFTER) if type(p) in _TREES else b  # _AFTER: no entry
+        if v is not _AFTER:
+            return v
+        kids = []
+        for c in p.children:
+            v = memo.get(id(c), _AFTER) if type(c) in _TREES else b
+            if v is _AFTER:
+                break
+            kids.append(v)
+        else:
+            v = memo[id(p)] = alg(new(Node, (p.shape, p.tag, p.labels, tuple(kids))))
+            return v
     return postorder(p, lambda n, kids: alg(new(Node, (n.shape, n.tag, n.labels, kids))), b,
                      memo=memo)
 

@@ -30,7 +30,7 @@ from segmax import (
 from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
 from segmax.oracles import prune_recursive, prune_via_fold, segs_generic_literal
 from segmax.pruning import GUARD, _segs_items
-from segmax.shapes import print_term, term_size
+from segmax.shapes import postorder, print_term, term_size
 
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
 EX7_PRUNINGS = [
@@ -235,6 +235,32 @@ def test_a_memo_folds_each_pruned_node_once_over_all_segments():
     items, memo = _segs_items(list_term([1, 2, 3])), {}
     assert [pruned_fold(0, sum_alg, p, memo) for p in items] == [
         0, 1, 3, 6, 6, 0, 2, 5, 5, 0, 3, 3, 0, 0]
+
+
+def test_a_segment_whose_children_are_folded_takes_one_layer_step(monkeypatch):
+    walks = []
+
+    def counting_postorder(*args, **kwargs):
+        walks.append(args[0])
+        return postorder(*args, **kwargs)
+
+    monkeypatch.setattr("segmax.pruning.postorder", counting_postorder)
+    rng = random.Random(23)
+    for shape in ShapeKind:
+        for _ in range(30):
+            t = gen_term_capped(rng, shape, segs_count, 400, max_depth=4)
+            items = _segs_items(t)
+            walks.clear()
+            expected = [pruned_fold(0, sum_alg, p) for p in items]
+            assert len(walks) == len(items)  # without a memo, every segment walks
+            # children before parents: each segment is a memo hit or one layer step
+            walks.clear()
+            memo = {}
+            assert [pruned_fold(0, sum_alg, p, memo) for p in reversed(items)] == expected[::-1]
+            assert walks == []
+            memo = {}
+            assert [pruned_fold(0, sum_alg, p, memo) for p in items] == expected
+            assert len(walks) < len(items)
 
 
 def test_size_guard():
