@@ -149,10 +149,10 @@ def pruned_fold(b, alg: Algebra, p, memo: dict | None = None) -> object:
 
     A memo (shapes.postorder's, keyed by identity, so the caller keeps
     the prunings alive) shares the folds among calls with the same b and
-    alg.  A memoised p is worth its entry, a p whose children are each
+    alg.  A memoised p is worth its entry; a p whose children are each
     the empty marker or memoised takes one layer step, alg over a Node of
-    their values, and any other p is walked: each pruned node of the
-    segments of one term is then folded once.
+    their values; any other p is walked.  Over the segments of one term,
+    each pruned node is then folded once.
 
     The error order is the memo-free calls': memoised sub-folds finished
     without overflow, a fold depends only on its node, and the layer step
