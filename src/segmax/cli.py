@@ -32,8 +32,6 @@ from .errors import (
 )
 from .horner import (
     SEMIRINGS,
-    _check_carrier,
-    ensure_distributive,
     max_prefix_sum,
     mss_generic,
     mss_generic_text,
@@ -127,34 +125,36 @@ def _read_source(inline: str | None, path: str | None) -> str:
 
 
 def _parse_int_list(text: str, limit: int) -> list[int]:
-    if plain_ints(text):
-        xs, start = [], 0
-        try:  # one chunk's parts are alive at a time
-            while start < len(text) and len(xs) <= limit:
-                cut = _SEPARATOR.search(text, start + _CHUNK)
-                end = cut.start() if cut else len(text)
-                xs.extend(map(int, text[start:end].replace(",", " ").split()))
-                start = end
+    xs, start, n, faulty = [], 0, 0, False
+    while start < len(text) and n <= limit:  # one chunk's parts are alive at a time
+        cut = _SEPARATOR.search(text, start + _CHUNK)
+        end = cut.start() if cut else len(text)
+        chunk, start = text[start:end], end
+        parts = chunk.replace(",", " ").split()
+        n += len(parts)
+        if faulty:  # past a fault parts are only counted: an over-long list is refused first
+            continue
+        k = len(xs)
+        try:
+            if plain_ints(chunk):
+                xs.extend(map(int, parts))
+                continue
         except ValueError:
-            pass
-        else:
-            if len(xs) > limit:
-                raise TermSyntaxError(f"list longer than {limit} elements", 0)
-            if not xs or I64_MIN <= min(xs) and max(xs) <= I64_MAX:
-                return xs
-        del xs  # freed before the whole-text read splits the text
-    # one part past the limit is enough to refuse a list before converting it
-    parts = text.replace(",", " ").split(maxsplit=limit)
-    if len(parts) > limit:
+            del xs[k:]
+        # the values up to the chunk's first syntax fault, a literal past int()'s 4,300
+        # digits read by value; a part with '+' or '_' is "", which parse_int refuses
+        try:
+            xs.extend(parse_int(p if plain_ints(p) else "") for p in parts)
+        except ValueError:
+            faulty = True
+    if n > limit:
         raise TermSyntaxError(f"list longer than {limit} elements", 0)
-    if not plain_ints(text):  # a part with '+' or '_' becomes "", which parse_int refuses
-        parts = [p if plain_ints(p) else "" for p in parts]
-    # only this loop names the first faulty element, by syntax or by range,
-    # and reads a literal past int()'s 4,300-digit limit by value
-    try:
-        return [check_i64(parse_int(p), "element") for p in parts]
-    except ValueError:
-        raise TermSyntaxError("list elements must be integers", 0) from None
+    if xs and not (I64_MIN <= min(xs) and max(xs) <= I64_MAX):
+        for x in xs:  # the first element out of range comes before a syntax fault after it
+            check_i64(x, "element")
+    if faulty:
+        raise TermSyntaxError("list elements must be integers", 0)
+    return xs
 
 
 @click.group()
@@ -176,8 +176,8 @@ def mss(algo: str, inline: str | None, path: str | None, as_json: bool) -> None:
 
     Lists may have up to 1,000,000 elements, except that --algo spec
     (cubic) takes at most 1,000 and --algo quadratic at most 10,000.
-    The list is read in chunks of about 64 KiB of text, so only one
-    chunk's split parts are held at a time."""
+    The list is read in chunks of about 64 KiB of text, faulty or not,
+    so only one chunk's split parts are held at a time."""
     xs = _parse_int_list(_read_source(inline, path), ALGO_MAX_LEN.get(algo, MAX_LIST_LEN))
     fn = {"spec": mss_spec, "quadratic": mss_quadratic,
           "linear": mss_linear, "prefix": max_prefix_sum}[algo]
@@ -212,11 +212,11 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
     text = _read_source(inline, path)
     if check_both:
         t = parse_term(text, ShapeKind(shape))
-        # gate, carrier and guard refuse before either route computes
-        ensure_distributive(s, kind, force)
-        _check_carrier(s, t)
-        _check_guard(segs_count(t))
-        scan_v = mss_generic(s, t, via="scan", kind=kind, force=force)
+        try:  # the scan raises the gate, then the carrier, then its overflow
+            scan_v = mss_generic(s, t, via="scan", kind=kind, force=force)
+        except OverflowError:  # the brute route's guard refuses ahead of an overflow
+            _check_guard(segs_count(t))
+            raise
         brute_v = mss_generic(s, t, via="brute", kind=kind, force=force)
         if scan_v != brute_v:
             _fail(1, f"routes disagree: scan={scan_v} brute={brute_v}")

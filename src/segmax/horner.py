@@ -316,11 +316,13 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
     reduces the pruned-term products over every segment, through one
     memo (pruning.pruned_fold).  Both agree whenever the gate, which
     checks add's reduction laws for kind and mul's semiring laws unless
-    forced, passes.  Errors come in order: the gate, the first label
-    outside the carrier in contents order, the first overflow in
-    post-order (on the brute route, within the first segment that
-    overflows).
+    forced, passes.  Errors come in order: an unknown route, the gate,
+    the first label outside the carrier in contents order, the first
+    overflow in post-order (on the brute route, within the first segment
+    that overflows).
     """
+    if via not in ("scan", "brute"):
+        raise ValueError(f"unknown route {via!r}")
     ensure_distributive(s, kind, force)
     b = s.mul_unit
     if via == "scan":
@@ -328,8 +330,6 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
         _horner_walk(s, b, t, vals)
     else:
         _check_carrier(s, t)
-        if via != "brute":
-            raise ValueError(f"unknown route {via!r}")
         f, memo = generic_product_alg(s, b), {}
         vals = [pruned_fold(b, f, p, memo) for p in _segs_items(t)]
     return reduce(s.reduce_op, collection(kind, vals), check=False)

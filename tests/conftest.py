@@ -1,7 +1,26 @@
+import os
+import pathlib
+
 import hypothesis
 import hypothesis.strategies as st
+import pytest
 
+import segmax
 from segmax import ShapeKind, bin_, cons, fork, inode, leaf, nil, nilt, tip
+
+
+def pytest_configure(config):
+    # pyproject.toml's pythonpath puts this checkout's src ahead of
+    # PYTHONPATH, so a PYTHONPATH naming another checkout's src would
+    # silently test this one
+    imported = pathlib.Path(segmax.__file__).resolve().parent
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        package = pathlib.Path(entry, "segmax")
+        if (package / "__init__.py").is_file() and package.resolve() != imported:
+            pytest.exit(f"PYTHONPATH holds {package}, but the tests import segmax "
+                        f"from {imported}: run them inside that checkout",
+                        returncode=pytest.ExitCode.USAGE_ERROR)
+
 
 hypothesis.settings.register_profile(
     "segmax",

@@ -262,6 +262,17 @@ def test_mss_generic_fixtures():
     assert mss_generic(MAX_PLUS, leaf(-7)) == 0
 
 
+def test_mss_generic_refuses_an_unknown_route_before_any_check():
+    # on a known route the carrier refuses the first and the gate the second
+    for s, kind, error in ((MAX_PLUS, CollectionKind.BAG, CarrierError),
+                           (PLUS_TIMES, CollectionKind.SET, DistributivityError)):
+        with pytest.raises(error):
+            mss_generic(s, leaf(I64_MIN), kind=kind)
+        with pytest.raises(ValueError, match="^unknown route 'nope'$") as e:
+            mss_generic(s, leaf(I64_MIN), via="nope", kind=kind)
+        assert type(e.value) is ValueError
+
+
 def test_mss_generic_list_terms_match_classical():
     rng = random.Random(25)
     for _ in range(200):

@@ -201,9 +201,9 @@ def test_a_list_at_the_limit_is_read_in_bounded_memory(tmp_path):
         code, stdout, stderr, peak_kib = _measured("mss", "--file", str(path))
         assert (code, stdout, stderr) == expected, sep
         assert peak_kib < 80 * 1024, (sep, peak_kib)
-    # a fault in the last chunk sends the read back to the whole text,
-    # which names the element; the chunks' values are freed first (held,
-    # they took the peak to 170 MiB)
+    # a fault in the last chunk, by syntax or by range, is named by that
+    # chunk's per-element read, so the list takes no more memory than a
+    # valid one (re-reading the whole text to name it peaked at 132 MiB)
     text = " ".join(map(str, labels[:-1]))
     for last, status, message in ((" x", 2, "list elements must be integers (at offset 0)"),
                                   (f" {I64_MAX + 1}", 4,
@@ -211,7 +211,7 @@ def test_a_list_at_the_limit_is_read_in_bounded_memory(tmp_path):
         path.write_text(text + last, encoding="utf-8")
         code, stdout, stderr, peak_kib = _measured("mss", "--file", str(path))
         assert (code, stdout, stderr) == (status, "", f"error: {message}\n"), last
-        assert peak_kib < 150 * 1024, (last, peak_kib)
+        assert peak_kib < 80 * 1024, (last, peak_kib)
 
 
 def test_brute_route_answers_a_list_at_the_guards_edge(tmp_path):
