@@ -313,10 +313,11 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
     """Best segment value over all generic segments of t.  The scan route
     reduces the contents of one Horner scan, seeded with the mul unit, in
     one post-order pass (see the module docstring); the brute route
-    reduces the pruned-term products over every segment, through one
-    memo (pruning.pruned_fold).  Both agree whenever the gate, which
-    checks add's reduction laws for kind and mul's semiring laws unless
-    forced, passes.  Errors come in order: an unknown route, the gate,
+    reduces the pruned-term products over every segment, folded back to
+    front through one memo and, on a fault, again front to back (see
+    pruning).  Both agree whenever the gate, which checks add's
+    reduction laws for kind and mul's semiring laws unless forced,
+    passes.  Errors come in order: an unknown route, the gate,
     the first label outside the carrier in contents order, the first
     overflow in post-order (on the brute route, within the first segment
     that overflows).
@@ -330,8 +331,13 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
         _horner_walk(s, b, t, vals)
     else:
         _check_carrier(s, t)
-        f, memo = generic_product_alg(s, b), {}
-        vals = [pruned_fold(b, f, p, memo) for p in _segs_items(t)]
+        f, memo, items = generic_product_alg(s, b), {}, _segs_items(t)
+        try:  # children first: each segment is a memo hit or one layer step
+            vals = [pruned_fold(b, f, p, memo) for p in reversed(items)]
+            vals.reverse()
+        except Exception:  # front to back, to raise the memo-free order's fault
+            vals = [pruned_fold(b, f, p, memo) for p in items]
+        del items, memo  # free the prunings before collection
     return reduce(s.reduce_op, collection(kind, vals), check=False)
 
 

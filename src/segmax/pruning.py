@@ -34,11 +34,13 @@ kids), as horner.horner_step has: it is Horner's rule in the counting
 semiring.  So prune_count_text counts while parsing and builds no term,
 as horner.mss_generic_text scans while parsing.
 
-Every child of a segment is itself a segment, so the brute route
-folds the segments through one memo keyed by identity (pruned_fold):
-each pruned node is folded once over all of them, while the caller
-keeps the prunings alive, and a segment whose children are folded
-takes the walk's one layer step without the walk.
+Every child of a segment is a segment listed after it, so the brute
+route folds the segments back to front through one memo keyed by
+identity (pruned_fold), keeping them alive: each pruned node is folded
+once, and each segment takes the walk's one layer step over its folded
+children.  On a fault it folds them front to back through the same
+memo, which raises the memo-free order's first fault: every entry is a
+finished fold, and a fold depends only on its node.
 
 The default collection kind for consumers is the bag: multiplicity is
 meaningful for sum-like reductions, and bag union is not idempotent, so

@@ -56,7 +56,7 @@ from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
 from segmax.monads import (MAX_REDUCE, MIN_REDUCE, OR_REDUCE, SUM_REDUCE, _law_pool,
                            reduce_law_failure)
 from segmax.pruning import _segs_items, prune, pruned_fold, segs_count
-from segmax.shapes import SIGNATURES, Node, print_term
+from segmax.shapes import SIGNATURES, Node, postorder, print_term
 
 EX3 = [4, -5, 6, -3, 2, 0, -4, 5, -6, 5]
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
@@ -310,8 +310,8 @@ def test_the_reduction_sampler_decides_gate_semiring_check_and_law_reducers():
         ensure_distributive(Semiring("last-times", last, checked_mul, 1), CollectionKind.BAG)
 
 
-_LAST = ReduceOp("last", lambda a, b: b or a, 0)  # the last nonzero element
-_ADDS = {"max": MAX_REDUCE, "min": MIN_REDUCE, "sum": SUM_REDUCE, "last": _LAST}
+_LAST_ADD = ReduceOp("last", lambda a, b: b or a, 0)  # the last nonzero element
+_ADDS = {"max": MAX_REDUCE, "min": MIN_REDUCE, "sum": SUM_REDUCE, "last": _LAST_ADD}
 _MULS = {"plus": (checked_add, 0), "times": (checked_mul, 1),
          "max": (max, I64_MIN), "min": (min, I64_MAX)}
 
@@ -437,7 +437,7 @@ def test_scan_and_brute_agree_on_every_term_in_the_small_scope_for_the_whole_swe
 def test_the_gate_refuses_last_max_on_every_kind():
     # max does not distribute over the last nonzero element, at (0, 1, -3):
     # max(0, last(1, -3)) is 0, last(max(0, 1), max(0, -3)) is 1
-    last_max = Semiring("last-max", _LAST, max, I64_MIN)
+    last_max = Semiring("last-max", _LAST_ADD, max, I64_MIN)
     with pytest.raises(DistributivityError) as e:
         ensure_distributive(last_max, CollectionKind.LIST)
     assert str(e.value) == (
@@ -468,10 +468,13 @@ def test_the_gate_names_the_set_law_that_failed():
     assert refusal(last_plus) == f"semiring 'last-plus' has a non-commutative add; {tail}"
 
 
-# the first nonzero factor: associative with unit 0, distributes over max
-# on the left only, and is not commutative, so a product's order shows
+# the first and the last nonzero factor: associative with unit 0, each
+# distributes over max on one side only, and is not commutative, so a
+# product's order shows
 _FIRST = Semiring("max-first", MAX_REDUCE, lambda a, b: a if a != 0 else b, 0)
+_LAST = Semiring("max-last", MAX_REDUCE, lambda a, b: b if b != 0 else a, 0)
 _FORK_0_1_5 = parse_term("(fork 0 (leaf 1) (leaf 5))", ShapeKind.HTREE)
+_FORK_0_5_1 = parse_term("(fork 0 (leaf 5) (leaf 1))", ShapeKind.HTREE)
 
 
 def test_the_gate_refuses_a_mul_that_distributes_on_the_left_only():
@@ -484,6 +487,18 @@ def test_the_gate_refuses_a_mul_that_distributes_on_the_left_only():
     # the refusal is needed: the fused fold and the pruning reduction differ
     assert horner_generic(_FIRST, 0, _FORK_0_1_5) == 1
     assert horner_generic_brute(_FIRST, 0, _FORK_0_1_5) == 5
+
+
+def test_the_gate_refuses_a_mul_that_distributes_on_the_right_only():
+    # the mirror witness: the gate's left-distributivity law refuses it
+    for kind in CollectionKind:
+        with pytest.raises(DistributivityError) as e:
+            ensure_distributive(_LAST, kind)
+        assert str(e.value) == (
+            "semiring 'max-last' has a non-left-distributive mul at (-3, -1, 0); "
+            "Horner's rule does not hold for it (use --force to run anyway)")
+    assert horner_generic(_LAST, 0, _FORK_0_5_1) == 1
+    assert horner_generic_brute(_LAST, 0, _FORK_0_5_1) == 5
 
 
 def test_the_horner_step_multiplies_labels_then_kids_in_order():
@@ -736,6 +751,28 @@ def test_brute_routes_share_folds_in_the_literal_error_order():
                 s.name, print_term(t))
             seen.update((expected[0], expected_b[0]))
     assert seen["value"] > 200 and seen["OverflowError"] > 500, seen
+
+
+def test_the_brute_route_folds_every_segment_without_a_walk(monkeypatch):
+    # children before parents: each segment is a memo hit or one layer
+    # step, so the only walks are the two scans of t that list its segments
+    walks = []
+
+    def counting_postorder(*args, **kwargs):
+        walks.append(args[0])
+        return postorder(*args, **kwargs)
+
+    monkeypatch.setattr("segmax.pruning.postorder", counting_postorder)
+    rng = random.Random(51)
+    for shape, s, kind in itertools.product(ShapeKind, (MAX_PLUS, MIN_PLUS, BOOL_OR_AND),
+                                            CollectionKind):
+        lo, hi = (0, 1) if s is BOOL_OR_AND else (-9, 9)
+        for _ in range(10):
+            t = gen_term_capped(rng, shape, segs_count, 300, max_depth=4, lo=lo, hi=hi)
+            expected = _brute_literal(s, t, kind, False)
+            walks.clear()
+            assert mss_generic(s, t, via="brute", kind=kind) == expected, print_term(t)
+            assert [w for w in walks if w is not t] == [], (s.name, kind, print_term(t))
 
 
 def test_mss_generic_other_semirings_scan_vs_brute():
