@@ -76,6 +76,7 @@ from .errors import CarrierError, DistributivityError, ReduceLawError
 from .ints import I64_MAX, I64_MIN, check_i64, checked_add, checked_mul
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, scan_generic  # noqa: F401
+from .pruning import prune  # noqa: F401
 from .schemes import fold  # noqa: F401
 from .monads import (
     MAX_REDUCE,
@@ -90,7 +91,7 @@ from .monads import (
     reduce,
     reduce_law_failure,
 )
-from .pruning import _segs_items, prune, pruned_fold
+from .pruning import _Fault, _segs_items, prune_count, pruned_fold
 from .schemes import Algebra, contents_term
 from .shapes import ShapeKind, Term, _parse, parse_term, postorder
 
@@ -299,12 +300,27 @@ def horner_generic(s: Semiring, b, t: Term):
     return _horner_walk(s, b, t)
 
 
+def _segment_products(s: Semiring, b, t: Term) -> list:
+    """The pruned-term product of every segment of t, seeded with b, in
+    segment order, if there are at most GUARD segments.  Each is folded
+    once, back to front through one memo, so each takes one layer step
+    (see pruning).  A fault raises the first faulted segment's entry,
+    the memo-free order's error."""
+    f, memo = generic_product_alg(s, b), {}
+    vals = [pruned_fold(b, f, p, memo) for p in reversed(_segs_items(t))]
+    vals.reverse()
+    if _Fault in map(type, vals):
+        raise next(v for v in vals if type(v) is _Fault).error
+    return vals
+
+
 def horner_generic_brute(s: Semiring, b, t: Term):
     """The composition horner_generic fuses: reduce the pruned-term
-    products over all prunings, through one memo (pruning.pruned_fold)."""
-    f, memo = generic_product_alg(s, b), {}
-    vals = collection(CollectionKind.BAG, (pruned_fold(b, f, p, memo) for p in prune(t).items))
-    return reduce(s.reduce_op, vals)
+    products over all prunings.  These are the first prune_count(t)
+    segments.  Any fault lies inside one of them, so the first segment
+    that faults is one of them too."""
+    vals = _segment_products(s, b, t)
+    return reduce(s.reduce_op, collection(CollectionKind.BAG, vals[:prune_count(t)]))
 
 
 def mss_generic(s: Semiring, t: Term, via: str = "scan",
@@ -313,10 +329,9 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
     """Best segment value over all generic segments of t.  The scan route
     reduces the contents of one Horner scan, seeded with the mul unit, in
     one post-order pass (see the module docstring); the brute route
-    reduces the pruned-term products over every segment, folded back to
-    front through one memo and, on a fault, again front to back (see
-    pruning).  Both agree whenever the gate, which checks add's
-    reduction laws for kind and mul's semiring laws unless forced,
+    reduces the pruned-term products over every segment, folded once
+    (_segment_products).  Both agree whenever the gate, which checks
+    add's reduction laws for kind and mul's semiring laws unless forced,
     passes.  Errors come in order: an unknown route, the gate,
     the first label outside the carrier in contents order, the first
     overflow in post-order (on the brute route, within the first segment
@@ -331,13 +346,7 @@ def mss_generic(s: Semiring, t: Term, via: str = "scan",
         _horner_walk(s, b, t, vals)
     else:
         _check_carrier(s, t)
-        f, memo, items = generic_product_alg(s, b), {}, _segs_items(t)
-        try:  # children first: each segment is a memo hit or one layer step
-            vals = [pruned_fold(b, f, p, memo) for p in reversed(items)]
-            vals.reverse()
-        except Exception:  # front to back, to raise the memo-free order's fault
-            vals = [pruned_fold(b, f, p, memo) for p in items]
-        del items, memo  # free the prunings before collection
+        vals = _segment_products(s, b, t)
     return reduce(s.reduce_op, collection(kind, vals), check=False)
 
 

@@ -35,12 +35,12 @@ semiring.  So prune_count_text counts while parsing and builds no term,
 as horner.mss_generic_text scans while parsing.
 
 Every child of a segment is a segment listed after it, so the brute
-route folds the segments back to front through one memo keyed by
-identity (pruned_fold), keeping them alive: each pruned node is folded
-once, and each segment takes the walk's one layer step over its folded
-children.  On a fault it folds them front to back through the same
-memo, which raises the memo-free order's first fault: every entry is a
-finished fold, and a fold depends only on its node.
+route folds the segments once, back to front, through one memo keyed by
+identity (pruned_fold), keeping them alive: each segment takes one layer
+step over its children's entries.  A fold that raises is entered as its
+error: the first faulted child's, left to right, or else the step's own,
+which is the error the memo-free walk meets first, since a fold depends
+only on its node.  The route raises the first such entry in segment order.
 
 The default collection kind for consumers is the bag: multiplicity is
 meaningful for sum-like reductions, and bag union is not idempotent, so
@@ -59,8 +59,8 @@ import math
 from .errors import SizeGuardError
 from .monads import Collection, CollectionKind, collection
 from .schemes import Algebra
-from .shapes import (_AFTER, _TREES, EMPTY, Node, ShapeKind, Term, _head, _parse, postorder,
-                     print_pruned, zip_slots)
+from .shapes import (EMPTY, Node, ShapeKind, Term, _head, _parse, postorder, print_pruned,
+                     zip_slots)
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, subterms  # noqa: F401
 from .schemes import fold  # noqa: F401
@@ -145,37 +145,43 @@ def prune(t: Term, kind: CollectionKind = CollectionKind.BAG,
     return Collection(kind, tuple(postorder(t, step)))
 
 
+class _Fault:
+    """A fold that raised, as a memo entry: its error."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+
 def pruned_fold(b, alg: Algebra, p, memo: dict | None = None) -> object:
     """Fold a pruned term: the empty marker is worth b, and every real
     node is evaluated by alg over its recursively evaluated children.
 
-    A memo (shapes.postorder's, keyed by identity, so the caller keeps
-    the prunings alive) shares the folds among calls with the same b and
-    alg.  A memoised p is worth its entry; a p whose children are each
-    the empty marker or memoised takes one layer step, alg over a Node of
-    their values; any other p is walked.  Over the segments of one term,
-    each pruned node is then folded once.
-
-    The error order is the memo-free calls': memoised sub-folds finished
-    without overflow, a fold depends only on its node, and the layer step
-    is the walk's step once it has met each child, so each call overflows
-    first at the same node as without the memo, in the same segment."""
+    With a memo keyed by identity, whose entries are folds with the same
+    b and alg of each of p's children other than the empty marker, p
+    takes one layer step, alg over a Node of their values, and its entry
+    is stored and returned.  A fault is entered as a _Fault: the first
+    faulted child's, left to right, or else the step's own error, which
+    is the error the memo-free walk meets first in post-order."""
     new = tuple.__new__  # Node(...) without its Python-level __new__
-    if memo is not None:
-        v = memo.get(id(p), _AFTER) if type(p) in _TREES else b  # _AFTER: no entry
-        if v is not _AFTER:
-            return v
-        kids = []
-        for c in p.children:
-            v = memo.get(id(c), _AFTER) if type(c) in _TREES else b
-            if v is _AFTER:
-                break
-            kids.append(v)
-        else:
-            v = memo[id(p)] = alg(new(Node, (p.shape, p.tag, p.labels, tuple(kids))))
-            return v
-    return postorder(p, lambda n, kids: alg(new(Node, (n.shape, n.tag, n.labels, kids))), b,
-                     memo=memo)
+    if memo is None:
+        return postorder(p, lambda n, kids: alg(new(Node, (n.shape, n.tag, n.labels, kids))), b)
+    if p is EMPTY:
+        return b
+    kids = []
+    for c in p.children:
+        v = b if c is EMPTY else memo[id(c)]
+        if type(v) is _Fault:
+            break
+        kids.append(v)
+    else:
+        try:
+            v = alg(new(Node, (p.shape, p.tag, p.labels, tuple(kids))))
+        except Exception as e:  # whatever alg raises, the caller raises in segment order
+            v = _Fault(e)
+    memo[id(p)] = v
+    return v
 
 
 def segs_count(t: Term) -> int:

@@ -21,8 +21,7 @@ kernels, so terms nested as deep as a list is long never reach the
 interpreter's recursion limit:
 
     postorder(x, step, leaf)   step(node, results of its child slots);
-                               optionally every result, in preorder,
-                               or a memo shared with other folds
+                               optionally every result, in preorder
     preorder(x)                every slot, each node before its children
 
 Both descend through the child slots of Nodes and Labelleds; any other
@@ -191,24 +190,11 @@ def zip_slots(a, b) -> Iterator[tuple]:
 _AFTER = object()  # stack mark: the node below it has its children's results
 
 
-def postorder(x, step: Callable, leaf=None, out: list | None = None,
-              memo: dict | None = None):
+def postorder(x, step: Callable, leaf=None, out: list | None = None):
     """Fold x bottom-up: every Node or Labelled y becomes
     step(y, results of y's child slots), and every other slot is worth
     leaf.  Steps run in post-order, children left to right.  A list out
-    also receives every step result, in preorder (the order of contents).
-
-    A dict memo, shared by folds of one step over structures that share
-    parts, is keyed by id, so the caller keeps its nodes alive: a node
-    whose id is in memo is worth its entry and is not entered, and every
-    node the walk steps is entered."""
-    if memo is not None:
-        fold_step = step
-
-        def step(y, kids):
-            v = memo[id(y)] = fold_step(y, kids)
-            return v
-
+    also receives every step result, in preorder (the order of contents)."""
     stack = [x]
     vals: list = []
     while stack:
@@ -224,8 +210,6 @@ def postorder(x, step: Callable, leaf=None, out: list | None = None,
             vals.append(v)
         elif type(y) not in _TREES:
             vals.append(leaf)
-        elif memo is not None and id(y) in memo:
-            vals.append(memo[id(y)])
         elif y.children:
             if out is not None:  # y's place in preorder, filled when y is done
                 stack.append(len(out))

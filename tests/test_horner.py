@@ -19,6 +19,7 @@ from segmax import (
     SEMIRINGS,
     SegmaxError,
     Semiring,
+    SizeGuardError,
     CollectionKind,
     DistributivityError,
     collection,
@@ -55,7 +56,7 @@ from segmax.ints import I64_MAX, I64_MIN, checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
 from segmax.monads import (MAX_REDUCE, MIN_REDUCE, OR_REDUCE, SUM_REDUCE, _law_pool,
                            reduce_law_failure)
-from segmax.pruning import _segs_items, prune, pruned_fold, segs_count
+from segmax.pruning import _segs_items, prune, prune_count, pruned_fold, segs_count
 from segmax.shapes import SIGNATURES, Node, postorder, print_term
 
 EX3 = [4, -5, 6, -3, 2, 0, -4, 5, -6, 5]
@@ -253,6 +254,17 @@ def test_horner_generic_value_depends_on_b():
     t = list_term([4])
     assert horner_generic(MAX_PLUS, 0, t) == 4
     assert horner_generic(MAX_PLUS, -5, t) == -5
+
+
+def test_horner_generic_brute_guards_the_segments_it_folds(monkeypatch):
+    # the root's 1,502 prunings pass the guard, but all 1,128,752 segments
+    # are folded, so the guard refuses before any pruning is built
+    monkeypatch.setattr("segmax.pruning._prune_step", None)
+    t = list_term([1] * 1500)
+    with pytest.raises(SizeGuardError) as e:
+        horner_generic_brute(MAX_PLUS, 0, t)
+    assert str(e.value) == "collection of 1128752 elements exceeds guard 1000000"
+    assert prune_count(t) == 1502
 
 
 def test_mss_generic_fixtures():
@@ -501,6 +513,20 @@ def test_the_gate_refuses_a_mul_that_distributes_on_the_right_only():
     assert horner_generic_brute(_LAST, 0, _FORK_0_5_1) == 5
 
 
+def test_the_gate_refuses_a_non_idempotent_add_on_sets_only():
+    # plus-times passes every other law on the pool; on sets the brute
+    # route merges the two segment values of 1, the empty pruning's and
+    # the leaf's, so the forced routes disagree (fixture
+    # tree-check-routes-disagree pins the CLI's line)
+    for kind in (CollectionKind.LIST, CollectionKind.BAG):
+        ensure_distributive(PLUS_TIMES, kind)
+    with pytest.raises(DistributivityError, match="non-idempotent add"):
+        ensure_distributive(PLUS_TIMES, CollectionKind.SET)
+    t, kind = leaf(1), CollectionKind.SET
+    assert mss_generic(PLUS_TIMES, t, kind=kind, force=True) == 2
+    assert mss_generic(PLUS_TIMES, t, via="brute", kind=kind, force=True) == 1
+
+
 def test_the_horner_step_multiplies_labels_then_kids_in_order():
     # b `add` foldr mul b (labels ++ kids); the reversed product mul(acc, x)
     # would give 5 on the fork's root layer
@@ -730,6 +756,28 @@ def _brute_literal(s, t, kind, force):
     return reduce(s.reduce_op, collection(kind, vals), check=False)
 
 
+def _assert_brute_route_is_literal(s, t, kind, force):
+    """mss_generic(via="brute") against _brute_literal: the same value or
+    the same error type and message.  Returns the outcome's type."""
+    route = _outcome(lambda: mss_generic(s, t, via="brute", kind=kind, force=force))
+    assert route == _outcome(lambda: _brute_literal(s, t, kind, force)), (
+        s.name, kind, force, print_term(t))
+    return route[0]
+
+
+def _assert_horner_brute_is_literal(s, t):
+    """horner_generic_brute against the memo-free reduce over prune(t)."""
+    b, f = s.mul_unit, generic_product_alg(s, s.mul_unit)
+    expected = _outcome(lambda: reduce(s.reduce_op, collection(
+        CollectionKind.BAG, [pruned_fold(b, f, p) for p in prune(t).items])))
+    assert _outcome(lambda: horner_generic_brute(s, b, t)) == expected, (s.name, print_term(t))
+    return expected[0]
+
+
+# labels at which sums and products overflow, and the bool carrier refuses
+_EDGE_POOL = (-(3 << 61), -1, 0, 1, 1 << 62, 3 << 61)
+
+
 def test_brute_routes_share_folds_in_the_literal_error_order():
     # the memo folds each pruned node once over all segments; the first
     # overflow must still be met in the same segment at the same node,
@@ -741,16 +789,27 @@ def test_brute_routes_share_folds_in_the_literal_error_order():
             force = rng.random() < 0.3
             hi = rng.choice((9, 1 << 62, 3 << 62))
             t = gen_term_capped(rng, shape, segs_count, 300, max_depth=4, lo=-hi, hi=hi)
-            b, f = s.mul_unit, generic_product_alg(s, s.mul_unit)
-            expected = _outcome(lambda: _brute_literal(s, t, kind, force))
-            route = _outcome(lambda: mss_generic(s, t, via="brute", kind=kind, force=force))
-            assert route == expected, (s.name, kind, force, print_term(t))
-            expected_b = _outcome(lambda: reduce(s.reduce_op, collection(
-                CollectionKind.BAG, [pruned_fold(b, f, p) for p in prune(t).items])))
-            assert _outcome(lambda: horner_generic_brute(s, b, t)) == expected_b, (
-                s.name, print_term(t))
-            seen.update((expected[0], expected_b[0]))
+            seen.update((_assert_brute_route_is_literal(s, t, kind, force),
+                         _assert_horner_brute_is_literal(s, t)))
     assert seen["value"] > 200 and seen["OverflowError"] > 500, seen
+    # every term in the small scope, labelled from the edge pool, forced, on bags
+    seen = Counter()
+    ts = [t for shape in ShapeKind for t in _terms_in_scope(shape, _EDGE_POOL)]
+    for s, t in itertools.product(SEMIRINGS.values(), ts):
+        seen[_assert_brute_route_is_literal(s, t, CollectionKind.BAG, True)] += 1
+        _assert_horner_brute_is_literal(s, t)
+    assert seen == {"OverflowError": 5310, "CarrierError": 3296, "value": 5034}, seen
+
+
+@pytest.mark.skipif(not os.environ.get("SEGMAX_FULL_SCOPE"),
+                    reason="about 8 s; set SEGMAX_FULL_SCOPE=1 to run it, as CI does")
+def test_brute_routes_keep_the_literal_error_order_over_the_full_scope():
+    # the small-scope check above on every kind, forced and not
+    ts = [t for shape in ShapeKind for t in _terms_in_scope(shape, _EDGE_POOL)]
+    for s, t in itertools.product(SEMIRINGS.values(), ts):
+        _assert_horner_brute_is_literal(s, t)
+        for kind, force in itertools.product(CollectionKind, (False, True)):
+            _assert_brute_route_is_literal(s, t, kind, force)
 
 
 def test_the_brute_route_folds_every_segment_without_a_walk(monkeypatch):
