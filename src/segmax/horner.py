@@ -244,17 +244,28 @@ def horner_list(s: Semiring, xs: list):
 # ---------------------------------------------------------------------------
 # the generic pipeline
 
-def generic_product_alg(s: Semiring, b) -> Algebra:
-    """The layer 'product': fold the constructor's contents (labels,
-    then children) with mul from seed b (so a contentless layer is worth
-    b)."""
+def product_step(s: Semiring, b) -> Callable:
+    """The layer 'product' as the parser's close action: the foldr with mul
+    from seed b over labels + kids (a contentless layer is worth b)."""
     mul = s.mul
-    return lambda n: foldr_list(mul, b, n.labels + n.children)
+
+    def step(tag: str, labels: tuple, kids: tuple):
+        acc = b
+        for x in reversed(labels + kids):
+            acc = mul(x, acc)
+        return acc
+
+    return step
+
+
+def generic_product_alg(s: Semiring, b) -> Algebra:
+    """product_step over a node."""
+    step = product_step(s, b)
+    return lambda n: step(n.tag, n.labels, n.children)
 
 
 def horner_step(s: Semiring, b) -> Callable:
-    """One Horner step, also the parser's close action: b `add` the foldr
-    with mul from seed b over a node's labels, then its children's values,
+    """One Horner step, also the parser's close action: b `add` product_step,
     written out as it runs once per node on every scan.  A label outside
     the carrier raises a bare CarrierError; _check_carrier writes messages."""
     mul, add, ok = s.mul, s.reduce_op.fn, s.reduce_op.element_ok
@@ -303,10 +314,10 @@ def horner_generic(s: Semiring, b, t: Term):
 def _segment_products(s: Semiring, b, t: Term) -> list:
     """The pruned-term product of every segment of t, seeded with b, in
     segment order, if there are at most GUARD segments.  Each is folded
-    once, back to front through one memo, so each takes one layer step
-    (see pruning).  A fault raises the first faulted segment's entry,
-    the memo-free order's error."""
-    f, memo = generic_product_alg(s, b), {}
+    once, back to front through one memo: one product_step on its
+    children's entries (see pruning).  A fault raises the first faulted
+    segment's entry, the memo-free order's error."""
+    f, memo = product_step(s, b), {}
     vals = [pruned_fold(b, f, p, memo) for p in reversed(_segs_items(t))]
     vals.reverse()
     if _Fault in map(type, vals):

@@ -37,10 +37,11 @@ as horner.mss_generic_text scans while parsing.
 Every child of a segment is a segment listed after it, so the brute
 route folds the segments once, back to front, through one memo keyed by
 identity (pruned_fold), keeping them alive: each segment takes one layer
-step over its children's entries.  A fold that raises is entered as its
-error: the first faulted child's, left to right, or else the step's own,
-which is the error the memo-free walk meets first, since a fold depends
-only on its node.  The route raises the first such entry in segment order.
+step, a close action (tag, labels, kids) on its children's entries, and
+no node is rebuilt.  A fold that raises is entered as its error: the
+first faulted child's, left to right, or else the step's own, which is
+the error the memo-free walk meets first, since a fold depends only on
+its node.  The route raises the first such entry in segment order.
 
 The default collection kind for consumers is the bag: multiplicity is
 meaningful for sum-like reductions, and bag union is not idempotent, so
@@ -53,12 +54,12 @@ through the kind's canonical union.
 
 from __future__ import annotations
 
-import itertools
 import math
+from itertools import product, repeat
+from typing import Callable, NamedTuple
 
 from .errors import SizeGuardError
 from .monads import Collection, CollectionKind, collection
-from .schemes import Algebra
 from .shapes import (EMPTY, Node, ShapeKind, Term, _head, _parse, postorder, print_pruned,
                      zip_slots)
 # segbench's traced run rebinds these names here, so they stay bound
@@ -95,10 +96,9 @@ def _check_guard(size: int) -> None:
 def _prune_step(n: Node, kids: tuple) -> list:
     """All prunings of n from its children's: the empty marker first,
     then n over each choice of one pruning per child, in lexicographic
-    positional order.  Substructure is shared."""
-    new = tuple.__new__  # Node(...) without its Python-level __new__
-    return [EMPTY, *(new(Node, (n.shape, n.tag, n.labels, picked))
-                     for picked in itertools.product(*kids))]
+    positional order, built in C by tuple.__new__.  Substructure is shared."""
+    return [EMPTY, *map(tuple.__new__, repeat(Node), zip(
+        repeat(n.shape), repeat(n.tag), repeat(n.labels), product(*kids)))]
 
 
 class _Chain:
@@ -134,39 +134,39 @@ def print_step(n: Node, kids: tuple):
     if len(kids) == 1:
         return _Chain(_head(n), kids[0])
     head = _head(n)[1:]  # two children: no constructor has more
-    return ["E", *[f"{head} {a} {b})" for a, b in itertools.product(*kids)]]
+    return ["E", *[f"{head} {a} {b})" for a, b in product(*kids)]]
 
 
 def prune(t: Term, kind: CollectionKind = CollectionKind.BAG,
           step=_prune_step) -> Collection:
     """All prunings of t, if there are at most GUARD, folded by step, in
-    the canonical order and duplicate-free (a canonical bag and set)."""
+    the canonical order and duplicate-free (a canonical bag and set).
+    With the default _prune_step it builds every subterm's prunings,
+    segs_count(t) nodes, quadratic on a list, but the guard counts only
+    the root's: prune(list_term([1] * 3000)) took 3.7 s and 569 MiB
+    (CPython 3.11.7).  ROADMAP item 4 owns the fix."""
     _check_guard(prune_count(t))
     return Collection(kind, tuple(postorder(t, step)))
 
 
-class _Fault:
+class _Fault(NamedTuple):
     """A fold that raised, as a memo entry: its error."""
 
-    __slots__ = ("error",)
-
-    def __init__(self, error: Exception) -> None:
-        self.error = error
+    error: Exception
 
 
-def pruned_fold(b, alg: Algebra, p, memo: dict | None = None) -> object:
+def pruned_fold(b, step: Callable, p, memo: dict | None = None) -> object:
     """Fold a pruned term: the empty marker is worth b, and every real
-    node is evaluated by alg over its recursively evaluated children.
+    node the close action step(tag, labels, kids) on its children's folds.
 
     With a memo keyed by identity, whose entries are folds with the same
-    b and alg of each of p's children other than the empty marker, p
-    takes one layer step, alg over a Node of their values, and its entry
-    is stored and returned.  A fault is entered as a _Fault: the first
-    faulted child's, left to right, or else the step's own error, which
-    is the error the memo-free walk meets first in post-order."""
-    new = tuple.__new__  # Node(...) without its Python-level __new__
+    b and step of each of p's children other than the empty marker, p
+    takes one layer step, step on their values, and its entry is stored
+    and returned.  A fault is entered as a _Fault: the first faulted
+    child's, left to right, or else the step's own error, which is the
+    error the memo-free walk meets first in post-order."""
     if memo is None:
-        return postorder(p, lambda n, kids: alg(new(Node, (n.shape, n.tag, n.labels, kids))), b)
+        return postorder(p, lambda n, kids: step(n.tag, n.labels, kids), b)
     if p is EMPTY:
         return b
     kids = []
@@ -177,8 +177,8 @@ def pruned_fold(b, alg: Algebra, p, memo: dict | None = None) -> object:
         kids.append(v)
     else:
         try:
-            v = alg(new(Node, (p.shape, p.tag, p.labels, tuple(kids))))
-        except Exception as e:  # whatever alg raises, the caller raises in segment order
+            v = step(p.tag, p.labels, tuple(kids))
+        except Exception as e:  # whatever step raises, the caller raises in segment order
             v = _Fault(e)
     memo[id(p)] = v
     return v

@@ -51,7 +51,7 @@ from segmax import (
     segs_list,
     tails_list,
 )
-from segmax.horner import _check_carrier, horner_step
+from segmax.horner import _check_carrier, horner_step, product_step
 from segmax.ints import I64_MAX, I64_MIN, checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
 from segmax.monads import (MAX_REDUCE, MIN_REDUCE, OR_REDUCE, SUM_REDUCE, _law_pool,
@@ -746,12 +746,18 @@ def test_routes_agree_at_the_sentinels():
             assert mss_generic(s, t, via="brute", kind=kind) == mss_generic(s, t, kind=kind) == 0
 
 
+def _literal_product_step(s, b):
+    """The layer product as the literal foldr close action, sharing no
+    code with product_step."""
+    return lambda tag, labels, kids: foldr_list(s.mul, b, labels + kids)
+
+
 def _brute_literal(s, t, kind, force):
     """mss_generic(via="brute") as the memo-free composition
     reduce . map (fold product) . segs, after the gate and the carrier."""
     ensure_distributive(s, kind, force)
     _check_carrier(s, t)
-    f = generic_product_alg(s, s.mul_unit)
+    f = _literal_product_step(s, s.mul_unit)
     vals = [pruned_fold(s.mul_unit, f, p) for p in _segs_items(t)]
     return reduce(s.reduce_op, collection(kind, vals), check=False)
 
@@ -767,7 +773,7 @@ def _assert_brute_route_is_literal(s, t, kind, force):
 
 def _assert_horner_brute_is_literal(s, t):
     """horner_generic_brute against the memo-free reduce over prune(t)."""
-    b, f = s.mul_unit, generic_product_alg(s, s.mul_unit)
+    b, f = s.mul_unit, _literal_product_step(s, s.mul_unit)
     expected = _outcome(lambda: reduce(s.reduce_op, collection(
         CollectionKind.BAG, [pruned_fold(b, f, p) for p in prune(t).items])))
     assert _outcome(lambda: horner_generic_brute(s, b, t)) == expected, (s.name, print_term(t))
@@ -776,6 +782,24 @@ def _assert_horner_brute_is_literal(s, t):
 
 # labels at which sums and products overflow, and the bool carrier refuses
 _EDGE_POOL = (-(3 << 61), -1, 0, 1, 1 << 62, 3 << 61)
+
+
+def test_the_product_step_is_the_literal_foldr():
+    # every constructor, every contents tuple from the edge pool, every
+    # semiring: the close action and its algebra wrapper are the foldr,
+    # in value or in the error and its message
+    seen = Counter()
+    for s, shape in itertools.product(SEMIRINGS.values(), ShapeKind):
+        b = s.mul_unit
+        step, alg = product_step(s, b), generic_product_alg(s, b)
+        for tag, sig in SIGNATURES[shape].items():
+            for xs in itertools.product(_EDGE_POOL, repeat=sig.n_labels + sig.n_children):
+                labels, kids = xs[:sig.n_labels], xs[sig.n_labels:]
+                expected = _outcome(lambda: foldr_list(s.mul, b, labels + kids))
+                assert _outcome(lambda: step(tag, labels, kids)) == expected, (s.name, tag, xs)
+                assert _outcome(lambda: alg(Node(shape, tag, labels, kids))) == expected
+                seen[expected[0]] += 1
+    assert set(seen) == {"value", "OverflowError"}, seen
 
 
 def test_brute_routes_share_folds_in_the_literal_error_order():
@@ -813,8 +837,9 @@ def test_brute_routes_keep_the_literal_error_order_over_the_full_scope():
 
 
 def test_the_brute_route_folds_every_segment_without_a_walk(monkeypatch):
-    # children before parents: each segment is a memo hit or one layer
-    # step, so the only walks are the two scans of t that list its segments
+    # children before parents: every segment but the empty marker takes
+    # one layer step, so the only walks are the two scans of t that list
+    # its segments
     walks = []
 
     def counting_postorder(*args, **kwargs):

@@ -27,7 +27,7 @@ from segmax import (
     segs_count,
     segs_generic,
 )
-from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
+from segmax.lawcheck import gen_term, gen_term_capped
 from segmax.oracles import prune_recursive, prune_via_fold, segs_generic_literal
 from segmax.pruning import GUARD, _segs_items
 from segmax.shapes import postorder, print_term, term_size
@@ -47,7 +47,10 @@ EX7_PRUNINGS = [
     "(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))",
 ]
 
-sum_alg = ALGEBRAS["sum"]
+
+def sum_step(tag, labels, kids):
+    """ALGEBRAS["sum"] as a close action, the step pruned_fold takes."""
+    return sum(labels + kids)
 
 
 def test_leaf_prunes_to_two():
@@ -207,11 +210,11 @@ def test_pruned_roundtrip():
 
 
 def test_pruned_fold_fixtures():
-    assert pruned_fold(0, sum_alg, EMPTY) == 0
+    assert pruned_fold(0, sum_step, EMPTY) == 0
     full = parse_pruned("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
-    assert pruned_fold(0, sum_alg, full) == 11
+    assert pruned_fold(0, sum_step, full) == 11
     part = parse_pruned("(fork 1 (leaf 2) E)", ShapeKind.HTREE)
-    assert pruned_fold(0, sum_alg, part) == 3
+    assert pruned_fold(0, sum_step, part) == 3
 
 
 def test_a_memo_folds_each_pruned_node_once_over_all_segments():
@@ -221,20 +224,20 @@ def test_a_memo_folds_each_pruned_node_once_over_all_segments():
             t = gen_term_capped(rng, shape, segs_count, 400, max_depth=4)
             steps = []
 
-            def counting_sum(n):
-                steps.append(n)
-                return sum_alg(n)
+            def counting_sum(tag, labels, kids):
+                steps.append(tag)
+                return sum_step(tag, labels, kids)
 
             # children before parents: each child's entry is in the memo
             items, memo = _segs_items(t), {}
             vals = [pruned_fold(0, counting_sum, p, memo) for p in reversed(items)][::-1]
-            assert vals == [pruned_fold(0, sum_alg, p) for p in items]
+            assert vals == [pruned_fold(0, sum_step, p) for p in items]
             # one step per node segment: each subterm has one EMPTY segment
             assert len(steps) == segs_count(t) - term_size(t)
             assert len(memo) == len(steps)
     # the segments of [1, 2, 3], the prunings of each subterm in preorder
     items, memo = _segs_items(list_term([1, 2, 3])), {}
-    assert [pruned_fold(0, sum_alg, p, memo) for p in reversed(items)][::-1] == [
+    assert [pruned_fold(0, sum_step, p, memo) for p in reversed(items)][::-1] == [
         0, 1, 3, 6, 6, 0, 2, 5, 5, 0, 3, 3, 0, 0]
 
 
@@ -252,12 +255,12 @@ def test_a_segment_whose_children_are_folded_takes_one_layer_step(monkeypatch):
             t = gen_term_capped(rng, shape, segs_count, 400, max_depth=4)
             items = _segs_items(t)
             walks.clear()
-            expected = [pruned_fold(0, sum_alg, p) for p in items]
+            expected = [pruned_fold(0, sum_step, p) for p in items]
             assert len(walks) == len(items)  # without a memo, every segment walks
             # children before parents: each segment takes one layer step
             walks.clear()
             memo = {}
-            assert [pruned_fold(0, sum_alg, p, memo) for p in reversed(items)] == expected[::-1]
+            assert [pruned_fold(0, sum_step, p, memo) for p in reversed(items)] == expected[::-1]
             assert walks == []
 
 
@@ -300,7 +303,7 @@ def test_list_segs_values_cover_classical_segment_sums():
         xs = [rng.randint(-6, 6) for _ in range(rng.randint(0, 6))]
         t = list_term(xs)
         vals = {
-            pruned_fold(0, sum_alg, p) for p in segs_generic(t).items
+            pruned_fold(0, sum_step, p) for p in segs_generic(t).items
         }
         classic = {sum(seg) for seg in segs_list(xs)}
         assert classic <= vals
