@@ -45,7 +45,6 @@ from .ints import I64_MAX, I64_MIN, check_i64, checked_add, checked_mul
 from .labelled import (
     Labelled,
     map_labelled,
-    preorder_tags,
     preorder_values,
     root,
     scan_generic,

@@ -316,7 +316,7 @@ def _segment_products(s: Semiring, b, t: Term) -> list:
     segment order, if there are at most GUARD segments.  Each is folded
     once, back to front through one memo: one product_step on its
     children's entries (see pruning).  A fault raises the first faulted
-    segment's entry, the memo-free order's error."""
+    segment's entry, oracles.pruned_fold_literal's error."""
     f, memo = product_step(s, b), {}
     vals = [pruned_fold(b, f, p, memo) for p in reversed(_segs_items(t))]
     vals.reverse()

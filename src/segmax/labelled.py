@@ -5,8 +5,8 @@ have been erased -- only the tag and the (recursively labelled) children
 remain.  The skeleton's tag sequence mirrors the source term, so a
 labelled structure has exactly one value per source node.  The class
 lives in shapes, beside Node, so that the same two iterative walks
-serve both: preorder_values, preorder_tags and value_count read the
-preorder walk, and map_labelled and scan_generic are post-order steps.
+serve both: preorder_values and value_count read the preorder walk,
+and map_labelled and scan_generic are post-order steps.
 
 subterms labels every node of a term with the subterm rooted there (the
 generic counterpart of `tails`), and scan_generic labels every node with
@@ -34,10 +34,6 @@ def root(l: Labelled):
 
 def preorder_values(l: Labelled) -> list:
     return [x.value for x in preorder(l)]
-
-
-def preorder_tags(l: Labelled) -> list[str]:
-    return [x.tag for x in preorder(l)]
 
 
 def value_count(l: Labelled) -> int:

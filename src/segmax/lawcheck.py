@@ -81,7 +81,6 @@ from .shapes import (
     _EmptyMark,
     bimap_node,
     parse_pruned,
-    preorder,
     print_pruned,
 )
 
@@ -185,12 +184,12 @@ def _broken_side_condition() -> tuple[str, tuple] | None:
 # generators
 
 def gen_term(rng: random.Random, shape: ShapeKind, max_depth: int = 6,
-             lo: int = -8, hi: int = 8, stop_p: float = 0.3) -> Term:
+             lo: int = -8, hi: int = 8) -> Term:
     sigs = SIGNATURES[shape]
     stop, grow = STOP_GROW[shape]
 
     def build(depth: int) -> Term:
-        tag = stop if depth >= max_depth or rng.random() < stop_p else grow
+        tag = stop if depth >= max_depth or rng.random() < 0.3 else grow
         sig = sigs[tag]
         labels = tuple(rng.randint(lo, hi) for _ in range(sig.n_labels))
         children = tuple(build(depth + 1) for _ in range(sig.n_children))
@@ -308,13 +307,12 @@ def _candidates(v):
         for c in v.children:
             if isinstance(c, Node):
                 yield c
-        if not _has_empty(v):
-            halved = map_term(lambda l: int(l / 2), v)
-            if halved != v:
-                yield halved
-            zeroed = map_term(lambda l: 0, v)
-            if zeroed not in (v, halved):
-                yield zeroed
+        halved = map_term(lambda l: int(l / 2), v)
+        if halved != v:
+            yield halved
+        zeroed = map_term(lambda l: 0, v)
+        if zeroed not in (v, halved):
+            yield zeroed
     elif isinstance(v, int) and not isinstance(v, bool):
         for c in (0, 1, -1, int(v / 2)):
             if c != v:
@@ -328,17 +326,13 @@ def _candidates(v):
                 yield rebuild(items[:i] + (cand,) + items[i + 1 :])
 
 
-def _has_empty(t) -> bool:
-    return any(not isinstance(x, Node) for x in preorder(t))
-
-
 def _rewrite_ints(v, k: int):
     if isinstance(v, bool):
         return v
     if isinstance(v, int):
         return k
     if isinstance(v, Node):
-        return v if _has_empty(v) else map_term(lambda _l: k, v)
+        return map_term(lambda _l: k, v)
     box = _container(v)
     return v if box is None else box[1](tuple(_rewrite_ints(e, k) for e in box[0]))
 

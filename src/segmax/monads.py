@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from .errors import KindMismatchError, ReduceLawError
 from .ints import I64_MAX, I64_MIN, checked_add
-from .shapes import Node, _EmptyMark, struct_key
+from .shapes import Node, _EmptyMark, preorder, struct_key
 
 
 class CollectionKind(Enum):
@@ -39,16 +39,15 @@ class Collection(NamedTuple):
 
 def canonical_key(x) -> tuple:
     """Total-order key over every element type collections may hold."""
-    if isinstance(x, (Node, _EmptyMark)):
-        return (2, struct_key(x))
+    if isinstance(x, (Node, _EmptyMark)):  # payload slots, in preorder, break struct_key's ties
+        return (2, struct_key(x), tuple(canonical_key(y) for y in preorder(x)
+                                        if not isinstance(y, (Node, _EmptyMark))))
     if isinstance(x, Collection):
         return (3, x.kind.value, tuple(canonical_key(e) for e in x.items))
     if isinstance(x, int):
         return (0, x)
     if isinstance(x, tuple):
         return (1, tuple(canonical_key(e) for e in x))
-    if isinstance(x, str):
-        return (4, x)
     raise TypeError(f"no canonical order for {type(x).__name__}")
 
 

@@ -2,10 +2,10 @@
 
 These are the "other route" for dual-route laws and tests: top-down
 (unfold-style) rebuildings of subterms and scan, the literal monadic
-compositions behind prune and segs, and the lifted definition of the
-list distributor.  They favour obviousness over efficiency (no sharing,
-recursive), so they are only run on the small terms the law generators
-and tests produce.
+compositions behind prune and segs, the literal fold of a pruned term,
+and the lifted definition of the list distributor.  They favour
+obviousness over efficiency (no sharing, recursive), so they are only
+run on the small terms the law generators and tests produce.
 """
 
 from __future__ import annotations
@@ -59,6 +59,15 @@ def segs_generic_literal(t: Term, kind: CollectionKind = CollectionKind.BAG) -> 
     _check_guard(segs_count(t))
     subs = collection(kind, preorder_values(subterms(t)))
     return join_c(map_c(lambda s: prune(s, kind), subs))
+
+
+def pruned_fold_literal(b, step, p):
+    """The fold pruning.pruned_fold memoises, as a recursion: the empty
+    marker is worth b, and a node step(tag, labels, its children's folds),
+    the children folded left to right."""
+    if p is EMPTY:
+        return b
+    return step(p.tag, p.labels, tuple(pruned_fold_literal(b, step, c) for c in p.children))
 
 
 def _lift_m2(f, mx: Collection, my: Collection) -> Collection:

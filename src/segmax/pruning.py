@@ -40,8 +40,8 @@ identity (pruned_fold), keeping them alive: each segment takes one layer
 step, a close action (tag, labels, kids) on its children's entries, and
 no node is rebuilt.  A fold that raises is entered as its error: the
 first faulted child's, left to right, or else the step's own, which is
-the error the memo-free walk meets first, since a fold depends only on
-its node.  The route raises the first such entry in segment order.
+the error oracles.pruned_fold_literal meets first, since a fold depends
+only on its node.  The route raises the first such entry in segment order.
 
 The default collection kind for consumers is the bag: multiplicity is
 meaningful for sum-like reductions, and bag union is not idempotent, so
@@ -155,18 +155,16 @@ class _Fault(NamedTuple):
     error: Exception
 
 
-def pruned_fold(b, step: Callable, p, memo: dict | None = None) -> object:
+def pruned_fold(b, step: Callable, p, memo: dict) -> object:
     """Fold a pruned term: the empty marker is worth b, and every real
     node the close action step(tag, labels, kids) on its children's folds.
 
-    With a memo keyed by identity, whose entries are folds with the same
-    b and step of each of p's children other than the empty marker, p
-    takes one layer step, step on their values, and its entry is stored
-    and returned.  A fault is entered as a _Fault: the first faulted
-    child's, left to right, or else the step's own error, which is the
-    error the memo-free walk meets first in post-order."""
-    if memo is None:
-        return postorder(p, lambda n, kids: step(n.tag, n.labels, kids), b)
+    memo is keyed by identity and holds the folds, with the same b and
+    step, of each of p's children other than the empty marker, so p takes
+    one layer step, step on their values, and its entry is stored and
+    returned.  A fault is entered as a _Fault: the first faulted child's,
+    left to right, or else the step's own error, which is the error that
+    oracles.pruned_fold_literal meets first in post-order."""
     if p is EMPTY:
         return b
     kids = []

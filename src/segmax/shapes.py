@@ -20,12 +20,12 @@ Folds and walks over either structure are instances of two iterative
 kernels, so terms nested as deep as a list is long never reach the
 interpreter's recursion limit:
 
-    postorder(x, step, leaf)   step(node, results of its child slots);
-                               optionally every result, in preorder
-    preorder(x)                every slot, each node before its children
+    postorder(x, step)   step(node, results of its child slots);
+                         optionally every result, in preorder
+    preorder(x)          every slot, each node before its children
 
 Both descend through the child slots of Nodes and Labelleds; any other
-slot (the EMPTY marker, a payload) is a leaf, worth `leaf` to postorder.
+slot (the EMPTY marker, a payload) is a leaf, worth None to postorder.
 Equality walks two structures' corresponding slots together (zip_slots),
 and struct_key flattens a term into its preorder token tuple.
 
@@ -190,10 +190,10 @@ def zip_slots(a, b) -> Iterator[tuple]:
 _AFTER = object()  # stack mark: the node below it has its children's results
 
 
-def postorder(x, step: Callable, leaf=None, out: list | None = None):
+def postorder(x, step: Callable, out: list | None = None):
     """Fold x bottom-up: every Node or Labelled y becomes
     step(y, results of y's child slots), and every other slot is worth
-    leaf.  Steps run in post-order, children left to right.  A list out
+    None.  Steps run in post-order, children left to right.  A list out
     also receives every step result, in preorder (the order of contents)."""
     stack = [x]
     vals: list = []
@@ -209,7 +209,7 @@ def postorder(x, step: Callable, leaf=None, out: list | None = None):
                 out[stack.pop()] = v
             vals.append(v)
         elif type(y) not in _TREES:
-            vals.append(leaf)
+            vals.append(None)
         elif y.children:
             if out is not None:  # y's place in preorder, filled when y is done
                 stack.append(len(out))

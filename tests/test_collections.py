@@ -7,11 +7,14 @@ import hypothesis.strategies as st
 from segmax import (
     CollectionKind,
     KindMismatchError,
+    Node,
     ReduceLawError,
     ReduceOp,
+    ShapeKind,
     collection,
     cp,
     dist_list,
+    distribute_node,
     empty,
     join_c,
     list_term,
@@ -249,3 +252,26 @@ def test_nested_collections_have_canonical_order():
     inner2 = _bag(1)
     outer = collection(CollectionKind.SET, [inner1, inner2, inner1])
     assert outer.items == (inner2, inner1)
+
+
+def test_collections_of_nodes_that_differ_only_in_payloads_are_canonical():
+    # struct_key writes every non-node slot as 0, so the payloads must
+    # break its ties: distribute_node and bidist_node build such nodes
+    a = Node(ShapeKind.HTREE, "fork", (1,), (1, 3))
+    b = Node(ShapeKind.HTREE, "fork", (1,), (2, 3))
+    bag = CollectionKind.BAG
+    assert union(singleton(bag, a), singleton(bag, b)) == union(singleton(bag, b),
+                                                                singleton(bag, a))
+    assert collection(bag, [b, a]).items == (a, b)
+    assert collection(CollectionKind.SET, [a, b, a]).items == (a, b)
+    n = Node(ShapeKind.HTREE, "fork", (1,), (_bag(2, 1), _bag(3)))
+    assert distribute_node(n, bag) == collection(bag, reversed(distribute_node(n, bag).items))
+
+
+def test_join_and_dist_list_refuse_a_collection_of_another_kind():
+    for bad in (lambda: join_c(_bag(_set(1))), lambda: join_c(_bag(1))):
+        with pytest.raises(KindMismatchError,
+                           match="^join needs inner collections of the same kind$"):
+            bad()
+    with pytest.raises(KindMismatchError, match="^dist_list needs bag collections$"):
+        dist_list([_bag(1), _set(1)], CollectionKind.BAG)

@@ -56,7 +56,8 @@ from segmax.ints import I64_MAX, I64_MIN, checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
 from segmax.monads import (MAX_REDUCE, MIN_REDUCE, OR_REDUCE, SUM_REDUCE, _law_pool,
                            reduce_law_failure)
-from segmax.pruning import _segs_items, prune, prune_count, pruned_fold, segs_count
+from segmax.oracles import pruned_fold_literal
+from segmax.pruning import _segs_items, prune, prune_count, segs_count
 from segmax.shapes import SIGNATURES, Node, postorder, print_term
 
 EX3 = [4, -5, 6, -3, 2, 0, -4, 5, -6, 5]
@@ -758,7 +759,7 @@ def _brute_literal(s, t, kind, force):
     ensure_distributive(s, kind, force)
     _check_carrier(s, t)
     f = _literal_product_step(s, s.mul_unit)
-    vals = [pruned_fold(s.mul_unit, f, p) for p in _segs_items(t)]
+    vals = [pruned_fold_literal(s.mul_unit, f, p) for p in _segs_items(t)]
     return reduce(s.reduce_op, collection(kind, vals), check=False)
 
 
@@ -775,7 +776,7 @@ def _assert_horner_brute_is_literal(s, t):
     """horner_generic_brute against the memo-free reduce over prune(t)."""
     b, f = s.mul_unit, _literal_product_step(s, s.mul_unit)
     expected = _outcome(lambda: reduce(s.reduce_op, collection(
-        CollectionKind.BAG, [pruned_fold(b, f, p) for p in prune(t).items])))
+        CollectionKind.BAG, [pruned_fold_literal(b, f, p) for p in prune(t).items])))
     assert _outcome(lambda: horner_generic_brute(s, b, t)) == expected, (s.name, print_term(t))
     return expected[0]
 

@@ -12,7 +12,6 @@ from segmax import (
     map_labelled,
     nil,
     parse_term,
-    preorder_tags,
     preorder_values,
     root,
     scan_generic,
@@ -99,9 +98,9 @@ def test_scan_lemma(t):
 
 @given(any_term)
 def test_scan_preserves_skeleton(t):
-    from segmax.shapes import iter_nodes
+    from segmax.shapes import iter_nodes, preorder
 
-    assert preorder_tags(scan_generic(sum_alg, t)) == [n.tag for n in iter_nodes(t)]
+    assert [x.tag for x in preorder(scan_generic(sum_alg, t))] == [n.tag for n in iter_nodes(t)]
 
 
 def test_list_scan_matches_classical_scanr():

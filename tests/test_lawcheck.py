@@ -14,11 +14,13 @@ from segmax.lawcheck import (
     encode_inputs,
     encode_value,
     gen_term,
+    gen_term_capped,
     get_law,
     reports_to_json,
+    shrink_inputs,
 )
 from segmax.monads import CollectionKind, collection, reduce, SUM_REDUCE, union
-from segmax.shapes import EMPTY, ShapeKind, leaf
+from segmax.shapes import EMPTY, ShapeKind, iter_nodes, leaf, print_term, term_size
 
 EXPECTED_IDS = {
     "fold-universal",
@@ -187,3 +189,45 @@ def test_a_broken_side_condition_fails_fold_fusion(children_counted_twice):
     report = run_law("fold-fusion", seed=42, trials=50)
     assert (report.outcome, report.ok, report.trials) == ("FAILS_WITH_WITNESS", False, 1)
     assert replay("fold-fusion", report.witness)
+
+
+def test_the_codec_refuses_what_it_cannot_write_or_read():
+    for bad, message in ((lambda: encode_value(True), "boolean inputs are not used"),
+                         (lambda: encode_value(1.5), "cannot serialize float"),
+                         (lambda: decode_value({"t": "bogus"}),
+                          "cannot deserialize {'t': 'bogus'}")):
+        with pytest.raises(TypeError) as exc:
+            bad()
+        assert str(exc.value) == message
+
+
+def test_a_capped_draw_retries_shallower_then_falls_back_to_depth_one():
+    drawn = []
+
+    def too_big(t):
+        drawn.append(t)
+        return 2
+
+    def height(t):
+        return max((1 + height(c) for c in t.children), default=0)
+
+    t = gen_term_capped(random.Random(9), ShapeKind.HTREE, too_big, cap=1)
+    assert len(drawn) == 40
+    assert all(height(d) <= max(1, 5 - i) for i, d in enumerate(drawn))
+    assert print_term(t) == "(fork -6 (leaf 1) (leaf -6))"
+
+
+def test_shrink_pins_on_a_term_a_list_a_tuple_and_a_raising_check():
+    # a term: to a child, then every label halved or zeroed at once
+    def has_a_big_fork(term):
+        return any(n.tag == "fork" and n.labels[0] >= 4 for n in iter_nodes(term))
+
+    t = gen_term(random.Random(2), ShapeKind.HTREE)
+    assert term_size(t) == 19
+    shrunk = shrink_inputs({"term": t}, lambda d: has_a_big_fork(d["term"]))
+    assert print_term(shrunk["term"]) == "(fork 6 (leaf 8) (leaf 0))"
+    # a list loses elements; a tuple keeps its arity
+    assert shrink_inputs({"xs": [5, -3, 8, 2]}, lambda d: sum(d["xs"]) > 6) == {"xs": [8]}
+    assert shrink_inputs({"t": (7, -4, 9)}, lambda d: max(d["t"]) >= 5) == {"t": (1, -4, 9)}
+    # a candidate whose check raises does not violate: 0 is never taken
+    assert shrink_inputs({"x": 40}, lambda d: 10 // d["x"] < 5) == {"x": -1}

@@ -28,7 +28,8 @@ from segmax import (
     segs_generic,
 )
 from segmax.lawcheck import gen_term, gen_term_capped
-from segmax.oracles import prune_recursive, prune_via_fold, segs_generic_literal
+from segmax.oracles import (prune_recursive, prune_via_fold, pruned_fold_literal,
+                             segs_generic_literal)
 from segmax.pruning import GUARD, _segs_items
 from segmax.shapes import postorder, print_term, term_size
 
@@ -210,11 +211,11 @@ def test_pruned_roundtrip():
 
 
 def test_pruned_fold_fixtures():
-    assert pruned_fold(0, sum_step, EMPTY) == 0
+    assert pruned_fold_literal(0, sum_step, EMPTY) == 0
     full = parse_pruned("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
-    assert pruned_fold(0, sum_step, full) == 11
+    assert pruned_fold_literal(0, sum_step, full) == 11
     part = parse_pruned("(fork 1 (leaf 2) E)", ShapeKind.HTREE)
-    assert pruned_fold(0, sum_step, part) == 3
+    assert pruned_fold_literal(0, sum_step, part) == 3
 
 
 def test_a_memo_folds_each_pruned_node_once_over_all_segments():
@@ -231,7 +232,7 @@ def test_a_memo_folds_each_pruned_node_once_over_all_segments():
             # children before parents: each child's entry is in the memo
             items, memo = _segs_items(t), {}
             vals = [pruned_fold(0, counting_sum, p, memo) for p in reversed(items)][::-1]
-            assert vals == [pruned_fold(0, sum_step, p) for p in items]
+            assert vals == [pruned_fold_literal(0, sum_step, p) for p in items]
             # one step per node segment: each subterm has one EMPTY segment
             assert len(steps) == segs_count(t) - term_size(t)
             assert len(memo) == len(steps)
@@ -254,9 +255,7 @@ def test_a_segment_whose_children_are_folded_takes_one_layer_step(monkeypatch):
         for _ in range(30):
             t = gen_term_capped(rng, shape, segs_count, 400, max_depth=4)
             items = _segs_items(t)
-            walks.clear()
-            expected = [pruned_fold(0, sum_step, p) for p in items]
-            assert len(walks) == len(items)  # without a memo, every segment walks
+            expected = [pruned_fold_literal(0, sum_step, p) for p in items]
             # children before parents: each segment takes one layer step
             walks.clear()
             memo = {}
@@ -266,7 +265,10 @@ def test_a_segment_whose_children_are_folded_takes_one_layer_step(monkeypatch):
 
 def test_size_guard():
     # the complete htree of depth 6 has 127 nodes and about 4.4 * 10^22 prunings
-    t = gen_term(random.Random(18), ShapeKind.HTREE, max_depth=6, stop_p=0.0)
+    text = "(leaf 1)"
+    for _ in range(6):
+        text = f"(fork 1 {text} {text})"
+    t = parse_term(text, ShapeKind.HTREE)
     with pytest.raises(SizeGuardError) as exc:
         prune(t)
     assert exc.value.guard == GUARD and exc.value.size == prune_count(t) > GUARD
@@ -303,7 +305,7 @@ def test_list_segs_values_cover_classical_segment_sums():
         xs = [rng.randint(-6, 6) for _ in range(rng.randint(0, 6))]
         t = list_term(xs)
         vals = {
-            pruned_fold(0, sum_step, p) for p in segs_generic(t).items
+            pruned_fold_literal(0, sum_step, p) for p in segs_generic(t).items
         }
         classic = {sum(seg) for seg in segs_list(xs)}
         assert classic <= vals

@@ -43,7 +43,7 @@ from segmax import (
     term_size,
     tip,
 )
-from segmax.lawcheck import gen_term, gen_term_capped
+from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
 from segmax.pruning import print_step
 from segmax.shapes import SIGNATURES, iter_nodes, postorder, struct_key
 
@@ -282,12 +282,12 @@ def test_postorder_out_receives_every_result_in_preorder():
     for shape in ShapeKind:
         t = gen_term(rng, shape)
         out: list = []
-        assert postorder(t, lambda n, kids: 1 + sum(kids), 0, out) == term_size(t)
+        assert postorder(t, lambda n, kids: 1 + sum(kids), out=out) == term_size(t)
         assert out == [term_size(y) for y in iter_nodes(t)]
     out = []
     postorder(parse_pruned("(fork 1 E (fork 2 (leaf 3) E))", ShapeKind.HTREE),
-              lambda n, kids: n.labels[0] + sum(kids), 0, out)
-    assert out == [6, 5, 3]  # empty slots are worth leaf and listed nowhere
+              lambda n, kids: n.labels[0] + sum(k for k in kids if k is not None), out=out)
+    assert out == [6, 5, 3]  # empty slots are worth None and listed nowhere
 
 
 def test_parse_error_offset_points_at_fault():
@@ -480,6 +480,22 @@ def test_deep_terms_hash_and_compare_in_a_subprocess():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr
+
+
+def test_equal_labelled_structures_hash_alike():
+    # built apart, so equal without being the same objects; the long list
+    # nests deeper than the recursion limit
+    size = ALGEBRAS["size"]
+    for n in (3, 10_000):
+        a, b = segmax.subterms(list_term(range(n))), segmax.subterms(list_term(range(n)))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(segmax.scan_generic(size, a.value)) == hash(segmax.scan_generic(size, b.value))
+
+
+def test_the_empty_marker_is_no_plain_term():
+    with pytest.raises(ShapeMismatchError, match="^empty marker is not a plain term$"):
+        print_term(EMPTY)
+    assert print_pruned(EMPTY) == "E"
 
 
 def test_size_depth_fixtures():
