@@ -19,6 +19,7 @@ elements) and serialized so they can be replayed standalone.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 import random
@@ -381,11 +382,13 @@ class Law:
     expectation: str
     gen: Callable[[random.Random], dict]
     check: Callable[..., bool]
+    named: tuple[str, ...]  # the check's parameters that _NAMED resolves
 
     def violated(self, inputs: dict) -> bool:
         """Run the check on one draw, its named choices resolved by _NAMED."""
-        return self.check(**{k: _NAMED[k][v] if k in _NAMED else v
-                             for k, v in inputs.items()})
+        if self.named:
+            inputs = inputs | {k: _NAMED[k][inputs[k]] for k in self.named if k in inputs}
+        return self.check(**inputs)
 
 
 @dataclass(frozen=True)
@@ -415,7 +418,8 @@ _NAMED: dict[str, dict[str, Any]] = {
 def _law(id: str, expectation: str, gen):
     """Register the decorated check as law `id`, drawing its inputs from `gen`."""
     def register(check: Callable[..., bool]) -> Callable[..., bool]:
-        _REGISTRY[id] = Law(id, expectation, gen, check)
+        named = tuple(p for p in inspect.signature(check).parameters if p in _NAMED)
+        _REGISTRY[id] = Law(id, expectation, gen, check, named)
         return check
     return register
 

@@ -1,10 +1,13 @@
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from conftest import terms
 from segmax import (
+    EMPTY,
     CollectionKind,
     KindMismatchError,
     Node,
@@ -27,7 +30,14 @@ from segmax import (
 )
 from segmax.horner import Semiring, ensure_distributive
 from segmax.ints import I64_MAX, I64_MIN, checked_mul
-from segmax.monads import MAX_REDUCE, SUM_REDUCE, broken_reduction_law, first_broken_law
+from segmax.monads import (
+    MAX_REDUCE,
+    SUM_REDUCE,
+    Collection,
+    broken_reduction_law,
+    canonical_key,
+    first_broken_law,
+)
 from segmax.oracles import dist_list_lifted
 
 kinds = st.sampled_from(list(CollectionKind))
@@ -252,6 +262,65 @@ def test_nested_collections_have_canonical_order():
     inner2 = _bag(1)
     outer = collection(CollectionKind.SET, [inner1, inner2, inner1])
     assert outer.items == (inner2, inner1)
+
+
+def _by_canonical_key(kind, items):
+    """collection's canonical form, sorted by canonical_key alone."""
+    if kind is CollectionKind.LIST:
+        return Collection(kind, tuple(items))
+    out = []
+    for e in sorted(items, key=canonical_key):
+        if kind is CollectionKind.BAG or not out or e != out[-1]:
+            out.append(e)
+    return Collection(kind, tuple(out))
+
+
+nested = st.recursive(
+    st.integers(-3, 3) | st.booleans() | st.just(EMPTY)
+    | st.sampled_from(list(ShapeKind)).flatmap(lambda s: terms(s, max_leaves=3)),
+    lambda ch: st.lists(ch, max_size=3).map(tuple)
+    | st.tuples(kinds, st.lists(ch, max_size=3)).map(lambda kv: _by_canonical_key(*kv)),
+    max_leaves=10,
+)
+
+
+@given(kinds, st.lists(nested, max_size=6))
+def test_collection_orders_as_canonical_key_does(kind, items):
+    got, want = collection(kind, items), _by_canonical_key(kind, items)
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("items", [
+    [(1,), 2, (0,), 1],  # an int beside a tuple
+    [(1, (2,)), (1, 3), (0,)],
+    [_bag(1), _set(0), _bag(0), _set()],  # a bag beside a set
+    [(_set(1),), (_bag(2),)],
+    [_bag(1), (), _set(), ((),), (0,)],  # () beside a Collection
+    [_bag(), ()],
+    [True, 1, 0, False],  # True beside 1: a tie, kept in input order
+    [(1,), (True,), (0, 1)],
+])
+def test_collection_orders_as_canonical_key_where_python_cannot_or_ties(items):
+    for kind in CollectionKind:
+        got, want = collection(kind, items), _by_canonical_key(kind, items)
+        assert got == want and repr(got) == repr(want)
+
+
+def test_true_beside_1_keeps_its_input_order():
+    assert repr(_bag(True, 1).items) == "(True, 1)" and repr(_bag(1, True).items) == "(1, True)"
+    assert repr(_set(True, 1).items) == "(True,)" and repr(_set(1, True).items) == "(1,)"
+    assert repr(_bag((1,), (True,)).items) == "((1,), (True,))"
+
+
+@pytest.mark.parametrize("kind", [CollectionKind.BAG, CollectionKind.SET])
+@pytest.mark.parametrize("items, name", [
+    ([1.5], "float"),
+    ([(1,), (1.5,)], "float"),  # Python orders these two natively
+    ([2, Decimal(1)], "Decimal"),
+])
+def test_an_element_with_no_canonical_order_still_raises(kind, items, name):
+    with pytest.raises(TypeError, match=f"^no canonical order for {name}$"):
+        collection(kind, items)
 
 
 def test_collections_of_nodes_that_differ_only_in_payloads_are_canonical():
