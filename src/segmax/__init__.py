@@ -33,7 +33,6 @@ from .horner import (
     inits_list,
     max_prefix_sum,
     mss_generic,
-    mss_generic_text,
     mss_linear,
     mss_quadratic,
     mss_spec,
@@ -73,7 +72,6 @@ from .pruning import (
     is_pruning_of,
     prune,
     prune_count,
-    prune_count_text,
     pruned_fold,
     segs_count,
     segs_generic,

@@ -34,7 +34,6 @@ from .horner import (
     SEMIRINGS,
     max_prefix_sum,
     mss_generic,
-    mss_generic_text,
     mss_linear,
     mss_quadratic,
     mss_spec,
@@ -42,11 +41,10 @@ from .horner import (
 from .ints import I64_MAX, I64_MIN, check_i64, parse_int, plain_ints
 from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
-from .pruning import _check_guard, print_step, prune_count_text, segs_count
+from .pruning import _check_guard, print_step, prune_count, segs_count
 from .pruning import prune as prune_term
 from .shapes import ShapeKind, parse_term
 # segbench's traced run rebinds these names here, so they stay bound
-from .pruning import prune_count  # noqa: F401
 from .shapes import print_pruned, term_size  # noqa: F401
 
 EXIT_USAGE = 2
@@ -227,11 +225,7 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
             _echo(f"scan = {scan_v}")
             _echo(f"brute = {brute_v}")
         return
-    if via == "scan":  # scanned while parsing: no term is built
-        value = mss_generic_text(s, text, ShapeKind(shape), kind, force)
-    else:
-        value = mss_generic(s, parse_term(text, ShapeKind(shape)), via=via, kind=kind,
-                            force=force)
+    value = mss_generic(s, text, via, kind, force, shape=ShapeKind(shape))
     if as_json:
         _echo(json.dumps({"via": via, "value": value,
                           "semiring": semiring_name, "monad": monad}))
@@ -261,7 +255,7 @@ def prune(shape: str, monad: str, count_only: bool, inline: str | None,
     written in about a second, as each text is written once)."""
     text = _read_source(inline, path)
     if count_only:  # counted while parsing: no term is built
-        count = prune_count_text(text, ShapeKind(shape))
+        count = prune_count(text, ShapeKind(shape))
         digits = str(Decimal(count))  # str(int) stops at 4,300 digits
         _echo('{"count": ' + digits + "}" if as_json else digits)
         return

@@ -36,12 +36,12 @@ mss-generic-scan-vs-brute checks it against the brute route, and
 tests/test_horner.py::test_scan_route_is_reduce_contents_scan against
 the literal composition, errors included.
 
-mss_generic_text runs the same horner_step as the parser's close
-action.  The parser closes constructors in that same post-order and
-reserves each one's preorder slot when it opens, so one pass over the
-text lists the Horner values in contents order and builds no term: the
-fold after the unfold, with the intermediate tree removed (a
-hylomorphism).  tests/test_horner.py::test_text_route_is_parse_then_scan
+Given a term's text, the scan route runs the same horner_step as the
+parser's close action.  The parser closes constructors in that same
+post-order and reserves each one's preorder slot when it opens, so one
+pass over the text lists the Horner values in contents order and builds
+no term: the fold after the unfold, with the intermediate tree removed
+(a hylomorphism).  tests/test_horner.py::test_text_route_is_parse_then_scan
 checks it against parse_term followed by mss_generic, errors included.
 
 Scan and brute agree when the labels lie in the carrier,
@@ -334,47 +334,38 @@ def horner_generic_brute(s: Semiring, b, t: Term):
     return reduce(s.reduce_op, collection(CollectionKind.BAG, vals[:prune_count(t)]))
 
 
-def mss_generic(s: Semiring, t: Term, via: str = "scan",
+def mss_generic(s: Semiring, t: Term | str, via: str = "scan",
                 kind: CollectionKind = CollectionKind.BAG,
-                force: bool = False):
-    """Best segment value over all generic segments of t.  The scan route
-    reduces the contents of one Horner scan, seeded with the mul unit, in
-    one post-order pass (see the module docstring); the brute route
-    reduces the pruned-term products over every segment, folded once
-    (_segment_products).  Both agree whenever the gate, which checks
-    add's reduction laws for kind and mul's semiring laws unless forced,
-    passes.  Errors come in order: an unknown route, the gate,
-    the first label outside the carrier in contents order, the first
-    overflow in post-order (on the brute route, within the first segment
-    that overflows).
+                force: bool = False, *, shape: ShapeKind | None = None):
+    """Best segment value over all generic segments of t, a term or, with
+    its shape, the text of one.  The scan route reduces the contents of
+    one Horner scan, seeded with the mul unit, in one post-order pass (see
+    the module docstring): over a text, horner_step is the parser's close
+    action and no term is built, and a label outside the carrier or an
+    overflow stops that pass and reruns on the parsed term to order the
+    faults.  The brute route parses a text, then reduces the pruned-term
+    products over every segment, folded once (_segment_products).  Both
+    agree whenever the gate, which checks add's reduction laws for kind
+    and mul's semiring laws unless forced, passes.  Errors come in order:
+    an unknown route, a syntax fault or the node limit, the gate, the
+    first label outside the carrier in contents order, the first overflow
+    in post-order (on the brute route, within the first segment that
+    overflows).
     """
     if via not in ("scan", "brute"):
         raise ValueError(f"unknown route {via!r}")
+    b, vals = s.mul_unit, []
+    if isinstance(t, str) and via == "scan":
+        try:  # scanned while parsing
+            _parse(t, shape, horner_step(s, b), out=vals)
+        except (CarrierError, OverflowError):  # the term route orders the faults
+            vals = []
+    if isinstance(t, str) and not vals:  # the brute route, or a scan that stopped
+        t = parse_term(t, shape)
     ensure_distributive(s, kind, force)
-    b = s.mul_unit
-    if via == "scan":
-        vals: list = []
-        _horner_walk(s, b, t, vals)
-    else:
+    if via == "brute":
         _check_carrier(s, t)
         vals = _segment_products(s, b, t)
-    return reduce(s.reduce_op, collection(kind, vals), check=False)
-
-
-def mss_generic_text(s: Semiring, text: str, shape: ShapeKind,
-                     kind: CollectionKind = CollectionKind.BAG,
-                     force: bool = False):
-    """mss_generic(s, parse_term(text, shape), kind=kind, force=force) by
-    the scan route in one pass over the text that builds no term, with
-    horner_step as the parser's close action (see the module docstring).
-    A label outside the carrier or an overflow stops the pass, and the
-    term route then raises the error that comes first: a syntax fault,
-    then mss_generic's order.  The node limit refuses before any pass.
-    """
-    vals: list = []
-    try:
-        _parse(text, shape, horner_step(s, s.mul_unit), out=vals)
-    except (CarrierError, OverflowError):
-        return mss_generic(s, parse_term(text, shape), kind=kind, force=force)
-    ensure_distributive(s, kind, force)
+    elif not vals:  # a term, or a text whose pass stopped
+        _horner_walk(s, b, t, vals)
     return reduce(s.reduce_op, collection(kind, vals), check=False)

@@ -314,6 +314,9 @@ def _candidates(v):
         zeroed = map_term(lambda l: 0, v)
         if zeroed not in (v, halved):
             yield zeroed
+        for i in range(sum(map(bool, contents_term(v)))):  # then one nonzero label
+            seen = itertools.count()
+            yield map_term(lambda l: 0 if l and next(seen) == i else l, v)
     elif isinstance(v, int) and not isinstance(v, bool):
         for c in (0, 1, -1, int(v / 2)):
             if c != v:

@@ -31,8 +31,8 @@ scan each, the per-subterm results listed in preorder (contents order):
 
 The count step has the parser's close action signature (tag, labels,
 kids), as horner.horner_step has: it is Horner's rule in the counting
-semiring.  So prune_count_text counts while parsing and builds no term,
-as horner.mss_generic_text scans while parsing.
+semiring.  So prune_count counts a text while parsing and builds no
+term, as horner.mss_generic scans one.
 
 Every child of a segment is a segment listed after it, so the brute
 route folds the segments once, back to front, through one memo keyed by
@@ -75,17 +75,15 @@ def _count_step(tag: str, labels: tuple, kids: tuple) -> int:
     return 1 + math.prod(kids)
 
 
-def prune_count(t: Term) -> int:
-    """Number of prunings, by the recurrence 1 + product over children
-    (so 2 for every childless node).  Cheap: no enumeration."""
+def prune_count(t: Term | str, shape: ShapeKind | None = None) -> int:
+    """Number of prunings of t, a term or, with its shape, the text of one,
+    by the recurrence 1 + product over children (so 2 for every childless
+    node).  Cheap: no enumeration.  A text is counted while parsing, with
+    the count step as the parser's close action, so no term is built and
+    only parse_term's syntax faults and node limit are raised."""
+    if isinstance(t, str):
+        return _parse(t, shape, _count_step)
     return postorder(t, lambda n, kids: _count_step(n.tag, n.labels, kids))
-
-
-def prune_count_text(text: str, shape: ShapeKind) -> int:
-    """prune_count(parse_term(text, shape)) in one pass over the text that
-    builds no term, with the count step as the parser's close action.  It
-    raises parse_term's syntax faults and node limit, and nothing else."""
-    return _parse(text, shape, _count_step)
 
 
 def _check_guard(size: int) -> None:

@@ -32,8 +32,8 @@ and struct_key flattens a term into its preorder token tuple.
 The parser is one pass over the text's tokens that runs a close action,
 close(tag, labels, kids), on each constructor at its ')': in post-order,
 children left to right, the order of postorder's steps.  parse_term's
-close action builds the Node; horner.mss_generic_text's is the Horner
-step, so that route scans while parsing and builds no term
+close action builds the Node; horner.mss_generic's, given a text, is the
+Horner step, so its scan route scans while parsing and builds no term
 (tests/test_horner.py::test_text_route_is_parse_then_scan checks it
 against parse_term followed by the scan).
 
@@ -520,9 +520,9 @@ def _syntax_error(text: str, toks: list, i: int, expected: str,
 
 def parse_term(text: str, shape: ShapeKind) -> Term:
     """Parse a term in the shape's s-expression grammar: the parser's
-    close action builds each Node.  (horner.mss_generic_text runs the
-    same parser with the Horner step as its close action, and builds no
-    term.)
+    close action builds each Node.  (horner.mss_generic, given a text,
+    runs the same parser with the Horner step as its close action, and
+    builds no term.)
 
     Raises TermSyntaxError (with a byte offset) on malformed input, an
     unknown constructor, or an arity mismatch.  A text whose '(' and atom

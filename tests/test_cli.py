@@ -277,12 +277,21 @@ def test_exact_counts_past_the_int_str_digit_limit(runner):
     assert json.loads(res.output, parse_int=Decimal) == {"count": counts[-1]}
 
 
+def _build_no_term(monkeypatch, what: str) -> None:
+    # every parse that builds a term closes its constructors with _build's action
+    def build(shape):
+        def close(*_):
+            raise AssertionError(f"{what} built a term")
+        return close
+
+    monkeypatch.setattr("segmax.shapes._build", build)
+
+
 def test_tree_by_scan_builds_no_term(runner, monkeypatch):
     # the scan route runs the Horner step as the parser's close action
-    def no_term(*_):
-        raise AssertionError("tree --via scan built a term")
-
-    monkeypatch.setattr("segmax.cli.parse_term", no_term)
+    _build_no_term(monkeypatch, "tree")
+    with pytest.raises(AssertionError, match="tree built a term"):  # the patch bites
+        invoke(runner, "tree", "--via", "brute", "--input", EX7)
     assert invoke(runner, "tree", "--via", "scan", "--input", EX7).output == "11\n"
     res = invoke(runner, "tree", "--via", "scan", "--input", _complete_htree(16))
     assert (res.exit_code, res.output) == (0, "65535\n")  # 65,535 nodes labelled 1
@@ -295,10 +304,7 @@ def test_tree_by_scan_builds_no_term(runner, monkeypatch):
 
 def test_prune_count_builds_no_term(runner, monkeypatch):
     # the count runs as the parser's close action
-    def no_term(*_):
-        raise AssertionError("prune --count built a term")
-
-    monkeypatch.setattr("segmax.cli.parse_term", no_term)
+    _build_no_term(monkeypatch, "prune --count")
     assert invoke(runner, "prune", "--count", "--input", EX7).output == "11\n"
     count = 2  # prunings of a complete htree, by depth
     for _ in range(15):
@@ -312,6 +318,21 @@ def test_prune_count_builds_no_term(runner, monkeypatch):
     res = runner.invoke(main, ["prune", "--count", "--shape", "list", "--input", over_limit])
     assert (res.exit_code, res.stderr) == (
         2, "error: tree larger than 100000 nodes (at offset 0)\n")
+
+
+def test_tree_and_prune_count_are_one_library_call_each(runner, monkeypatch):
+    # segbench's traced run times each answer under the name cli binds for it
+    calls = collections.Counter()
+    for name in ("mss_generic", "prune_count"):
+        fn = getattr(segmax.cli, name)
+        monkeypatch.setattr(segmax.cli, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.update([_name]) or _fn(*a, **k))
+    for args, name in [(("tree", "--via", "scan"), "mss_generic"),
+                       (("tree", "--via", "brute"), "mss_generic"),
+                       (("prune", "--count"), "prune_count")]:
+        calls.clear()
+        assert invoke(runner, *args, "--input", EX7).output == "11\n"
+        assert calls == {name: 1}, args
 
 
 def test_guard_message_for_a_printable_count(runner):

@@ -38,7 +38,6 @@ from segmax import (
     map_term,
     max_prefix_sum,
     mss_generic,
-    mss_generic_text,
     mss_linear,
     mss_quadratic,
     mss_spec,
@@ -284,6 +283,10 @@ def test_mss_generic_refuses_an_unknown_route_before_any_check():
         with pytest.raises(ValueError, match="^unknown route 'nope'$") as e:
             mss_generic(s, leaf(I64_MIN), via="nope", kind=kind)
         assert type(e.value) is ValueError
+    # on a text, the route comes before the syntax fault too
+    with pytest.raises(ValueError, match="^unknown route 'bogus'$") as e:
+        mss_generic(MAX_PLUS, "(leaf", via="bogus", shape=ShapeKind.HTREE)
+    assert type(e.value) is ValueError
 
 
 def test_mss_generic_list_terms_match_classical():
@@ -610,11 +613,12 @@ _WIDE = (I64_MIN, I64_MAX, 1 << 62, -(1 << 62), 1 << 40, 2, 5, 0, 1, -1)
 
 
 def _assert_text_route_is_parse_then_scan(s, text, shape, kind, force):
-    """mss_generic_text against parse_term followed by mss_generic: the
+    """mss_generic on a text against parse_term followed by mss_generic: the
     same value, or an error of the same type and message."""
     expected = _outcome(lambda: mss_generic(s, parse_term(text, shape), kind=kind,
                                             force=force))
-    assert _outcome(lambda: mss_generic_text(s, text, shape, kind, force)) == expected
+    assert _outcome(lambda: mss_generic(s, text, kind=kind, force=force,
+                                        shape=shape)) == expected
     return expected[0]
 
 
@@ -682,12 +686,10 @@ def test_scan_values_lie_in_the_carrier(monkeypatch):
         for shape in ShapeKind:
             for _ in range(8):
                 t = map_term(lambda _: rng.choice(_CARRIER_EDGES[s]), gen_term(rng, shape, 4))
-                text = print_term(t)
-                for route in (lambda: mss_generic(counted, t, kind=kind, force=force),
-                              lambda: mss_generic_text(counted, text, shape, kind, force)):
+                for x in (t, print_term(t)):  # the term, and the text scanned while parsing
                     del reads[:], received[:]
                     try:
-                        route()
+                        mss_generic(counted, x, kind=kind, force=force, shape=shape)
                     except OverflowError:
                         continue
                     answered += 1
@@ -709,7 +711,7 @@ def test_a_fault_free_scan_leaves_the_carrier_to_the_step(monkeypatch):
 
     monkeypatch.setattr("segmax.horner._check_carrier", walk)
     for (s, shape, t), (best, whole) in zip(cases, expected):
-        assert mss_generic(s, t) == mss_generic_text(s, print_term(t), shape) == best
+        assert mss_generic(s, t) == mss_generic(s, print_term(t), shape=shape) == best
         assert horner_generic(s, s.mul_unit, t) == whole
 
 

@@ -22,7 +22,6 @@ from segmax import (
     print_pruned,
     prune,
     prune_count,
-    prune_count_text,
     pruned_fold,
     segs_count,
     segs_generic,
@@ -102,7 +101,7 @@ def _outcome(f):
 
 
 def test_count_text_route_is_parse_then_count():
-    # prune_count_text against parse_term followed by prune_count: the
+    # prune_count on a text against parse_term followed by prune_count: the
     # same count, or an error of the same type, message and offset
     rng = random.Random(16)
     texts = [(shape, t) for shape in ShapeKind for _ in range(150)
@@ -119,7 +118,7 @@ def test_count_text_route_is_parse_then_count():
     seen = set()
     for shape, text in texts:
         expected = _outcome(lambda: prune_count(parse_term(text, shape)))
-        assert _outcome(lambda: prune_count_text(text, shape)) == expected
+        assert _outcome(lambda: prune_count(text, shape)) == expected
         seen.add(expected[0])
     assert seen == {"value", "TermSyntaxError"}
 
@@ -136,7 +135,7 @@ def test_counts_are_horner_folds_in_the_counting_semiring():
             n = prune_count(t)
             assert n == horner_generic(PLUS_TIMES, 1, t)
             assert segs_count(t) == mss_generic(PLUS_TIMES, t)
-            assert prune_count_text(print_term(t), shape) == n
+            assert prune_count(print_term(t), shape) == n
 
 
 def test_prune_matches_literal_fold_and_recurrence_oracles():

@@ -31,7 +31,7 @@ from segmax import (
     leaf,
     list_term,
     make_node,
-    mss_generic_text,
+    mss_generic,
     nil,
     parse_pruned,
     parse_term,
@@ -39,7 +39,6 @@ from segmax import (
     print_term,
     prune,
     prune_count,
-    prune_count_text,
     term_size,
     tip,
 )
@@ -163,8 +162,8 @@ def test_an_oversize_text_is_refused_before_it_is_tokenized(monkeypatch):
     texts = [(OVER_LIMIT, ShapeKind.LIST),  # 100,000 '(' and one nil
              ("(node 1 nilt " * 50_000 + "nilt" + ")" * 50_000, ShapeKind.ITREE)]
     for text, shape in texts:
-        for parse in (parse_term, lambda text, shape: mss_generic_text(MAX_PLUS, text, shape),
-                      prune_count_text):
+        for parse in (parse_term, lambda text, shape: mss_generic(MAX_PLUS, text, shape=shape),
+                      prune_count):
             with pytest.raises(TermSyntaxError) as exc:
                 parse(text, shape)
             assert str(exc.value) == "tree larger than 100000 nodes (at offset 0)"
@@ -238,9 +237,9 @@ def test_the_split_tokens_answer_as_the_token_pattern_does(monkeypatch):
                 text = text[:i] + rng.choice(["( ", "+", "_", "\u3000", "x", "@", "5",
                                               str(I64_MAX + 1), ")(", "E "]) + text[i:]
             cases.append((shape, text))
-    routes = [parse_pruned, prune_count_text,
-              lambda text, shape: mss_generic_text(MAX_PLUS, text, shape),
-              lambda text, shape: mss_generic_text(BOOL_OR_AND, text, shape)]
+    routes = [parse_pruned, prune_count,
+              lambda text, shape: mss_generic(MAX_PLUS, text, shape=shape),
+              lambda text, shape: mss_generic(BOOL_OR_AND, text, shape=shape)]
 
     def outcomes():
         return [_syntax_outcome(lambda: route(text, shape))
