@@ -207,15 +207,14 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
     """Best segment value of a shaped term, by scan or brute enumeration."""
     s = SEMIRINGS[semiring_name]
     kind = CollectionKind(monad)
-    text = _read_source(inline, path)
-    if check_both:
-        t = parse_term(text, ShapeKind(shape))
-        try:  # the scan raises the gate, then the carrier, then its overflow
-            scan_v = mss_generic(s, t, via="scan", kind=kind, force=force)
+    text, shape_kind = _read_source(inline, path), ShapeKind(shape)
+    if check_both:  # each route takes the text; only the brute route builds a term
+        try:  # the scan raises a syntax fault, the gate, the carrier, then its overflow
+            scan_v = mss_generic(s, text, "scan", kind, force, shape=shape_kind)
         except OverflowError:  # the brute route's guard refuses ahead of an overflow
-            _check_guard(segs_count(t))
+            _check_guard(segs_count(text, shape_kind))  # counted while parsing
             raise
-        brute_v = mss_generic(s, t, via="brute", kind=kind, force=force)
+        brute_v = mss_generic(s, text, "brute", kind, force, shape=shape_kind)
         if scan_v != brute_v:
             _fail(1, f"routes disagree: scan={scan_v} brute={brute_v}")
         if as_json:
@@ -225,7 +224,7 @@ def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
             _echo(f"scan = {scan_v}")
             _echo(f"brute = {brute_v}")
         return
-    value = mss_generic(s, text, via, kind, force, shape=ShapeKind(shape))
+    value = mss_generic(s, text, via, kind, force, shape=shape_kind)
     if as_json:
         _echo(json.dumps({"via": via, "value": value,
                           "semiring": semiring_name, "monad": monad}))

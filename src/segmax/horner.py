@@ -28,10 +28,10 @@ which equals reducing the products of all prunings, and summing it over
 every subterm (one scan) equals reducing over all generic segments.
 
 mss_generic's scan route is  reduce . contents . scan horner_alg  in one
-pass (Bird's scan lemma): one post-order walk (shapes.postorder) runs
-horner_step on each node's labels and its children's results, in the
-order the unfused fold would, and lists the values in preorder, which
-is the order of contents.  It builds no labelled tree.  The law
+pass (Bird's scan lemma): shapes._parse runs horner_step on each node's
+labels and its children's results, over a term by shapes.postorder, in
+the order the unfused fold would, and lists the values in preorder, the
+order of contents.  It builds no labelled tree.  The law
 mss-generic-scan-vs-brute checks it against the brute route, and
 tests/test_horner.py::test_scan_route_is_reduce_contents_scan against
 the literal composition, errors included.
@@ -49,9 +49,9 @@ reduce_op.element_ok; add obeys the reduction laws of the collection
 kind; and mul has a unit, is associative and distributes over add on
 both sides.  The gate, ensure_distributive, checks all those laws on
 every argument tuple of a fixed pool inside the carrier before either
-route computes.  horner_step checks the carrier once per label on every
-scan; _check_carrier walks the term only to order the faults of a
-stopped pass, and up front for brute and tree --check.
+route answers.  horner_step checks the carrier once per label on every
+scan.  A pass that stops is not rerun: _check_carrier walks the term
+only to order its faults, and up front on the brute route.
 
 Lemma: once the labels are in the carrier, the routes' values need no
 domain check, so both routes reduce unchecked.
@@ -93,7 +93,7 @@ from .monads import (
 )
 from .pruning import _Fault, _segs_items, prune_count, pruned_fold
 from .schemes import Algebra, contents_term
-from .shapes import ShapeKind, Term, _parse, parse_term, postorder
+from .shapes import ShapeKind, Term, _parse, parse_term
 
 
 class Semiring(NamedTuple):
@@ -296,19 +296,13 @@ def _check_carrier(s: Semiring, t: Term) -> None:
             raise CarrierError(f"label {v} outside the carrier of '{s.name}'")
 
 
-def _horner_walk(s: Semiring, b, t: Term, out: list | None = None):
-    """horner_generic, also listing every node's value in preorder in out."""
-    step = horner_step(s, b)
+def horner_generic(s: Semiring, b, t: Term):
+    """Fold the Horner step over t: its prunings' products, reduced."""
     try:
-        return postorder(t, lambda n, kids: step(n.tag, n.labels, kids), out=out)
+        return _parse(t, None, horner_step(s, b))
     except (CarrierError, OverflowError):
         _check_carrier(s, t)
         raise
-
-
-def horner_generic(s: Semiring, b, t: Term):
-    """Fold the Horner step over t: its prunings' products, reduced."""
-    return _horner_walk(s, b, t)
 
 
 def _segment_products(s: Semiring, b, t: Term) -> list:
@@ -341,31 +335,33 @@ def mss_generic(s: Semiring, t: Term | str, via: str = "scan",
     its shape, the text of one.  The scan route reduces the contents of
     one Horner scan, seeded with the mul unit, in one post-order pass (see
     the module docstring): over a text, horner_step is the parser's close
-    action and no term is built, and a label outside the carrier or an
-    overflow stops that pass and reruns on the parsed term to order the
-    faults.  The brute route parses a text, then reduces the pruned-term
-    products over every segment, folded once (_segment_products).  Both
-    agree whenever the gate, which checks add's reduction laws for kind
-    and mul's semiring laws unless forced, passes.  Errors come in order:
-    an unknown route, a syntax fault or the node limit, the gate, the
-    first label outside the carrier in contents order, the first overflow
-    in post-order (on the brute route, within the first segment that
-    overflows).
+    action and no term is built.  A label outside the carrier or an
+    overflow stops the pass, and its error is held, not rerun, behind the
+    faults that come first.  The brute route parses a text, then reduces
+    the pruned-term products over every segment, folded once
+    (_segment_products).  Both agree whenever the gate, which checks add's
+    reduction laws for kind and mul's semiring laws unless forced, passes.
+    Errors come in order: an unknown route, a syntax fault or the node
+    limit, the gate, the first label outside the carrier in contents
+    order, the first overflow in post-order (on the brute route, within
+    the first segment that overflows).  Another error of a library mul
+    comes where the scan meets it, before the gate, for a term or a text.
     """
     if via not in ("scan", "brute"):
         raise ValueError(f"unknown route {via!r}")
-    b, vals = s.mul_unit, []
-    if isinstance(t, str) and via == "scan":
-        try:  # scanned while parsing
+    b, vals, stopped = s.mul_unit, [], None
+    if via == "scan":
+        try:
             _parse(t, shape, horner_step(s, b), out=vals)
-        except (CarrierError, OverflowError):  # the term route orders the faults
-            vals = []
-    if isinstance(t, str) and not vals:  # the brute route, or a scan that stopped
+        except (CarrierError, OverflowError) as e:  # held for the faults that come first
+            stopped = e
+    if isinstance(t, str) and (via == "brute" or stopped):
         t = parse_term(t, shape)
     ensure_distributive(s, kind, force)
-    if via == "brute":
+    if via == "brute" or stopped:
         _check_carrier(s, t)
+    if stopped:
+        raise stopped
+    if via == "brute":
         vals = _segment_products(s, b, t)
-    elif not vals:  # a term, or a text whose pass stopped
-        _horner_walk(s, b, t, vals)
     return reduce(s.reduce_op, collection(kind, vals), check=False)

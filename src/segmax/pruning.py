@@ -31,8 +31,8 @@ scan each, the per-subterm results listed in preorder (contents order):
 
 The count step has the parser's close action signature (tag, labels,
 kids), as horner.horner_step has: it is Horner's rule in the counting
-semiring.  So prune_count counts a text while parsing and builds no
-term, as horner.mss_generic scans one.
+semiring.  So prune_count and segs_count run it by shapes._parse over a
+term or its text, which they count while parsing and build no term.
 
 Every child of a segment is a segment listed after it, so the brute
 route folds the segments once, back to front, through one memo keyed by
@@ -78,12 +78,10 @@ def _count_step(tag: str, labels: tuple, kids: tuple) -> int:
 def prune_count(t: Term | str, shape: ShapeKind | None = None) -> int:
     """Number of prunings of t, a term or, with its shape, the text of one,
     by the recurrence 1 + product over children (so 2 for every childless
-    node).  Cheap: no enumeration.  A text is counted while parsing, with
-    the count step as the parser's close action, so no term is built and
-    only parse_term's syntax faults and node limit are raised."""
-    if isinstance(t, str):
-        return _parse(t, shape, _count_step)
-    return postorder(t, lambda n, kids: _count_step(n.tag, n.labels, kids))
+    node).  Cheap: no enumeration.  One _parse call runs the count step
+    as its close action, so a text is counted while parsing, no term is
+    built, and only parse_term's syntax faults and node limit are raised."""
+    return _parse(t, shape, _count_step)
 
 
 def _check_guard(size: int) -> None:
@@ -180,11 +178,11 @@ def pruned_fold(b, step: Callable, p, memo: dict) -> object:
     return v
 
 
-def segs_count(t: Term) -> int:
-    """Number of generic segments: the prunings of every subterm,
-    summed over one scan of prune_count."""
+def segs_count(t: Term | str, shape: ShapeKind | None = None) -> int:
+    """Number of generic segments of t, a term or, with its shape, its
+    text: the prunings of every subterm, summed over one prune_count scan."""
     counts: list = []
-    postorder(t, lambda n, kids: _count_step(n.tag, n.labels, kids), out=counts)
+    _parse(t, shape, _count_step, out=counts)
     return sum(counts)
 
 

@@ -31,9 +31,9 @@ and struct_key flattens a term into its preorder token tuple.
 
 The parser is one pass over the text's tokens that runs a close action,
 close(tag, labels, kids), on each constructor at its ')': in post-order,
-children left to right, the order of postorder's steps.  parse_term's
-close action builds the Node; horner.mss_generic's, given a text, is the
-Horner step, so its scan route scans while parsing and builds no term
+children left to right, as postorder runs it over a term, which _parse
+also takes.  parse_term's close action builds the Node; mss_generic's,
+the Horner step, scans a text while parsing and builds no term
 (tests/test_horner.py::test_text_route_is_parse_then_scan checks it
 against parse_term followed by the scan).
 
@@ -366,15 +366,16 @@ def _split_tokens(text: str) -> list[str]:
     return text.replace("(", " (").replace(")", " ) ").split()
 
 
-def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = False,
-           out: list | None = None):
+def _parse(t: Term | str, shape: ShapeKind | None, close: Callable,
+           allow_empty: bool = False, out: list | None = None):
     """One pass over the text's tokens, running close(tag, labels, kids) on
     each constructor when its ')' is read, so in post-order with children
     left to right, and returning the root's value; an atom is worth one
     close per parse.  A list out also receives every value in preorder:
     a constructor's slot is reserved at its '(tag' and filled at its ')'.
     The one size check is first: a node is a '(' or an atom's name, not
-    'E', so past MAX_TREE_NODES nothing is read.
+    'E', so past MAX_TREE_NODES nothing is read.  Given a term, not a
+    text, it runs close by postorder, in that order and with that out.
 
     Tokens come first from _split_tokens when the text has no '+' and no
     '_', labels read by int.  Each split token the read accepts (a '(tag',
@@ -386,25 +387,27 @@ def _parse(text: str, shape: ShapeKind, close: Callable, allow_empty: bool = Fal
     text read again from _TOKEN_RE, as a text with '+' or '_' is at once;
     a fault there goes to _syntax_error.  Close actions are pure, so an
     error one raises (CarrierError, OverflowError) is either list's."""
+    if not isinstance(t, str):
+        return postorder(t, lambda n, kids: close(n.tag, n.labels, kids), out=out)
     sigs = SIGNATURES[shape]
     atoms: dict = {tag: close(tag, (), ()) for tag, sig in sigs.items() if sig.atom}
-    if text.count("(") + sum(map(text.count, atoms)) > MAX_TREE_NODES:
+    if t.count("(") + sum(map(t.count, atoms)) > MAX_TREE_NODES:
         raise TermSyntaxError(f"tree larger than {MAX_TREE_NODES} nodes", 0)
     heads = {"(" + tag: (tag, sig.n_labels, sig.n_children)
              for tag, sig in sigs.items() if not sig.atom}
     if allow_empty:
         atoms["E"] = EMPTY
-    if plain_ints(text):
+    if plain_ints(t):
         try:
-            return _read(_split_tokens(text), int, heads, atoms, close, out)
+            return _read(_split_tokens(t), int, heads, atoms, close, out)
         except _Fault:
             if out is not None:
                 out.clear()
-    toks = _TOKEN_RE.findall(text)
+    toks = _TOKEN_RE.findall(t)
     try:
         return _read(toks, parse_int, heads, atoms, close, out)
     except _Fault as fault:
-        raise _syntax_error(text, toks, *fault.args, shape) from None
+        raise _syntax_error(t, toks, *fault.args, shape) from None
 
 
 def _read(toks: list, read_int: Callable, heads: dict, atoms: dict, close: Callable,

@@ -302,6 +302,22 @@ def test_tree_by_scan_builds_no_term(runner, monkeypatch):
         2, "error: tree larger than 100000 nodes (at offset 0)\n")
 
 
+def test_tree_calls_parse_term_on_no_route(runner, monkeypatch):
+    # every route hands mss_generic the text; only the brute route parses
+    # it, inside, and --check counts the text for its guard
+    def refuse(*_):
+        raise AssertionError("tree called cli.parse_term")
+
+    monkeypatch.setattr("segmax.cli.parse_term", refuse)
+    for route, output in [(["--via", "scan"], "11\n"), (["--via", "brute"], "11\n"),
+                          (["--check"], "scan = 11\nbrute = 11\n")]:
+        assert invoke(runner, "tree", *route, "--input", EX7).output == output
+    text = print_term(list_term([I64_MAX - 1] * 1500))  # the scan overflows
+    res = runner.invoke(main, ["tree", "--shape", "list", "--check", "--input", text])
+    assert (res.exit_code, res.stderr) == (
+        5, "error: collection of 1128752 elements exceeds guard 1000000\n")
+
+
 def test_prune_count_builds_no_term(runner, monkeypatch):
     # the count runs as the parser's close action
     _build_no_term(monkeypatch, "prune --count")
