@@ -10,6 +10,7 @@ from .errors import (
     DistributivityError,
     KindMismatchError,
     ReduceLawError,
+    RoutesDisagreeError,
     SegmaxError,
     ShapeMismatchError,
     SizeGuardError,

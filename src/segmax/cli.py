@@ -26,6 +26,7 @@ import click
 from .errors import (
     BenchBudgetError,
     DistributivityError,
+    RoutesDisagreeError,
     SegmaxError,
     SizeGuardError,
     TermSyntaxError,
@@ -41,7 +42,7 @@ from .horner import (
 from .ints import I64_MAX, I64_MIN, check_i64, parse_int, plain_ints
 from .lawcheck import reports_to_json, run_all
 from .monads import CollectionKind, to_text
-from .pruning import _check_guard, print_step, prune_count, segs_count
+from .pruning import print_step, prune_count
 from .pruning import prune as prune_term
 from .shapes import ShapeKind, parse_term
 # segbench's traced run rebinds these names here, so they stay bound
@@ -85,6 +86,7 @@ def _fail(code: int, message: str) -> None:
 # Exit status per exception type; an exception takes the entry of the
 # nearest class along its MRO, so every other SegmaxError is a usage error.
 _EXIT_CODES = {
+    RoutesDisagreeError: 1,
     DistributivityError: EXIT_GATE,
     SizeGuardError: EXIT_GUARD,
     BenchBudgetError: EXIT_BUDGET,
@@ -205,31 +207,15 @@ def mss(algo: str, inline: str | None, path: str | None, as_json: bool) -> None:
 def tree(shape: str, semiring_name: str, monad: str, via: str, check_both: bool,
          inline: str | None, path: str | None, force: bool, as_json: bool) -> None:
     """Best segment value of a shaped term, by scan or brute enumeration."""
-    s = SEMIRINGS[semiring_name]
-    kind = CollectionKind(monad)
-    text, shape_kind = _read_source(inline, path), ShapeKind(shape)
-    if check_both:  # each route takes the text; only the brute route builds a term
-        try:  # the scan raises a syntax fault, the gate, the carrier, then its overflow
-            scan_v = mss_generic(s, text, "scan", kind, force, shape=shape_kind)
-        except OverflowError:  # the brute route's guard refuses ahead of an overflow
-            _check_guard(segs_count(text, shape_kind))  # counted while parsing
-            raise
-        brute_v = mss_generic(s, text, "brute", kind, force, shape=shape_kind)
-        if scan_v != brute_v:
-            _fail(1, f"routes disagree: scan={scan_v} brute={brute_v}")
-        if as_json:
-            _echo(json.dumps({"scan": scan_v, "brute": brute_v,
-                              "semiring": semiring_name, "monad": monad}))
-        else:
-            _echo(f"scan = {scan_v}")
-            _echo(f"brute = {brute_v}")
-        return
-    value = mss_generic(s, text, via, kind, force, shape=shape_kind)
+    # one library call on every route; the brute and check routes parse the text
+    value = mss_generic(SEMIRINGS[semiring_name], _read_source(inline, path),
+                        "check" if check_both else via, CollectionKind(monad), force,
+                        shape=ShapeKind(shape))
     if as_json:
-        _echo(json.dumps({"via": via, "value": value,
-                          "semiring": semiring_name, "monad": monad}))
+        fields = {"scan": value, "brute": value} if check_both else {"via": via, "value": value}
+        _echo(json.dumps({**fields, "semiring": semiring_name, "monad": monad}))
     else:
-        _echo(str(value))
+        _echo(f"scan = {value}\nbrute = {value}" if check_both else str(value))
 
 
 @main.command()
@@ -299,8 +285,8 @@ def _bench_input(n: int, seed: int) -> list[int]:
 
 
 def bench_run(sizes: list[int], algos: list[str], seed: int = 42,
-              reps: int = 3, budget: float = 120.0) -> list[dict]:
-    """Median-of-reps wall times for each (algo, n); raises
+              budget: float = 120.0) -> list[dict]:
+    """Median of three wall times for each (algo, n); raises
     BenchBudgetError when the accumulated time passes the budget."""
     rows = []
     started = time.perf_counter()
@@ -309,7 +295,7 @@ def bench_run(sizes: list[int], algos: list[str], seed: int = 42,
         for n in sizes:
             xs = _bench_input(n, seed)
             times = []
-            for _ in range(reps):
+            for _ in range(3):
                 if time.perf_counter() - started > budget:
                     raise BenchBudgetError(f"bench budget of {budget}s exceeded")
                 t0 = time.perf_counter()

@@ -51,6 +51,10 @@ class SizeGuardError(SegmaxError):
         self.guard = guard
 
 
+class RoutesDisagreeError(SegmaxError):
+    """mss_generic's check route met a scan value and a brute value that differ."""
+
+
 class CarrierError(SegmaxError):
     """A label or carrier value lies outside the semiring's domain."""
 

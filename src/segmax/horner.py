@@ -51,7 +51,8 @@ both sides.  The gate, ensure_distributive, checks all those laws on
 every argument tuple of a fixed pool inside the carrier before either
 route answers.  horner_step checks the carrier once per label on every
 scan.  A pass that stops is not rerun: _check_carrier walks the term
-only to order its faults, and up front on the brute route.
+only to order its faults, and up front on the brute route.  The check
+route runs both, scan first, and raises RoutesDisagreeError if unequal.
 
 Lemma: once the labels are in the carrier, the routes' values need no
 domain check, so both routes reduce unchecked.
@@ -72,7 +73,7 @@ import operator
 from itertools import accumulate, islice
 from typing import Callable, NamedTuple
 
-from .errors import CarrierError, DistributivityError, ReduceLawError
+from .errors import CarrierError, DistributivityError, ReduceLawError, RoutesDisagreeError
 from .ints import I64_MAX, I64_MIN, check_i64, checked_add, checked_mul
 # segbench's traced run rebinds these names here, so they stay bound
 from .labelled import preorder_values, scan_generic  # noqa: F401
@@ -91,7 +92,7 @@ from .monads import (
     reduce,
     reduce_law_failure,
 )
-from .pruning import _Fault, _segs_items, prune_count, pruned_fold
+from .pruning import _Fault, _check_guard, _segs_items, prune_count, pruned_fold, segs_count
 from .schemes import Algebra, contents_term
 from .shapes import ShapeKind, Term, _parse, parse_term
 
@@ -336,32 +337,40 @@ def mss_generic(s: Semiring, t: Term | str, via: str = "scan",
     one Horner scan, seeded with the mul unit, in one post-order pass (see
     the module docstring): over a text, horner_step is the parser's close
     action and no term is built.  A label outside the carrier or an
-    overflow stops the pass, and its error is held, not rerun, behind the
-    faults that come first.  The brute route parses a text, then reduces
-    the pruned-term products over every segment, folded once
-    (_segment_products).  Both agree whenever the gate, which checks add's
-    reduction laws for kind and mul's semiring laws unless forced, passes.
-    Errors come in order: an unknown route, a syntax fault or the node
-    limit, the gate, the first label outside the carrier in contents
-    order, the first overflow in post-order (on the brute route, within
-    the first segment that overflows).  Another error of a library mul
-    comes where the scan meets it, before the gate, for a term or a text.
-    """
-    if via not in ("scan", "brute"):
+    overflow stops the pass or its reduce, and its error is held, not
+    rerun, behind the faults that come first.  The brute route parses a
+    text, then reduces the pruned-term products over every segment
+    (_segment_products).  The check route runs both and returns their
+    common value.  They agree whenever the gate passes: add's reduction
+    laws for kind and mul's semiring laws, unless forced.  Errors come in
+    order: an unknown route, a syntax fault or the node limit, the gate,
+    the first label outside the carrier in contents order, the check
+    route's guard, the first overflow in post-order (the scan's, then the
+    brute route's, within its first segment that overflows), the check
+    route's RoutesDisagreeError.  Another error of a library mul, or of
+    its add in the scan's reduce, comes where the scan meets it, before
+    the gate, for a term or a text."""
+    if via not in ("scan", "brute", "check"):
         raise ValueError(f"unknown route {via!r}")
     b, vals, stopped = s.mul_unit, [], None
-    if via == "scan":
+    if via != "brute":
         try:
             _parse(t, shape, horner_step(s, b), out=vals)
+            scan = reduce(s.reduce_op, collection(kind, vals), check=False)
         except (CarrierError, OverflowError) as e:  # held for the faults that come first
             stopped = e
-    if isinstance(t, str) and (via == "brute" or stopped):
+    if isinstance(t, str) and (via != "scan" or stopped):
         t = parse_term(t, shape)
     ensure_distributive(s, kind, force)
-    if via == "brute" or stopped:
+    if via != "scan" or stopped:
         _check_carrier(s, t)
     if stopped:
+        if via == "check":  # the brute route's guard refuses ahead of it
+            _check_guard(segs_count(t))
         raise stopped
-    if via == "brute":
-        vals = _segment_products(s, b, t)
-    return reduce(s.reduce_op, collection(kind, vals), check=False)
+    if via == "scan":
+        return scan
+    brute = reduce(s.reduce_op, collection(kind, _segment_products(s, b, t)), check=False)
+    if via == "check" and scan != brute:
+        raise RoutesDisagreeError(f"routes disagree: scan={scan} brute={brute}")
+    return brute

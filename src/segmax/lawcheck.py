@@ -224,13 +224,12 @@ def gen_coll(rng: random.Random, kind: CollectionKind, max_size: int = 5,
 
 
 def gen_nested(rng: random.Random, kind: CollectionKind, depth: int,
-               max_size: int = 3, min_inner: int = 0) -> Collection:
+               min_inner: int = 0) -> Collection:
     if depth == 0:
-        return gen_coll(rng, kind, max_size, min_size=min_inner)
+        return gen_coll(rng, kind, 3, min_size=min_inner)
     return collection(
         kind,
-        (gen_nested(rng, kind, depth - 1, max_size, min_inner)
-         for _ in range(rng.randint(0, max_size))),
+        (gen_nested(rng, kind, depth - 1, min_inner) for _ in range(rng.randint(0, 3))),
     )
 
 

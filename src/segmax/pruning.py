@@ -31,8 +31,8 @@ scan each, the per-subterm results listed in preorder (contents order):
 
 The count step has the parser's close action signature (tag, labels,
 kids), as horner.horner_step has: it is Horner's rule in the counting
-semiring.  So prune_count and segs_count run it by shapes._parse over a
-term or its text, which they count while parsing and build no term.
+semiring.  So prune_count runs it by shapes._parse over a term or a text,
+counted while parsing with no term built, and segs_count over a term.
 
 Every child of a segment is a segment listed after it, so the brute
 route folds the segments once, back to front, through one memo keyed by
@@ -178,11 +178,11 @@ def pruned_fold(b, step: Callable, p, memo: dict) -> object:
     return v
 
 
-def segs_count(t: Term | str, shape: ShapeKind | None = None) -> int:
-    """Number of generic segments of t, a term or, with its shape, its
-    text: the prunings of every subterm, summed over one prune_count scan."""
+def segs_count(t: Term) -> int:
+    """Number of generic segments of t: the prunings of every subterm,
+    summed over one prune_count scan."""
     counts: list = []
-    _parse(t, shape, _count_step, out=counts)
+    _parse(t, None, _count_step, out=counts)
     return sum(counts)
 
 

@@ -283,7 +283,7 @@ def test_c09_cross_formulation_equivalences():
 
 def test_c10_asymptotic_smoke():
     t0 = time.perf_counter()
-    rows = bench_run([200, 400, 800], ["spec"], seed=42, reps=3)
+    rows = bench_run([200, 400, 800], ["spec"], seed=42)
     times = {r["n"]: r["seconds"] for r in rows}
     ratio = times[800] / times[400]
     assert 6.0 <= ratio <= 12.0, ratio

@@ -303,8 +303,8 @@ def test_tree_by_scan_builds_no_term(runner, monkeypatch):
 
 
 def test_tree_calls_parse_term_on_no_route(runner, monkeypatch):
-    # every route hands mss_generic the text; only the brute route parses
-    # it, inside, and --check counts the text for its guard
+    # every route hands mss_generic the text; the brute and check routes
+    # parse it inside, and the check route counts the term for its guard
     def refuse(*_):
         raise AssertionError("tree called cli.parse_term")
 
@@ -314,6 +314,20 @@ def test_tree_calls_parse_term_on_no_route(runner, monkeypatch):
         assert invoke(runner, "tree", *route, "--input", EX7).output == output
     text = print_term(list_term([I64_MAX - 1] * 1500))  # the scan overflows
     res = runner.invoke(main, ["tree", "--shape", "list", "--check", "--input", text])
+    assert (res.exit_code, res.stderr) == (
+        5, "error: collection of 1128752 elements exceeds guard 1000000\n")
+
+
+def test_the_guard_refuses_ahead_of_an_overflow_in_the_scans_reduce(runner):
+    # every Horner value fits in 64 bits, their sum does not: the check
+    # route's guard comes first, as it does for an overflow in the pass
+    text = print_term(list_term([6144818145805979] + [1] * 1499))
+    res = runner.invoke(main, ["tree", "--shape", "list", "--semiring", "plus-times",
+                               "--via", "scan", "--input", text])
+    assert (res.exit_code, res.stderr) == (
+        4, "error: sum 9223372036855901730 outside 64-bit signed range\n")
+    res = runner.invoke(main, ["tree", "--shape", "list", "--semiring", "plus-times",
+                               "--check", "--input", text])
     assert (res.exit_code, res.stderr) == (
         5, "error: collection of 1128752 elements exceeds guard 1000000\n")
 
@@ -343,11 +357,12 @@ def test_tree_and_prune_count_are_one_library_call_each(runner, monkeypatch):
         fn = getattr(segmax.cli, name)
         monkeypatch.setattr(segmax.cli, name, lambda *a, _fn=fn, _name=name, **k:
                             calls.update([_name]) or _fn(*a, **k))
-    for args, name in [(("tree", "--via", "scan"), "mss_generic"),
-                       (("tree", "--via", "brute"), "mss_generic"),
-                       (("prune", "--count"), "prune_count")]:
+    for args, name, output in [(("tree", "--via", "scan"), "mss_generic", "11\n"),
+                               (("tree", "--via", "brute"), "mss_generic", "11\n"),
+                               (("tree", "--check"), "mss_generic", "scan = 11\nbrute = 11\n"),
+                               (("prune", "--count"), "prune_count", "11\n")]:
         calls.clear()
-        assert invoke(runner, *args, "--input", EX7).output == "11\n"
+        assert invoke(runner, *args, "--input", EX7).output == output
         assert calls == {name: 1}, args
 
 

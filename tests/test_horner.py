@@ -16,6 +16,7 @@ from segmax import (
     CarrierError,
     ReduceLawError,
     ReduceOp,
+    RoutesDisagreeError,
     SEMIRINGS,
     SegmaxError,
     Semiring,
@@ -56,7 +57,7 @@ from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
 from segmax.monads import (MAX_REDUCE, MIN_REDUCE, OR_REDUCE, SUM_REDUCE, _law_pool,
                            reduce_law_failure)
 from segmax.oracles import pruned_fold_literal
-from segmax.pruning import _segs_items, prune, prune_count, segs_count
+from segmax.pruning import _check_guard, _segs_items, prune, prune_count, segs_count
 from segmax.shapes import SIGNATURES, Node, postorder, print_term
 
 EX3 = [4, -5, 6, -3, 2, 0, -4, 5, -6, 5]
@@ -272,6 +273,15 @@ def test_mss_generic_fixtures():
     assert mss_generic(MAX_PLUS, EX7, via="brute") == 11
     assert mss_generic(MAX_PLUS, list_term(EX3)) == 6 == mss_linear(EX3)
     assert mss_generic(MAX_PLUS, leaf(-7)) == 0
+
+
+def test_the_check_route_gives_the_common_value_or_the_disagreement():
+    assert mss_generic(MAX_PLUS, EX7, "check") == 11
+    # set plus-times, forced: the scan counts the leaf's two prunings, the
+    # set of brute products keeps one of them (fixture tree-check-routes-disagree)
+    with pytest.raises(RoutesDisagreeError, match="^routes disagree: scan=2 brute=1$"):
+        mss_generic(PLUS_TIMES, "(leaf 1)", "check", CollectionKind.SET, True,
+                    shape=ShapeKind.HTREE)
 
 
 def test_mss_generic_refuses_an_unknown_route_before_any_check():
@@ -901,6 +911,100 @@ def test_a_term_and_its_text_give_one_outcome_over_the_full_scope():
     assert _assert_term_and_text_agree(list(CollectionKind)) == {
         "value": 37699, "OverflowError": 20955, "CarrierError": 19776,
         "DistributivityError": 3410}
+
+
+def _check_composed(s, t, kind, force):
+    """The check route as separate route calls: the scan; on its overflow,
+    the brute route's guard ahead of it; the brute route; the comparison."""
+    try:
+        scan = mss_generic(s, t, kind=kind, force=force)
+    except OverflowError:
+        _check_guard(segs_count(t))
+        raise
+    brute = mss_generic(s, t, via="brute", kind=kind, force=force)
+    if scan != brute:
+        raise RoutesDisagreeError(f"routes disagree: scan={scan} brute={brute}")
+    return scan
+
+
+def _assert_check_route_is_composed(kinds) -> Counter:
+    """Every term in the small scope, labelled from the edge pool, on every
+    CLI semiring and kind in kinds, forced and not: the check route on the
+    term and on its text against _check_composed, in value or in the
+    error's type and message."""
+    seen = Counter()
+    ts = [t for shape in ShapeKind for t in _terms_in_scope(shape, _EDGE_POOL)]
+    for s, t, kind, force in itertools.product(SEMIRINGS.values(), ts, kinds, (False, True)):
+        outcome = _outcome(lambda: _check_composed(s, t, kind, force))
+        for x in (t, print_term(t)):
+            assert _outcome(lambda: mss_generic(s, x, "check", kind, force,
+                                                shape=t.shape)) == outcome, (
+                s.name, kind, force, x if isinstance(x, str) else "term", print_term(t))
+        seen[outcome[0]] += 1
+    return seen
+
+
+def test_the_check_route_is_the_composed_check_on_every_term_in_the_small_scope():
+    assert _assert_check_route_is_composed([CollectionKind.BAG]) == {
+        "value": 10038, "OverflowError": 10650, "CarrierError": 6592}
+
+
+@pytest.mark.skipif(not os.environ.get("SEGMAX_FULL_SCOPE"),
+                    reason="about 8 s; set SEGMAX_FULL_SCOPE=1 to run it, as CI does")
+def test_the_check_route_is_the_composed_check_over_the_full_scope():
+    # every kind: set plus-times is refused unless forced, and disagrees forced
+    assert _assert_check_route_is_composed(list(CollectionKind)) == {
+        "value": 29218, "OverflowError": 28799, "CarrierError": 19776,
+        "DistributivityError": 3410, "RoutesDisagreeError": 637}
+
+
+def _unital_ops(n):
+    """Every binary operation on range(n) with a unit, as (table, op, unit):
+    the table is the op's values row by row, as a string."""
+    ops = []
+    for unit in range(n):
+        for free in itertools.product(range(n), repeat=(n - 1) ** 2):
+            cells = iter(free)
+            tab = tuple(b if a == unit else a if b == unit else next(cells)
+                        for a, b in itertools.product(range(n), repeat=2))
+            ops.append(("".join(map(str, tab)), lambda a, b, tab=tab: tab[a * n + b], unit))
+    return ops
+
+
+def _gate_passes_agree_on_every_term(n) -> Counter:
+    """Every structure on the carrier range(n), a unital add and a unital
+    mul, that the gate passes for a kind must answer the check route on
+    every term in scope labelled from the carrier: the gate's laws make
+    the routes agree.  Returns the passing structures by kind, and the
+    number of terms."""
+    ok, ops = frozenset(range(n)).__contains__, _unital_ops(n)
+    ts = [t for shape in ShapeKind for t in _terms_in_scope(shape, tuple(range(n)))]
+    passed = Counter()
+    for (add_name, add, zero), (mul_name, mul, one), kind in itertools.product(
+            ops, ops, CollectionKind):
+        s = Semiring(f"{add_name}-{mul_name}", ReduceOp(add_name, add, zero, ok), mul, one)
+        try:
+            ensure_distributive(s, kind)
+        except SegmaxError:
+            continue
+        passed[kind.value] += 1
+        for t in ts:
+            assert _outcome(lambda: mss_generic(s, t, "check", kind))[0] == "value", (
+                s.name, kind, print_term(t))
+    return passed, len(ts)
+
+
+def test_every_structure_the_gate_passes_on_two_values_agrees_on_every_term():
+    # the gate decides its laws exactly here, as the carrier lies in its pool
+    assert _gate_passes_agree_on_every_term(2) == (
+        {"list": 6, "bag": 6, "set": 4}, 114)
+
+
+@pytest.mark.skipif(not os.environ.get("SEGMAX_FULL_SCOPE"),
+                    reason="about 4 s; set SEGMAX_FULL_SCOPE=1 to run it, as CI does")
+def test_every_structure_the_gate_passes_on_three_values_agrees_over_the_full_scope():
+    assert _gate_passes_agree_on_every_term(3) == (
+        {"list": 96, "bag": 72, "set": 48}, 374)
 
 
 def test_the_brute_route_folds_every_segment_without_a_walk(monkeypatch):
