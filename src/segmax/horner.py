@@ -49,10 +49,10 @@ reduce_op.element_ok; add obeys the reduction laws of the collection
 kind; and mul has a unit, is associative and distributes over add on
 both sides.  The gate, ensure_distributive, checks all those laws on
 every argument tuple of a fixed pool inside the carrier before either
-route answers.  horner_step checks the carrier once per label on every
-scan.  A pass that stops is not rerun: _check_carrier walks the term
-only to order its faults, and up front on the brute route.  The check
-route runs both, scan first, and raises RoutesDisagreeError if unequal.
+route answers.  horner_step checks the carrier once per label, so a
+pass that finishes vouches for the text's syntax and its labels.  One
+that stops is not rerun: only then are a text parsed and the term walked
+(_check_carrier), to order its faults, as in horner_generic.
 
 Lemma: once the labels are in the carrier, the routes' values need no
 domain check, so both routes reduce unchecked.
@@ -337,32 +337,34 @@ def mss_generic(s: Semiring, t: Term | str, via: str = "scan",
     one Horner scan, seeded with the mul unit, in one post-order pass (see
     the module docstring): over a text, horner_step is the parser's close
     action and no term is built.  A label outside the carrier or an
-    overflow stops the pass or its reduce, and its error is held, not
-    rerun, behind the faults that come first.  The brute route parses a
-    text, then reduces the pruned-term products over every segment
-    (_segment_products).  The check route runs both and returns their
-    common value.  They agree whenever the gate passes: add's reduction
-    laws for kind and mul's semiring laws, unless forced.  Errors come in
-    order: an unknown route, a syntax fault or the node limit, the gate,
-    the first label outside the carrier in contents order, the check
-    route's guard, the first overflow in post-order (the scan's, then the
-    brute route's, within its first segment that overflows), the check
-    route's RoutesDisagreeError.  Another error of a library mul, or of
-    its add in the scan's reduce, comes where the scan meets it, before
-    the gate, for a term or a text."""
+    overflow stops the pass or its reduce; the error is held, not rerun,
+    behind the faults that come first.  A finished pass read every token
+    and label, so only a stopped one is followed by the scan route's parse
+    or a carrier walk.  The brute route parses and walks, then reduces
+    every segment's pruned-term product (_segment_products).  The check
+    route runs both and returns their common value.  They agree whenever
+    the gate passes (add's laws for kind, mul's semiring laws), unless
+    forced.  Errors come in order: an unknown route, a syntax fault or the
+    node limit, the gate, the first label outside the carrier in contents
+    order, the check route's guard, the first overflow in post-order (the
+    scan's, then the brute route's, within its first segment that
+    overflows), the check route's RoutesDisagreeError.  Another error of a
+    library mul, or of its add in the scan's reduce, comes where the scan
+    meets it, before the gate, for a term or a text."""
     if via not in ("scan", "brute", "check"):
         raise ValueError(f"unknown route {via!r}")
-    b, vals, stopped = s.mul_unit, [], None
+    b, vals, stopped, finished = s.mul_unit, [], None, False
     if via != "brute":
         try:
             _parse(t, shape, horner_step(s, b), out=vals)
+            finished = True  # every token read, every label in the carrier
             scan = reduce(s.reduce_op, collection(kind, vals), check=False)
         except (CarrierError, OverflowError) as e:  # held for the faults that come first
             stopped = e
-    if isinstance(t, str) and (via != "scan" or stopped):
+    if isinstance(t, str) and (via != "scan" or not finished):
         t = parse_term(t, shape)
     ensure_distributive(s, kind, force)
-    if via != "scan" or stopped:
+    if not finished:
         _check_carrier(s, t)
     if stopped:
         if via == "check":  # the brute route's guard refuses ahead of it

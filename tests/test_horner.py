@@ -726,25 +726,30 @@ def test_scan_values_lie_in_the_carrier(monkeypatch):
         counting = ok and (lambda v: reads.append(v) or ok(v))
         counted = s._replace(reduce_op=s.reduce_op._replace(element_ok=counting))
         force = reduce_law_failure(counted.reduce_op, kind) is not None  # set + plus-times
-        answered = 0
+        answered = Counter()
         for shape in ShapeKind:
             for _ in range(8):
                 t = map_term(lambda _: rng.choice(_CARRIER_EDGES[s]), gen_term(rng, shape, 4))
-                for x in (t, print_term(t)):  # the term, and the text scanned while parsing
+                # the term, and the text scanned while parsing, by the scan
+                # route and, where its brute half is quick, the check route,
+                # whose brute products the lemma's second half covers
+                routes = ("scan", "check") if segs_count(t) <= 1_000 else ("scan",)
+                for x, via in itertools.product((t, print_term(t)), routes):
                     del reads[:], received[:]
                     try:
-                        mss_generic(counted, x, kind=kind, force=force, shape=shape)
-                    except OverflowError:
+                        mss_generic(counted, x, via, kind, force, shape=shape)
+                    except (OverflowError, RoutesDisagreeError):  # the latter: forced sets
                         continue
-                    answered += 1
-                    assert ok is None or all(map(ok, received))
-                    assert len(reads) == (len(contents_term(t)) if ok else 0)
-        assert answered >= 16, (s.name, kind)
+                    answered[via] += 1
+                    assert via == "check" or ok is None or all(map(ok, received))
+                    assert len(reads) == (len(contents_term(t)) if ok else 0), (via, x)
+        assert answered["scan"] >= 16 and answered["check"] >= 16, (s.name, kind, answered)
 
 
 def test_a_fault_free_scan_leaves_the_carrier_to_the_step(monkeypatch):
     # horner_step reads every label; the walk over the term only orders
-    # the faults of a pass that stopped, so a fault-free scan never makes it
+    # the faults of a pass that stopped, so a fault-free scan never makes
+    # it, on the scan route or the check route
     rng = random.Random(49)
     cases = [(s, shape, gen_term(rng, shape, 5, 0, 1))
              for s in SEMIRINGS.values() for shape in ShapeKind for _ in range(4)]
@@ -754,9 +759,31 @@ def test_a_fault_free_scan_leaves_the_carrier_to_the_step(monkeypatch):
         raise AssertionError("the term was walked for the carrier")
 
     monkeypatch.setattr("segmax.horner._check_carrier", walk)
+    checked = 0
     for (s, shape, t), (best, whole) in zip(cases, expected):
-        assert mss_generic(s, t) == mss_generic(s, print_term(t), shape=shape) == best
+        small = segs_count(t) <= 10_000  # the check route's brute half is quick
+        checked += small
+        for via in ("scan", "check") if small else ("scan",):
+            assert mss_generic(s, t, via) == mss_generic(s, print_term(t), via,
+                                                         shape=shape) == best
         assert horner_generic(s, s.mul_unit, t) == whole
+    assert checked == 49
+
+
+def test_an_overflow_in_the_scans_reduce_alone_needs_no_parse_and_no_walk(monkeypatch):
+    # the Horner values fit, their sum does not: the pass finished, so it
+    # read the whole text and checked every label, and the scan route
+    # raises the held overflow after the gate without parsing the text
+    # into a term or walking it for the carrier
+    def refuse(*_):
+        raise AssertionError("a finished pass was checked again")
+
+    monkeypatch.setattr("segmax.shapes._build", refuse)
+    monkeypatch.setattr("segmax.horner._check_carrier", refuse)
+    with pytest.raises(OverflowError, match="^sum 9223372036854775809 outside 64-bit "
+                                            "signed range$"):
+        mss_generic(PLUS_TIMES, "(cons 4611686018427387903 nil)", "scan", CollectionKind.LIST,
+                    shape=ShapeKind.LIST)
 
 
 def test_the_carrier_fault_comes_before_an_overflow_that_closes_first():
@@ -1005,6 +1032,132 @@ def test_every_structure_the_gate_passes_on_two_values_agrees_on_every_term():
 def test_every_structure_the_gate_passes_on_three_values_agrees_over_the_full_scope():
     assert _gate_passes_agree_on_every_term(3) == (
         {"list": 96, "bag": 72, "set": 48}, 374)
+
+
+def _failing_laws(n, op, laws):
+    """Each of laws, (name, arity, holds) triples, evaluated on every tuple
+    from range(n) with no gate code: yields (op, name, its first failing
+    tuple) for each law that fails, in order."""
+    for law, arity, holds in laws:
+        bad = next((xs for xs in itertools.product(range(n), repeat=arity)
+                    if not holds(*xs)), None)
+        if bad is not None:
+            yield op, law, bad
+
+
+def _broken_add_laws(n, add, zero, kind):
+    """add's reduction laws for kind that fail, in the gate's order."""
+    laws = [("associative", 3, lambda a, b, c: add(add(a, b), c) == add(a, add(b, c))),
+            ("unital", 1, lambda a: add(zero, a) == a == add(a, zero))]
+    if kind is not CollectionKind.LIST:
+        laws.append(("commutative", 2, lambda a, b: add(a, b) == add(b, a)))
+    if kind is CollectionKind.SET:
+        laws.append(("idempotent", 1, lambda a: add(a, a) == a))
+    return _failing_laws(n, "add", laws)
+
+
+def _broken_mul_laws(n, add, mul, one):
+    """mul's four semiring laws that fail, in the gate's order."""
+    return _failing_laws(n, "mul", [
+        ("unital", 1, lambda a: mul(one, a) == a == mul(a, one)),
+        ("associative", 3, lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c))),
+        ("left-distributive", 3,
+         lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c))),
+        ("right-distributive", 3,
+         lambda a, b, c: mul(add(b, c), a) == add(mul(b, a), mul(c, a)))])
+
+
+def _gate_verdict(s, kind, broken):
+    """The outcome ensure_distributive must have when broken, an
+    (operation, law, tuple) triple or None, is the first law to fail."""
+    if broken is None:
+        return "value", None
+    op, law, xs = broken
+    if op == "mul":
+        return "DistributivityError", (
+            f"semiring '{s.name}' has a non-{law} mul at {xs}; "
+            "Horner's rule does not hold for it (use --force to run anyway)")
+    if kind is CollectionKind.SET:
+        return "DistributivityError", (
+            f"semiring '{s.name}' has a non-{law} add; "
+            "its reduction is not well-defined on sets (use --force to run anyway)")
+    return "ReduceLawError", f"'{s.reduce_op.name}' is not {law} at {xs} ({kind.value} reduction)"
+
+
+def _gate_is_exact(n) -> Counter:
+    """Every unital add x unital mul table on the carrier range(n), on
+    every kind: the gate's verdict, law and arguments included, is the
+    laws' own evaluation.  Returns how many structures of each kind break
+    each law first, None for none."""
+    ok, ops = frozenset(range(n)).__contains__, _unital_ops(n)
+    verdicts, mul_broken = Counter(), {}
+    for (add_name, add, zero), kind in itertools.product(ops, CollectionKind):
+        add_broken = next(_broken_add_laws(n, add, zero, kind), None)
+        for mul_name, mul, one in ops:
+            s = Semiring(f"{add_name}-{mul_name}", ReduceOp(add_name, add, zero, ok), mul, one)
+            broken = add_broken
+            if broken is None:
+                if s.name not in mul_broken:
+                    mul_broken[s.name] = next(_broken_mul_laws(n, add, mul, one), None)
+                broken = mul_broken[s.name]
+            assert _outcome(lambda: ensure_distributive(s, kind)) == _gate_verdict(
+                s, kind, broken), (s.name, kind)
+            verdicts[kind.value, broken and f"{broken[0]} {broken[1]}"] += 1
+    return verdicts
+
+
+def test_the_gate_is_exact_on_every_structure_on_two_values():
+    # on a carrier inside the gate's pool the gate is a decision procedure;
+    # every unital op on {0, 1} is associative and commutative
+    assert _gate_is_exact(2) == {
+        ("list", None): 6, ("list", "mul left-distributive"): 10,
+        ("bag", None): 6, ("bag", "mul left-distributive"): 10,
+        ("set", None): 4, ("set", "add idempotent"): 8, ("set", "mul left-distributive"): 4}
+
+
+@pytest.mark.skipif(not os.environ.get("SEGMAX_FULL_SCOPE"),
+                    reason="about 2 s; set SEGMAX_FULL_SCOPE=1 to run it, as CI does")
+def test_the_gate_is_exact_on_every_structure_on_three_values_over_the_full_scope():
+    # 243 x 243 tables x 3 kinds; the unital rows stay empty, as every
+    # table enumerated has a unit
+    assert _gate_is_exact(3) == {
+        ("list", None): 96, ("list", "add associative"): 51030,
+        ("list", "mul associative"): 6930, ("list", "mul left-distributive"): 945,
+        ("list", "mul right-distributive"): 48,
+        ("bag", None): 72, ("bag", "add associative"): 51030,
+        ("bag", "add commutative"): 1458, ("bag", "mul associative"): 5670,
+        ("bag", "mul left-distributive"): 789, ("bag", "mul right-distributive"): 30,
+        ("set", None): 48, ("set", "add associative"): 51030,
+        ("set", "add commutative"): 1458, ("set", "add idempotent"): 5103,
+        ("set", "mul associative"): 1260, ("set", "mul left-distributive"): 138,
+        ("set", "mul right-distributive"): 12}
+
+
+def test_add_associativity_and_commutativity_each_have_a_witness():
+    # one table on {0, 1, 2} per law that breaks it alone of the seven the
+    # gate checks on bags, and a term on which the forced routes then
+    # disagree; the gate refuses each table unforced
+    ops = {tab: (op, unit) for tab, op, unit in _unital_ops(3)}
+    rows = [
+        # any two nonzeros add to 0; mul is times modulo 3, unit 1
+        ("012100200", "000012021", ("add", "associative", (1, 1, 2)),
+         "(cons 2 nil)", ShapeKind.LIST, 1, 2),
+        # add keeps its first nonzero; mul is min, unit 2
+        ("012111222", "000011012", ("add", "commutative", (1, 2)),
+         "(tip 1)", ShapeKind.ETREE, 2, 1),
+    ]
+    bag = CollectionKind.BAG
+    for add_tab, mul_tab, law, text, shape, scan, brute in rows:
+        (add, zero), (mul, one) = ops[add_tab], ops[mul_tab]
+        assert [*_broken_add_laws(3, add, zero, bag), *_broken_mul_laws(3, add, mul, one)] == [law]
+        s = Semiring(f"{add_tab}-{mul_tab}",
+                     ReduceOp(add_tab, add, zero, frozenset(range(3)).__contains__), mul, one)
+        assert _outcome(lambda: mss_generic(s, text, shape=shape)) == _gate_verdict(s, bag, law)
+        assert [mss_generic(s, text, via, bag, True, shape=shape)
+                for via in ("scan", "brute")] == [scan, brute]
+        with pytest.raises(RoutesDisagreeError,
+                           match=f"^routes disagree: scan={scan} brute={brute}$"):
+            mss_generic(s, text, "check", bag, True, shape=shape)
 
 
 def test_the_brute_route_folds_every_segment_without_a_walk(monkeypatch):
