@@ -31,8 +31,9 @@ mss_generic's scan route is  reduce . contents . scan horner_alg  in one
 pass (Bird's scan lemma): shapes._parse runs horner_step on each node's
 labels and its children's results, over a term by shapes.postorder, in
 the order the unfused fold would, and lists the values in preorder, the
-order of contents.  It builds no labelled tree.  The law
-mss-generic-scan-vs-brute checks it against the brute route, and
+order of contents, in which an order-free add folds them (see the lemma).
+It builds no labelled tree.  The law mss-generic-scan-vs-brute checks it
+against the brute route, and
 tests/test_horner.py::test_scan_route_is_reduce_contents_scan against
 the literal composition, errors included.
 
@@ -55,7 +56,8 @@ that stops is not rerun: only then are a text parsed and the term walked
 (_check_carrier), to order its faults, as in horner_generic.
 
 Lemma: once the labels are in the carrier, the routes' values need no
-domain check, so both routes reduce unchecked.
+domain check, so both routes reduce unchecked (_reduce_values): max, min
+and or, order-free on ints, fold the values as they come.
   - Scan values lie in the carrier.  Each is b `add` a product, with b
     the mul unit: max-plus values are at least 0, min-plus values at
     most 0, and bool-or-and values are bits.  Plus-times has no carrier.
@@ -84,6 +86,7 @@ from .monads import (
     MIN_REDUCE,
     OR_REDUCE,
     SUM_REDUCE,
+    Collection,
     CollectionKind,
     ReduceOp,
     broken_reduction_law,
@@ -306,6 +309,15 @@ def horner_generic(s: Semiring, b, t: Term):
         raise
 
 
+def _reduce_values(op: ReduceOp, kind: CollectionKind, vals: list, check: bool = False):
+    """reduce op over kind's collection of vals: max, min and or on exact
+    ints, which no order or repeat changes, fold vals as they come; all
+    else folds kind's canonical form (sum's first overflow depends on it)."""
+    if op.fn in (max, min, operator.or_) and set(map(type, vals)) <= {int}:
+        return reduce(op, Collection(kind, tuple(vals)), check=check)
+    return reduce(op, collection(kind, vals), check=check)
+
+
 def _segment_products(s: Semiring, b, t: Term) -> list:
     """The pruned-term product of every segment of t, seeded with b, in
     segment order, if there are at most GUARD segments.  Each is folded
@@ -326,7 +338,7 @@ def horner_generic_brute(s: Semiring, b, t: Term):
     segments.  Any fault lies inside one of them, so the first segment
     that faults is one of them too."""
     vals = _segment_products(s, b, t)
-    return reduce(s.reduce_op, collection(CollectionKind.BAG, vals[:prune_count(t)]))
+    return _reduce_values(s.reduce_op, CollectionKind.BAG, vals[:prune_count(t)], check=True)
 
 
 def mss_generic(s: Semiring, t: Term | str, via: str = "scan",
@@ -350,7 +362,8 @@ def mss_generic(s: Semiring, t: Term | str, via: str = "scan",
     scan's, then the brute route's, within its first segment that
     overflows), the check route's RoutesDisagreeError.  Another error of a
     library mul, or of its add in the scan's reduce, comes where the scan
-    meets it, before the gate, for a term or a text."""
+    meets it, before the gate, for a term or a text.  Both routes reduce
+    as _reduce_values does: a library add folds kind's canonical order."""
     if via not in ("scan", "brute", "check"):
         raise ValueError(f"unknown route {via!r}")
     b, vals, stopped, finished = s.mul_unit, [], None, False
@@ -358,7 +371,7 @@ def mss_generic(s: Semiring, t: Term | str, via: str = "scan",
         try:
             _parse(t, shape, horner_step(s, b), out=vals)
             finished = True  # every token read, every label in the carrier
-            scan = reduce(s.reduce_op, collection(kind, vals), check=False)
+            scan = _reduce_values(s.reduce_op, kind, vals)
         except (CarrierError, OverflowError) as e:  # held for the faults that come first
             stopped = e
     if isinstance(t, str) and (via != "scan" or not finished):
@@ -372,7 +385,7 @@ def mss_generic(s: Semiring, t: Term | str, via: str = "scan",
         raise stopped
     if via == "scan":
         return scan
-    brute = reduce(s.reduce_op, collection(kind, _segment_products(s, b, t)), check=False)
+    brute = _reduce_values(s.reduce_op, kind, _segment_products(s, b, t))
     if via == "check" and scan != brute:
         raise RoutesDisagreeError(f"routes disagree: scan={scan} brute={brute}")
     return brute

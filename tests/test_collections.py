@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from decimal import Decimal
 
@@ -32,6 +34,7 @@ from segmax.horner import Semiring, ensure_distributive
 from segmax.ints import I64_MAX, I64_MIN, checked_mul
 from segmax.monads import (
     MAX_REDUCE,
+    MIN_REDUCE,
     SUM_REDUCE,
     Collection,
     broken_reduction_law,
@@ -138,6 +141,69 @@ def test_reduce_preconditions_enforced():
     # any value, and the bottom sentinel is max's unit
     assert reduce(MAX_REDUCE, _bag(I64_MIN, 3)) == 3
     assert reduce(MAX_REDUCE, _bag(I64_MIN)) == I64_MIN
+
+
+class _Logged:
+    """A value whose comparisons are logged; one holding None raises."""
+
+    def __init__(self, v, log):
+        self.v, self.log = v, log
+
+    def _cmp(self, op, other):
+        other = getattr(other, "v", other)
+        self.log.append((self.v, op, other))
+        if self.v is None:
+            raise TypeError(f"no order at {op} {other}")
+        return getattr(operator, op)(self.v, other)
+
+    def __gt__(self, other):
+        return self._cmp("gt", other)
+
+    def __lt__(self, other):
+        return self._cmp("lt", other)
+
+
+def _fold_outcome(fold, items):
+    try:
+        return "value", fold(items)
+    except TypeError as e:
+        return "raised", str(e)
+
+
+def test_max_and_min_fold_in_c_as_the_pairwise_fold():
+    # reduce folds max and min in one C call: it must return the very
+    # object the pairwise fold from the unit returns, ties included, and
+    # raise the same error after the same comparisons
+    def copy(v):  # equal to v, and a distinct object
+        return type(v)(list(v)) if isinstance(v, tuple) else int(str(v))
+
+    for op in (MAX_REDUCE, MIN_REDUCE):
+        def pairwise(items, op=op):
+            return functools.reduce(op.fn, items, op.unit)
+
+        def c_fold(items, op=op):
+            return reduce(op, Collection(CollectionKind.BAG, tuple(items)), check=False)
+
+        tied = (1 << 70, copy(1 << 70), -(1 << 70), copy(-(1 << 70)))
+        sentinels = (I64_MIN, copy(I64_MIN), I64_MAX, copy(I64_MAX))
+        for items in ((), (1, True, 1.0), tied, sentinels, sentinels[::-1], (I64_MIN,),
+                      (I64_MAX,)):
+            assert c_fold(items) is pairwise(items), (op.name, items)
+        # equal tuples, under a unit they can be compared with
+        pair = ((1, 2), copy((1, 2)))
+        unit = () if op is MAX_REDUCE else (I64_MAX,)
+        assert (reduce(op._replace(unit=unit), Collection(CollectionKind.SET, pair), check=False)
+                is functools.reduce(op.fn, pair, unit) is pair[0])
+        # a comparison that raises: a tuple beside the int unit, and a
+        # logged value that raises, after the same comparisons
+        assert _fold_outcome(c_fold, (1, (2,), 3)) == _fold_outcome(pairwise, (1, (2,), 3))
+        assert _fold_outcome(c_fold, (1, (2,), 3))[0] == "raised"
+        logs = []
+        for fold in (c_fold, pairwise):
+            log = []
+            items = [_Logged(v, log) for v in (3, 5, 5, -2, None, 7)]
+            logs.append((_fold_outcome(fold, items), log))
+        assert logs[0] == logs[1] and logs[0][0][0] == "raised" and len(logs[0][1]) == 5
 
 
 def test_the_gate_samples_the_reduction_laws_of_every_kind():

@@ -51,14 +51,14 @@ from segmax import (
     segs_list,
     tails_list,
 )
-from segmax.horner import _check_carrier, horner_step, product_step
+from segmax.horner import _check_carrier, _reduce_values, horner_step, product_step
 from segmax.ints import I64_MAX, I64_MIN, checked_add, checked_mul
 from segmax.lawcheck import REDUCERS_FOR_KIND, gen_term, gen_term_capped
 from segmax.monads import (MAX_REDUCE, MIN_REDUCE, OR_REDUCE, SUM_REDUCE, _law_pool,
                            reduce_law_failure)
 from segmax.oracles import pruned_fold_literal
 from segmax.pruning import _check_guard, _segs_items, prune, prune_count, segs_count
-from segmax.shapes import SIGNATURES, Node, postorder, print_term
+from segmax.shapes import SIGNATURES, Node, postorder, print_term, term_size
 
 EX3 = [4, -5, 6, -3, 2, 0, -4, 5, -6, 5]
 EX7 = parse_term("(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))", ShapeKind.HTREE)
@@ -718,8 +718,9 @@ def test_scan_values_lie_in_the_carrier(monkeypatch):
     # overflow stops the pass; the carrier is read once per label and
     # never again per value
     received = []
-    monkeypatch.setattr("segmax.horner.reduce",
-                        lambda op, x, **kw: received.extend(x.items) or reduce(op, x, **kw))
+    monkeypatch.setattr("segmax.horner._reduce_values",
+                        lambda op, kind, vals, **kw: received.extend(vals)
+                        or _reduce_values(op, kind, vals, **kw))
     rng = random.Random(48)
     for s, kind in itertools.product(SEMIRINGS.values(), CollectionKind):
         ok, reads = s.reduce_op.element_ok, []
@@ -741,9 +742,44 @@ def test_scan_values_lie_in_the_carrier(monkeypatch):
                     except (OverflowError, RoutesDisagreeError):  # the latter: forced sets
                         continue
                     answered[via] += 1
+                    # one value a node, every one received
+                    assert via == "check" or len(received) == term_size(t), (via, x)
                     assert via == "check" or ok is None or all(map(ok, received))
                     assert len(reads) == (len(contents_term(t)) if ok else 0), (via, x)
         assert answered["scan"] >= 16 and answered["check"] >= 16, (s.name, kind, answered)
+
+
+def test_order_free_adds_reduce_without_canonicalising(monkeypatch):
+    # max, min and or give one fold for every order, so every route folds
+    # their values as they come and never reaches collection; sum's
+    # first overflow depends on the order, so it folds the canonical one
+    rng = random.Random(50)
+    labels = {MAX_PLUS: (-9, 9), MIN_PLUS: (-9, 9), BOOL_OR_AND: (0, 1)}
+    cases = [(s, kind, shape, t) for s, (lo, hi) in labels.items() for kind in CollectionKind
+             for shape in ShapeKind for t in [gen_term(rng, shape, 4, lo, hi)]
+             if segs_count(t) <= 1_000]
+    expected = [(mss_generic(s, t, "check", kind), horner_generic_brute(s, s.mul_unit, t))
+                for s, kind, _, t in cases]
+
+    class Canonicalised(Exception):
+        pass
+
+    def refuse(*_):
+        raise Canonicalised
+
+    monkeypatch.setattr("segmax.horner.collection", refuse)
+    for (s, kind, shape, t), (best, whole) in zip(cases, expected):
+        for x, via in itertools.product((t, print_term(t)), ("scan", "brute", "check")):
+            assert mss_generic(s, x, via, kind, shape=shape) == best, (s.name, kind, via)
+        assert horner_generic_brute(s, s.mul_unit, t) == whole
+    assert {(s, kind) for s, kind, *_ in cases} == set(itertools.product(labels, CollectionKind))
+    t = list_term([2, 3])
+    for (kind, force), via in itertools.product(
+            ((CollectionKind.BAG, False), (CollectionKind.SET, True)), ("scan", "brute", "check")):
+        with pytest.raises(Canonicalised):
+            mss_generic(PLUS_TIMES, t, via, kind, force)
+    with pytest.raises(Canonicalised):
+        horner_generic_brute(PLUS_TIMES, 1, t)
 
 
 def test_a_fault_free_scan_leaves_the_carrier_to_the_step(monkeypatch):
