@@ -66,6 +66,24 @@ and or, order-free on ints, fold the values as they come.
     it are unaffected.
 tests/test_horner.py::test_scan_values_lie_in_the_carrier checks the
 first half, and ::test_routes_agree_at_the_sentinels the second.
+
+The first half gives horner_step a closed form on three CLI semirings,
+exact in value, type and error, since a step's kids are its own values.
+  - Max-plus and min-plus, b = 0, mul's unit.  The kids are all at least
+    0 (max) or all at most 0 (min), so folded right to left every partial
+    sum of them lies between 0 and k = sum(kids): one leaves 64 bits
+    exactly when k does.  The last partial sum is label + k (k when the
+    layer has no label).  So given an exact-int label in the carrier, and
+    k and label + k in range, the step is 0 `add` (label + k): one C sum
+    and a few comparisons.  Every other case (a label outside the carrier
+    or not an int, two labels, a sum out of range, a pruned slot's None,
+    which sum refuses) runs the generic step, which raises the error, with
+    its message, that the fold would.
+  - Bool-or-and, b = 1, which is or's top on bits.  and_ on ints never
+    raises, so once the labels are bits and the kids are the step's own
+    1s, the value is 1.  Kids in any other form run the generic step.
+tests/test_horner.py::test_the_closed_horner_steps_are_the_literal_step_at_every_edge
+checks them against the literal step on every edge tuple.
 """
 
 from __future__ import annotations
@@ -271,7 +289,12 @@ def generic_product_alg(s: Semiring, b) -> Algebra:
 def horner_step(s: Semiring, b) -> Callable:
     """One Horner step, also the parser's close action: b `add` product_step,
     written out as it runs once per node on every scan.  A label outside
-    the carrier raises a bare CarrierError; _check_carrier writes messages."""
+    the carrier raises a bare CarrierError; _check_carrier writes messages.
+
+    Max-plus and min-plus with b = 0, and bool-or-and with b = 1, take the
+    closed forms in the module docstring wherever they are exact, and this
+    generic step elsewhere, which then writes every error.  Their kids are
+    the step's own values, or None in a pruned slot, as every fold passes."""
     mul, add, ok = s.mul, s.reduce_op.fn, s.reduce_op.element_ok
 
     def step(tag: str, labels: tuple, kids: tuple):
@@ -284,6 +307,43 @@ def horner_step(s: Semiring, b) -> Callable:
             acc = mul(x, acc)
         return add(b, acc)
 
+    if type(b) is not int:  # False == 0, but its steps are not the closed forms'
+        return step
+    if b == 0 and s == MAX_PLUS:
+        def max_plus(tag: str, labels: tuple, kids: tuple):
+            try:
+                x, = labels or (0,)  # a layer with no label: mul's unit
+                k = sum(kids)
+            except (TypeError, ValueError):
+                return step(tag, labels, kids)
+            if type(x) is int and I64_MIN < x and k <= I64_MAX and (v := x + k) <= I64_MAX:
+                return v if v > 0 else 0
+            return step(tag, labels, kids)
+
+        return max_plus
+    if b == 0 and s == MIN_PLUS:
+        def min_plus(tag: str, labels: tuple, kids: tuple):
+            try:
+                x, = labels or (0,)
+                k = sum(kids)
+            except (TypeError, ValueError):
+                return step(tag, labels, kids)
+            if type(x) is int and x < I64_MAX and k >= I64_MIN and (v := x + k) >= I64_MIN:
+                return v if v < 0 else 0
+            return step(tag, labels, kids)
+
+        return min_plus
+    if b == 1 and s == BOOL_OR_AND:
+        def bool_or_and(tag: str, labels: tuple, kids: tuple):
+            try:
+                x, = labels or (1,)
+            except ValueError:
+                return step(tag, labels, kids)
+            if type(x) is int and 0 <= x <= 1 and kids.count(1) == len(kids):
+                return 1
+            return step(tag, labels, kids)
+
+        return bool_or_and
     return step
 
 

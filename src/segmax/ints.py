@@ -15,8 +15,14 @@ I64_MAX = (1 << 63) - 1
 
 
 def check_i64(value: int, context: str = "value") -> int:
+    """value, if it fits 64 bits.  The error echoes it in full up to 40
+    characters, which every sum or product of two 64-bit values fits, and
+    past that as its first 20 characters and its digit count."""
     if not (I64_MIN <= value <= I64_MAX):
-        raise OverflowError(f"{context} {value} outside 64-bit signed range")
+        text = str(value)
+        if len(text) > 40:
+            text = f"{text[:20]}... ({len(text.lstrip('-'))} digits)"
+        raise OverflowError(f"{context} {text} outside 64-bit signed range")
     return value
 
 

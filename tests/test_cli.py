@@ -177,11 +177,12 @@ def test_mss_overflow_status(runner):
 
 def test_integers_past_the_int_str_digit_limit_are_judged_by_value(runner):
     # int(str) refuses more than 4,300 digits; such a token is read as the
-    # value it writes, as a shorter one is
+    # value it writes, as a shorter one is, and echoed by its first 20
+    # characters and its digit count
     nines, seven = "9" * 5000, "0" * 4300 + "7"
     res = invoke(runner, "mss", "--input", f"1,-{nines},x")
     assert (res.exit_code, res.stderr) == (
-        4, f"error: element -{nines} outside 64-bit signed range\n")
+        4, f"error: element -{nines[:19]}... (5000 digits) outside 64-bit signed range\n")
     assert invoke(runner, "mss", "--input", f"{seven} -1 {seven}").output == "13\n"
     for args in (["tree", "--input", f"(cons {nines} nil)"],
                  ["prune", "--count", "--input", f"(cons 1 nil) {nines}"]):

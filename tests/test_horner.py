@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -567,13 +568,30 @@ def _outcome(f):
         return type(e).__name__, str(e)
 
 
+def _literal_horner_step(s, b):
+    """horner_step's generic body as a literal close action, sharing no
+    code with its closed forms: the carrier check, then
+    b `add` foldr mul b (labels ++ kids)."""
+    add, ok = s.reduce_op.fn, s.reduce_op.element_ok
+
+    def step(tag, labels, kids):
+        if ok is not None and not all(map(ok, labels)):
+            raise CarrierError
+        return add(b, foldr_list(s.mul, b, labels + kids))
+
+    return step
+
+
 def _assert_scan_route_is_literal(s, t, kind, force):
     """mss_generic(via="scan") against the composition it fuses,
-    reduce . contents . scan, errors included: the first overflow's
-    message names the node whose arithmetic failed first."""
+    reduce . contents . scan, with the literal Horner step, errors
+    included: the first overflow's message names the node whose
+    arithmetic failed first."""
+    step = _literal_horner_step(s, s.mul_unit)
     literal = _outcome(lambda: reduce(
         s.reduce_op,
-        collection(kind, preorder_values(scan_generic(horner_alg(s, s.mul_unit), t))),
+        collection(kind, preorder_values(scan_generic(
+            lambda n: step(n.tag, n.labels, n.children), t))),
         check=not force))
     assert _outcome(lambda: mss_generic(s, t, kind=kind, force=force)) == literal
 
@@ -615,6 +633,80 @@ def test_scan_route_keeps_contents_order():
             _assert_scan_route_is_literal(last_times, t, CollectionKind.LIST, False)
     with pytest.raises(ReduceLawError, match="commutative"):
         mss_generic(last_times, EX7, kind=CollectionKind.BAG)
+
+
+# labels at the closed forms' edges: each sentinel and its neighbours, the
+# halves whose sums reach 64 bits, and labels that are not exact ints
+_STEP_EDGES = (I64_MIN - 1, I64_MIN, I64_MIN + 1, -(1 << 62) - 1, -(1 << 62), -1, 0, 1, 2,
+               1 << 62, (1 << 62) + 1, I64_MAX - 1, I64_MAX, I64_MAX + 1, True, False, None)
+
+
+def _step_outcome(step, labels, kids):
+    """A close action's value with its type, or its error's type and message."""
+    try:
+        v = step("fork", labels, kids)
+    except Exception as e:
+        return "error", type(e), str(e)
+    return "value", type(v), v
+
+
+def test_the_closed_horner_steps_are_the_literal_step_at_every_edge():
+    # max-plus and min-plus with b = 0 and bool-or-and with b = 1 run closed
+    # forms; on 0 to 2 labels from the edge pool and 0 to 2 kids from the
+    # step's own values on one label, or None (a pruned slot), the step and
+    # its algebra give the literal step's value and type, or its error and
+    # message; b = -1, False and True keep the generic step
+    label_tuples = [xs for n in range(3) for xs in itertools.product(_STEP_EDGES, repeat=n)]
+    seen = Counter()
+    for s, b in ((MAX_PLUS, 0), (MIN_PLUS, 0), (BOOL_OR_AND, 1), (MAX_PLUS, -1),
+                 (MAX_PLUS, False), (MIN_PLUS, False), (BOOL_OR_AND, True)):
+        literal, step, alg = _literal_horner_step(s, b), horner_step(s, b), horner_alg(s, b)
+        own = [_step_outcome(literal, (x,), ()) for x in _STEP_EDGES]
+        pool = [v for _, _, v in dict.fromkeys(o for o in own if o[0] == "value")] + [None]
+        kid_tuples = [xs for n in range(3) for xs in itertools.product(pool, repeat=n)]
+        for labels, kids in itertools.product(label_tuples, kid_tuples):
+            want = _step_outcome(literal, labels, kids)
+            assert _step_outcome(step, labels, kids) == want, (s.name, b, labels, kids)
+            assert _step_outcome(lambda tag, ls, ks: alg(Node(ShapeKind.HTREE, tag, ls, ks)),
+                                 labels, kids) == want
+            seen[s.name, want[1].__name__] += 1
+    for name in ("max-plus", "min-plus"):
+        assert {"int", "CarrierError", "OverflowError", "TypeError"} <= {
+            what for n, what in seen if n == name}, seen
+    assert {"int", "CarrierError", "TypeError"} <= {what for n, what in seen
+                                                    if n == "bool-or-and"}, seen
+
+
+def test_the_closed_horner_steps_run_no_python_arithmetic():
+    # the closed forms take each node's sum, or check its kids, in C: a
+    # max-plus or min-plus scan of 10^4 elements never enters
+    # ints.checked_add, and a bool-or-and scan never calls operator.and_,
+    # where the generic step, with b = -1 or True, makes two calls a node
+    rng = random.Random(51)
+    ints = list_term(rng.randint(-9, 9) for _ in range(10**4))
+    bits = map_term(lambda v: v & 1, ints)
+    runs = [(s, x) for s, t in ((MAX_PLUS, ints), (MIN_PLUS, ints), (BOOL_OR_AND, bits))
+            for x in (t, print_term(t))]
+    for s, x in runs:  # the gate's law checks, which call checked_add, are cached
+        mss_generic(s, x, shape=ShapeKind.LIST)
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is checked_add.__code__:
+            calls["checked_add"] += 1
+        elif event == "c_call" and arg is BOOL_OR_AND.mul:
+            calls["and_"] += 1
+
+    sys.setprofile(profile)
+    try:
+        for s, x in runs:
+            mss_generic(s, x, shape=ShapeKind.LIST)
+        assert calls == Counter()
+        horner_generic(MAX_PLUS, -1, ints)
+        horner_generic(BOOL_OR_AND, True, bits)
+    finally:
+        sys.setprofile(None)
+    assert calls == {"checked_add": 2 * 10**4, "and_": 2 * 10**4}
 
 
 # labels that overflow, or leave a carrier: max-plus's bottom, min-plus's
