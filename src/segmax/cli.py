@@ -16,7 +16,6 @@ import functools
 import json
 import random
 import re
-import statistics
 import sys
 import time
 from decimal import Decimal
@@ -301,8 +300,7 @@ def bench_run(sizes: list[int], algos: list[str], seed: int = 42,
                 t0 = time.perf_counter()
                 fn(xs)
                 times.append(time.perf_counter() - t0)
-            rows.append({"algo": algo, "n": n,
-                         "seconds": statistics.median(times)})
+            rows.append({"algo": algo, "n": n, "seconds": sorted(times)[1]})
     return rows
 
 

@@ -23,8 +23,7 @@ import inspect
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import oracles
 from .errors import UnknownLawError
@@ -378,8 +377,7 @@ def shrink_inputs(inputs: dict, violated: Callable[[dict], bool]) -> dict:
 # ---------------------------------------------------------------------------
 # the registry
 
-@dataclass(frozen=True)
-class Law:
+class Law(NamedTuple):
     id: str
     expectation: str
     gen: Callable[[random.Random], dict]
@@ -393,8 +391,7 @@ class Law:
         return self.check(**inputs)
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     id: str
     trials: int
     outcome: str
@@ -855,4 +852,4 @@ def replay(law_id: str, witness: str) -> bool:
 
 
 def reports_to_json(reports: list[LawReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True)
+    return json.dumps([r._asdict() for r in reports], indent=2, sort_keys=True)

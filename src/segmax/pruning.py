@@ -32,7 +32,8 @@ scan each, the per-subterm results listed in preorder (contents order):
 The count step has the parser's close action signature (tag, labels,
 kids), as horner.horner_step has: it is Horner's rule in the counting
 semiring.  So prune_count runs it by shapes._parse over a term or a text,
-counted while parsing with no term built, and segs_count over a term.
+counted while parsing with no term built, and segs_count by postorder
+over a term, its sum fused into the scan: only open subterms' counts live.
 
 Every child of a segment is a segment listed after it, so the brute
 route folds the segments once, back to front, through one memo keyed by
@@ -180,10 +181,17 @@ def pruned_fold(b, step: Callable, p, memo: dict) -> object:
 
 def segs_count(t: Term) -> int:
     """Number of generic segments of t: the prunings of every subterm,
-    summed over one prune_count scan."""
-    counts: list = []
-    _parse(t, None, _count_step, out=counts)
-    return sum(counts)
+    each added to a running total as the prune_count scan closes it."""
+    total = 0
+
+    def step(n: Node, kids: tuple) -> int:
+        nonlocal total
+        count = _count_step(n.tag, n.labels, kids)
+        total += count
+        return count
+
+    postorder(t, step)
+    return total
 
 
 def _segs_items(t: Term) -> list:

@@ -31,6 +31,7 @@ N_LIST = 99_999  # cons nodes, so the term has 100,000 nodes with its nil
 OVER_LIMIT = "(cons 0 " * 100_000 + "nil" + ")" * 100_000  # 100,001 nodes
 TOO_LARGE = (2, "error: tree larger than 100000 nodes (at offset 0)")
 HTREE_DEPTH = 16  # 65,535 nodes
+SPINE_FORKS = 49_999  # 99,999 nodes with their leaves
 
 
 def _cli(*args) -> tuple[int, str]:
@@ -61,6 +62,12 @@ def complete_htree():
 
 
 @pytest.fixture(scope="module")
+def spine():
+    # every fork's right child is the next fork: 50,001-bit segment counts
+    return "(fork 1 (leaf 1) " * SPINE_FORKS + "(leaf 1)" + ")" * SPINE_FORKS
+
+
+@pytest.fixture(scope="module")
 def edge_list():
     # every sum of two labels leaves the 64-bit range
     return print_term(list_term([I64_MAX - 1] * N_LIST))
@@ -77,8 +84,8 @@ def test_scan_answers_at_the_node_limit(long_list, complete_htree, edge_list):
     assert _cli("tree", "--shape", "list", "--input", OVER_LIMIT) == TOO_LARGE
 
 
-def test_brute_routes_refuse_at_the_guard(long_list, complete_htree):
-    for shape, text in (("list", long_list[1]), ("htree", complete_htree)):
+def test_brute_routes_refuse_at_the_guard(long_list, complete_htree, spine):
+    for shape, text in (("list", long_list[1]), ("htree", complete_htree), ("htree", spine)):
         for route in (["--via", "brute"], ["--check"]):
             code, line = _cli("tree", "--shape", shape, *route, "--input", text)
             assert code == 5 and line.endswith(" elements exceeds guard 1000000")
@@ -212,6 +219,24 @@ def test_a_list_at_the_limit_is_read_in_bounded_memory(tmp_path):
         code, stdout, stderr, peak_kib = _measured("mss", "--file", str(path))
         assert (code, stdout, stderr) == (status, "", f"error: {message}\n"), last
         assert peak_kib < 80 * 1024, (last, peak_kib)
+
+
+def test_brute_routes_refuse_the_spine_in_bounded_memory(tmp_path, spine):
+    # the segment count adds each subterm's prunings as its fold closes,
+    # so it keeps only the open forks' counts; listing all 99,999 counts
+    # of up to 50,001 bits first peaked at 199-205 MiB
+    count = 2  # a leaf's prunings; a fork's are 1 + 2 * its right child's
+    segments = 2 * (SPINE_FORKS + 1)  # the leaves'
+    for _ in range(SPINE_FORKS):
+        count = 1 + 2 * count
+        segments += count
+    guard_line = f"error: collection of {Decimal(segments)} elements exceeds guard {GUARD}\n"
+    path = tmp_path / "spine"
+    path.write_text(spine, encoding="utf-8")
+    for route in (["--via", "brute"], ["--check"]):
+        code, stdout, stderr, peak_kib = _measured("tree", *route, "--file", str(path))
+        assert (code, stdout, stderr) == (5, "", guard_line), route
+        assert peak_kib < 100 * 1024, (route, peak_kib)
 
 
 def test_brute_route_answers_a_list_at_the_guards_edge(tmp_path):

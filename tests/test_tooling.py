@@ -155,3 +155,32 @@ def test_every_def_in_src_is_reached_or_allowlisted(tmp_path):
     assert set(UNREACHED.values()) <= {API, GRAMMAR, PROTOCOL, REFERENCE, LIBRARY}
     assert sorted(set(defs.values()) - entered - set(UNREACHED)) == [], "reached by nothing"
     assert sorted(set(UNREACHED) - (set(defs.values()) - entered)) == [], "stale entries"
+
+
+# modules that no command runs: dataclasses imports copy, and statistics
+# imports _statistics and fractions
+NEVER_LOADED = ["_statistics", "copy", "dataclasses", "fractions", "statistics"]
+START_RUNS = [["tree", "--input", "(leaf 1)"], ["mss", "--input", "1,2"],
+              ["prune", "--count", "--input", "(leaf 1)"],
+              ["laws", "--id", "mss-chain", "--trials", "1"],
+              ["bench", "--sizes", "10", "--algos", "linear"]]
+
+# runs in a fresh interpreter: each argument list in argv[1], as JSON,
+# then prints which of the modules in argv[2] are loaded; click.testing
+# would load copy and dataclasses itself, so main is called directly
+_STARTUP = """
+import json, sys
+from segmax.cli import main
+for args in json.loads(sys.argv[1]):
+    main(args, standalone_mode=False)
+print(json.dumps(sorted(set(json.loads(sys.argv[2])) & set(sys.modules))))
+"""
+
+
+def test_no_command_loads_a_module_it_never_runs(tmp_path):
+    res = subprocess.run([sys.executable, "-c", _STARTUP, json.dumps(START_RUNS),
+                          json.dumps(NEVER_LOADED)],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == []
