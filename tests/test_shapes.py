@@ -42,6 +42,7 @@ from segmax import (
     term_size,
     tip,
 )
+from segmax.ints import parse_int
 from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
 from segmax.pruning import print_step
 from segmax.shapes import SIGNATURES, iter_nodes, postorder, struct_key
@@ -219,12 +220,18 @@ def _syntax_outcome(f):
 def test_the_split_tokens_answer_as_the_token_pattern_does(monkeypatch):
     # on mutated texts, well-formed or not, every text route gives the same
     # value or the same error, message and offset with the token pattern
-    # alone: the split read gives way at the first token it does not accept
+    # alone: the split read gives way at the first token it does not accept;
+    # and both reads answer alike without _SMALL_LABELS.  Every fifth term
+    # draws its labels across the table's edges, and the spellings put in
+    # below ('-0', '007', an Arabic-Indic digit, the 64-bit edges) miss it
     rng = random.Random(19)
     cases = []
+    spellings = ["-0", "007", "\u0663", "1000", "-1000", str(I64_MIN), str(I64_MAX),
+                 str(I64_MAX + 1)]
     for shape in ShapeKind:
-        for _ in range(250):
-            t = gen_term_capped(rng, shape, prune_count, 200, max_depth=5, lo=-99, hi=99)
+        for j in range(250):
+            lo, hi = (-1200, 1200) if j % 5 == 0 else (-99, 99)
+            t = gen_term_capped(rng, shape, prune_count, 200, max_depth=5, lo=lo, hi=hi)
             text = rng.choice([print_term(t), print_pruned(rng.choice(prune(t).items))])
             text = _respaced(rng, text) if rng.random() < 0.3 else text
             i, op = rng.randrange(len(text) + 1), rng.random()
@@ -235,7 +242,12 @@ def test_the_split_tokens_answer_as_the_token_pattern_does(monkeypatch):
                 text = text[:k + 1] + " " + text[k + 1:] if k >= 0 else text
             elif op < 0.45:  # text the split read and the pattern may part on
                 text = text[:i] + rng.choice(["( ", "+", "_", "\u3000", "x", "@", "5",
-                                              str(I64_MAX + 1), ")(", "E "]) + text[i:]
+                                              ")(", "E ", *spellings]) + text[i:]
+            elif op < 0.6:  # a label spelt as the table may miss it
+                labels = list(re.finditer(r"-?\d+", text))
+                if labels:
+                    m = rng.choice(labels)
+                    text = text[:m.start()] + rng.choice(spellings) + text[m.end():]
             cases.append((shape, text))
     routes = [parse_pruned, prune_count,
               lambda text, shape: mss_generic(MAX_PLUS, text, shape=shape),
@@ -246,11 +258,32 @@ def test_the_split_tokens_answer_as_the_token_pattern_does(monkeypatch):
                 for shape, text in cases for route in routes]
 
     split = outcomes()
+    monkeypatch.setattr(shapes, "_SMALL_LABELS", {})
+    assert outcomes() == split
+    monkeypatch.setattr(shapes, "plain_ints", lambda text: False)
+    assert outcomes() == split
+    monkeypatch.undo()
     monkeypatch.setattr(shapes, "plain_ints", lambda text: False)
     assert outcomes() == split
     kinds = collections.Counter(o[0] for o in split)
     assert kinds["value"] >= 1200 and kinds["TermSyntaxError"] >= 1200, kinds
     assert kinds["CarrierError"] > 0, kinds
+    # texts read whole whose labels include one the table misses
+    missed = sum(o[0] == "value" and any(
+        tok not in shapes._SMALL_LABELS for tok in re.findall(r"-?\d+", text))
+        for (_, text), o in zip(cases, split[::len(routes)]))
+    assert missed >= 90, missed
+
+
+def test_the_small_label_table_holds_what_either_read_builds():
+    # a label token found in _SMALL_LABELS is taken as its entry instead of
+    # being read, so each entry must be the in-range label tuple that int
+    # (the split read) and parse_int (the token pattern) both build
+    table = shapes._SMALL_LABELS
+    assert len(table) == 1999 and set(table) == {str(v) for v in range(-999, 1000)}
+    for k, entry in table.items():
+        assert entry == (int(k),) == (parse_int(k),), k
+        assert type(entry[0]) is int and I64_MIN <= entry[0] <= I64_MAX, k
 
 
 def test_the_node_count_read_before_the_parse_is_the_term_size(monkeypatch):
