@@ -112,15 +112,14 @@ def _run(command):
 
 def _read_source(inline: str | None, path: str | None) -> str:
     if (inline is None) == (path is None):
-        _fail(EXIT_USAGE, "provide exactly one of --input or --file")
+        raise SegmaxError("provide exactly one of --input or --file")
     if inline is not None:
         return inline
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        _fail(EXIT_USAGE, f"cannot read {path}: {e}")
-    raise AssertionError  # unreachable
+        raise SegmaxError(f"cannot read {path}: {e}") from None
 
 
 def _parse_int_list(text: str, limit: int) -> list[int]:

@@ -287,25 +287,22 @@ def generic_product_alg(s: Semiring, b) -> Algebra:
 
 
 def horner_step(s: Semiring, b) -> Callable:
-    """One Horner step, also the parser's close action: b `add` product_step,
-    written out as it runs once per node on every scan.  A label outside
-    the carrier raises a bare CarrierError; _check_carrier writes messages.
+    """One Horner step, also the parser's close action: b `add` product_step.
+    A label outside the carrier raises a bare CarrierError; _check_carrier
+    writes messages.
 
     Max-plus and min-plus with b = 0, and bool-or-and with b = 1, take the
     closed forms in the module docstring wherever they are exact, and this
     generic step elsewhere, which then writes every error.  Their kids are
     the step's own values, or None in a pruned slot, as every fold passes."""
-    mul, add, ok = s.mul, s.reduce_op.fn, s.reduce_op.element_ok
+    add, ok, product = s.reduce_op.fn, s.reduce_op.element_ok, product_step(s, b)
 
     def step(tag: str, labels: tuple, kids: tuple):
         if ok is not None:
             for v in labels:
                 if not ok(v):
                     raise CarrierError
-        acc = b
-        for x in reversed(labels + kids):
-            acc = mul(x, acc)
-        return add(b, acc)
+        return add(b, product(tag, labels, kids))
 
     if type(b) is not int:  # False == 0, but its steps are not the closed forms'
         return step

@@ -22,7 +22,7 @@ import itertools
 from typing import Any, Callable
 
 from .errors import KindMismatchError
-from .monads import Collection, CollectionKind, collection
+from .monads import Collection, CollectionKind, collection, singleton
 from .shapes import Node, Term, _label, iter_nodes, postorder
 
 Algebra = Callable[[Node], Any]
@@ -61,28 +61,22 @@ def map_term(g: Callable[[int], int], t: Term) -> Term:
     )
 
 
-def _expect_collections(cols, kind: CollectionKind):
-    for c in cols:
-        if not isinstance(c, Collection) or c.kind is not kind:
-            raise KindMismatchError(f"expected a {kind.value} collection, got {c!r}")
-
-
 def distribute_node(n: Node, kind: CollectionKind) -> Collection:
     """Distribute the constructor over collections in its child slots:
-    one node per choice of a single element from each child collection,
-    enumerated in lexicographic positional order.  A node with no child
-    positions yields the singleton of itself."""
-    _expect_collections(n.children, kind)
-    combos = itertools.product(*[c.items for c in n.children])
-    return collection(
-        kind, (Node(n.shape, n.tag, n.labels, picked) for picked in combos)
-    )
+    bidist_node after a singleton on each label, so one node per choice of
+    a single element from each child collection, enumerated in
+    lexicographic positional order.  A node with no child positions yields
+    the singleton of itself."""
+    labels = tuple(singleton(kind, l) for l in n.labels)
+    return bidist_node(Node(n.shape, n.tag, labels, n.children), kind)
 
 
 def bidist_node(n: Node, kind: CollectionKind) -> Collection:
     """Distribute over every element position (labels and children)."""
     cols = contents_node(n)
-    _expect_collections(cols, kind)
+    for c in cols:
+        if not isinstance(c, Collection) or c.kind is not kind:
+            raise KindMismatchError(f"expected a {kind.value} collection, got {c!r}")
     k = len(n.labels)
     combos = itertools.product(*[c.items for c in cols])
     return collection(

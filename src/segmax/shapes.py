@@ -436,7 +436,7 @@ def _read(toks: list, read_int: Callable, heads: dict, atoms: dict, close: Calla
                     head = heads.get("(" + tok[1:].lstrip())
                 if head is None:
                     raise _Fault(i, _TERM)
-            elif out is not None and value is not EMPTY:
+            elif out is not None:
                 out.append(value)
         i += 1
         if head is not None:

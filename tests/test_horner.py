@@ -655,11 +655,12 @@ def test_the_closed_horner_steps_are_the_literal_step_at_every_edge():
     # forms; on 0 to 2 labels from the edge pool and 0 to 2 kids from the
     # step's own values on one label, or None (a pruned slot), the step and
     # its algebra give the literal step's value and type, or its error and
-    # message; b = -1, False and True keep the generic step
+    # message; b = -1, False and True keep the generic step, as does
+    # plus-times, which has no carrier and multiplies by checked_mul
     label_tuples = [xs for n in range(3) for xs in itertools.product(_STEP_EDGES, repeat=n)]
     seen = Counter()
     for s, b in ((MAX_PLUS, 0), (MIN_PLUS, 0), (BOOL_OR_AND, 1), (MAX_PLUS, -1),
-                 (MAX_PLUS, False), (MIN_PLUS, False), (BOOL_OR_AND, True)):
+                 (MAX_PLUS, False), (MIN_PLUS, False), (BOOL_OR_AND, True), (PLUS_TIMES, 1)):
         literal, step, alg = _literal_horner_step(s, b), horner_step(s, b), horner_alg(s, b)
         own = [_step_outcome(literal, (x,), ()) for x in _STEP_EDGES]
         pool = [v for _, _, v in dict.fromkeys(o for o in own if o[0] == "value")] + [None]
@@ -675,6 +676,8 @@ def test_the_closed_horner_steps_are_the_literal_step_at_every_edge():
             what for n, what in seen if n == name}, seen
     assert {"int", "CarrierError", "TypeError"} <= {what for n, what in seen
                                                     if n == "bool-or-and"}, seen
+    assert {"int", "OverflowError", "TypeError"} <= {what for n, what in seen
+                                                     if n == "plus-times"}, seen
 
 
 def test_the_closed_horner_steps_run_no_python_arithmetic():

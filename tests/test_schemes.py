@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -110,29 +112,51 @@ def test_distribute_fixtures():
     )
 
 
+def _children_product(n):
+    """distribute_node's specification: one node per choice of an element
+    from each child collection, the last child varying fastest."""
+    picks = [()]
+    for c in n.children:
+        picks = [p + (x,) for p in picks for x in c.items]
+    return [Node(n.shape, n.tag, n.labels, p) for p in picks]
+
+
 def test_distribute_list_monad_counts_and_order():
+    from segmax.shapes import SIGNATURES
+
     rng = random.Random(3)
-    for _ in range(50):
-        sizes = [rng.randint(0, 3), rng.randint(0, 3)]
-        cols = tuple(
-            collection(CollectionKind.LIST, [rng.randint(0, 9) for _ in range(k)])
-            for k in sizes
-        )
-        n = Node(ShapeKind.ITREE, "node", (5,), cols)
-        out = distribute_node(n, CollectionKind.LIST)
-        assert len(out.items) == sizes[0] * sizes[1]
-        expected = [
-            Node(ShapeKind.ITREE, "node", (5,), (x, y))
-            for x in cols[0].items
-            for y in cols[1].items
-        ]
-        assert list(out.items) == expected
+    for shape, kind in itertools.product(ShapeKind, CollectionKind):
+        for tag, sig in SIGNATURES[shape].items():
+            for _ in range(20):
+                labels = tuple(rng.randint(-9, 9) for _ in range(sig.n_labels))
+                cols = tuple(
+                    collection(kind, [rng.randint(0, 3) for _ in range(rng.randint(0, 3))])
+                    for _ in range(sig.n_children)
+                )
+                n = Node(shape, tag, labels, cols)
+                out = distribute_node(n, kind)
+                expected = _children_product(n)
+                assert out.kind is kind
+                assert out == collection(kind, expected)
+                if kind is CollectionKind.LIST:
+                    assert list(out.items) == expected
+                if kind is not CollectionKind.SET:
+                    assert len(out.items) == math.prod(len(c.items) for c in cols)
 
 
 def test_distribute_kind_mismatch():
-    n = Node(ShapeKind.LIST, "cons", (1,), (_bag(nil()),))
-    with pytest.raises(KindMismatchError):
+    bag = _bag(nil())
+    n = Node(ShapeKind.LIST, "cons", (1,), (bag,))
+    with pytest.raises(KindMismatchError) as e:
         distribute_node(n, CollectionKind.SET)
+    assert str(e.value) == f"expected a set collection, got {bag!r}"
+    # a child that is not a collection, after one that is: the first bad
+    # child is named, and the labels, which are not collections, never are
+    for children, bad in (((_bag(leaf(2)), leaf(3)), leaf(3)), ((7, leaf(3)), 7)):
+        n = Node(ShapeKind.HTREE, "fork", (1,), children)
+        with pytest.raises(KindMismatchError) as e:
+            distribute_node(n, CollectionKind.BAG)
+        assert str(e.value) == f"expected a bag collection, got {bad!r}"
 
 
 @given(any_term)
