@@ -32,10 +32,13 @@ and struct_key flattens a term into its preorder token tuple.
 The parser is one pass over the text's tokens that runs a close action,
 close(tag, labels, kids), on each constructor at its ')': in post-order,
 children left to right, as postorder runs it over a term, which _parse
-also takes.  parse_term's close action builds the Node; mss_generic's,
-the Horner step, scans a text while parsing and builds no term
-(tests/test_horner.py::test_text_route_is_parse_then_scan checks it
-against parse_term followed by the scan).
+also takes.  The innermost open constructor lives in the loop's locals
+and only those around it are stacked; as no constructor has more than
+two children, its kids are a 1- or 2-tuple built at its ')', not a list
+grown kid by kid.  parse_term's close action builds the Node;
+mss_generic's, the Horner step, scans a text while parsing and builds
+no term (tests/test_horner.py::test_text_route_is_parse_then_scan
+checks it against parse_term followed by the scan).
 
 The tokens come from str.split when the text has no '+' and no '_'
 (_split_tokens).  At the first split token the parser does not accept,
@@ -81,8 +84,9 @@ SIGNATURES: dict[ShapeKind, dict[str, CtorSig]] = {
     ShapeKind.ITREE: {"nilt": CtorSig(0, 0), "node": CtorSig(1, 2)},
     ShapeKind.HTREE: {"leaf": CtorSig(1, 0), "fork": CtorSig(1, 2)},
 }
-# the parser reads at most one label per constructor
-assert all(sig.n_labels <= 1 for sigs in SIGNATURES.values() for sig in sigs.values())
+# the parser reads at most one label and two children per constructor
+assert all(sig.n_labels <= 1 and sig.n_children <= 2
+           for sigs in SIGNATURES.values() for sig in sigs.values())
 # _parse's node count is exact only while no other tag holds an atom's name
 assert not any(atom in tag for sigs in SIGNATURES.values() for atom, sig in sigs.items()
                if sig.atom for tag in sigs if tag != atom)
@@ -420,11 +424,16 @@ def _read(toks: list, read_int: Callable, heads: dict, atoms: dict, close: Calla
     at the first token it does not accept, with toks ended by "".  A label
     token is first looked up in _SMALL_LABELS, whose entry is the in-range
     (read_int(k),) either read builds, so a hit skips only work whose
-    result it holds; a miss ('1000', '-0', '007') is read by read_int."""
+    result it holds; a miss ('1000', '-0', '007') is read by read_int.
+    The innermost open constructor is held in locals (tag, labels, first
+    kid or _NO_ATOM, whether a second is wanted, slot in out), those around
+    it as 5-tuples on frames; no constructor has more than two children, so
+    its kids are a 1- or 2-tuple built at its ')', and no kid list is kept."""
     n = len(toks)
     toks.append("")  # the end of input, which every rule below rejects
-    frames: list = []  # per open constructor: tag, labels, kids so far, wanted, slot in out
-    small = _SMALL_LABELS
+    frames: list = []  # the enclosing open constructors
+    small, no_kid = _SMALL_LABELS, _NO_ATOM
+    tag = labels = first = more = slot = None  # no constructor is open
     i = 0
     while True:
         tok = toks[i]
@@ -440,45 +449,45 @@ def _read(toks: list, read_int: Callable, heads: dict, atoms: dict, close: Calla
                 out.append(value)
         i += 1
         if head is not None:
-            tag, k, wanted = head
-            labels: tuple = ()
+            head_tag, k, wanted = head
+            head_labels: tuple = ()
             if k:  # one label: no constructor has more
-                labels = small.get(toks[i])
-                if labels is None:
+                head_labels = small.get(toks[i])
+                if head_labels is None:
                     try:
                         v = read_int(toks[i])
                     except ValueError:
                         v = None
                     if v is None or not I64_MIN <= v <= I64_MAX:
                         raise _Fault(i, _LABEL)
-                    labels = (v,)
+                    head_labels = (v,)
                 i += 1
             if wanted:
-                slot = None
+                frames.append((tag, labels, first, more, slot))
+                tag, labels, first = head_tag, head_labels, no_kid
+                more, slot = wanted == 2, None
                 if out is not None:
                     slot = len(out)
                     out.append(None)
-                frames.append((tag, labels, [], wanted, slot))
                 continue
             if toks[i] != ")":
                 raise _Fault(i, _CLOSE)
             i += 1
-            value = close(tag, labels, ())
+            value = close(head_tag, head_labels, ())
             if out is not None:
                 out.append(value)
         # pass the finished value up, closing every constructor it fills
-        while frames:
-            tag, labels, kids, wanted, slot = frames[-1]
-            kids.append(value)
-            if len(kids) < wanted:
+        while tag is not None:
+            if more:
+                first, more = value, False
                 break
-            frames.pop()
             if toks[i] != ")":
                 raise _Fault(i, _CLOSE)
             i += 1
-            value = close(tag, labels, tuple(kids))
+            value = close(tag, labels, (value,) if first is no_kid else (first, value))
             if out is not None:
                 out[slot] = value
+            tag, labels, first, more, slot = frames.pop()
         else:
             if i < n:
                 raise _Fault(i, _END)

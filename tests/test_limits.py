@@ -221,6 +221,23 @@ def test_a_list_at_the_limit_is_read_in_bounded_memory(tmp_path):
         assert peak_kib < 80 * 1024, (last, peak_kib)
 
 
+def test_a_deep_list_is_parsed_in_bounded_memory(tmp_path):
+    # all 99,999 conses are open when nil is read; each is one 5-tuple on
+    # the parser's stack, with no kid list.  CPython 3.10-3.13 peaked at
+    # 39.2-41.4 MiB (count) and 42.9-45.3 MiB (scan) with it, and at
+    # 45.4-47.8 MiB and 49.1-52.1 MiB with a list per open constructor
+    rng = random.Random(40)
+    labels = [rng.randint(-50, 50) for _ in range(N_LIST)]
+    path = tmp_path / "list-99999"
+    path.write_text(print_term(list_term(labels)), encoding="utf-8")
+    for args, stdout, limit_mib in (
+            (["prune", "--count"], f"{N_LIST + 2}\n", 46),
+            (["tree"], f"{mss_linear(labels)}\n", 50)):
+        code, out, stderr, peak_kib = _measured(*args, "--shape", "list", "--file", str(path))
+        assert (code, out, stderr) == (0, stdout, ""), args
+        assert peak_kib < limit_mib * 1024, (args, peak_kib)
+
+
 def test_brute_routes_refuse_the_spine_in_bounded_memory(tmp_path, spine):
     # the segment count adds each subterm's prunings as its fold closes,
     # so it keeps only the open forks' counts; listing all 99,999 counts

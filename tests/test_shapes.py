@@ -46,6 +46,7 @@ from segmax.ints import parse_int
 from segmax.lawcheck import ALGEBRAS, gen_term, gen_term_capped
 from segmax.pruning import print_step
 from segmax.shapes import SIGNATURES, iter_nodes, postorder, struct_key
+from test_horner import _terms_in_scope
 
 EX7 = "(fork 1 (leaf 2) (fork 3 (leaf 1) (leaf 4)))"
 
@@ -115,6 +116,18 @@ PARSE_ERRORS = [
     (parse_term, "(cons 1_0 nil)", ShapeKind.LIST, "unexpected character '_'", 7),
     (parse_pruned, "(fork 1 E)", ShapeKind.HTREE, "unexpected ')'", 9),
     (parse_pruned, "(leaf 1 E)", ShapeKind.HTREE, "expected ')'", 8),
+    # a fault in each state of the open constructors: every kid read, a
+    # second kid still wanted, none open, and several open at the end
+    (parse_term, "(cons 1 (cons 2 (cons 3 nil))", ShapeKind.LIST, "missing ')'", 29),
+    (parse_term, "(fork 1 (fork 2 (leaf 3)) (leaf 4))", ShapeKind.HTREE, "unexpected ')'", 24),
+    (parse_term, "(fork 1 (fork 2 (leaf 3) (leaf 4) (leaf 5)) (leaf 6))", ShapeKind.HTREE,
+     "expected ')'", 34),
+    (parse_term, "(leaf 1) (leaf 2)", ShapeKind.HTREE, "unexpected trailing input", 9),
+    (parse_term, "(bin (bin (tip 1) (tip 2)) (tip 3)) )", ShapeKind.ETREE,
+     "unexpected trailing input", 36),
+    (parse_term, "(node 1 nilt (node 2 nilt nilt)", ShapeKind.ITREE, "missing ')'", 31),
+    (parse_term, "(node 1 (node 2 nilt nilt) )", ShapeKind.ITREE, "unexpected ')'", 27),
+    (parse_pruned, "(fork 1 E (fork 2 E))", ShapeKind.HTREE, "unexpected ')'", 19),
     # the node limit: a text with more '(' and atom names than it allows is
     # refused before its syntax is read
     (parse_term, OVER_LIMIT, ShapeKind.LIST, "tree larger than 100000 nodes", 0),
@@ -129,7 +142,7 @@ PARSE_ERRORS = [
 
 
 def _case_id(parse, text, shape) -> str:
-    if len(text) > 40:  # the node-limit and digit-limit rows
+    if len(text) > 40:  # the long rows, the node and digit limits among them
         text = f"{parse.__name__}-{len(text)}-chars"
     return f"{text}-{shape}"
 
@@ -320,6 +333,73 @@ def test_postorder_out_receives_every_result_in_preorder():
     postorder(parse_pruned("(fork 1 E (fork 2 (leaf 3) E))", ShapeKind.HTREE),
               lambda n, kids: n.labels[0] + sum(k for k in kids if k is not None), out=out)
     assert out == [6, 5, 3]  # empty slots are worth None and listed nowhere
+
+
+def _check_the_close_protocol(texts_and_terms, shape):
+    """Check that _parse runs a recording close action on each text as
+    postorder runs it on its term, with the same out.  A text's atoms are closed once each before it is read, and its 'E' is
+    EMPTY where postorder's empty slot is worth None and listed nowhere."""
+    atoms = [tag for tag, sig in SIGNATURES[shape].items() if sig.atom]
+
+    def recorder(calls):
+        def close(tag, labels, kids):
+            call = (tag, labels, tuple(None if k is EMPTY else k for k in kids))
+            calls.append(call)
+            return call  # pure: a value per subterm
+        return close
+
+    for text, t in texts_and_terms:
+        text_calls, text_out = [], []
+        value = shapes._parse(text, shape, recorder(text_calls), allow_empty=True,
+                              out=text_out)
+        term_calls, term_out = [], []
+        term_value = postorder(t, lambda n, kids: recorder(term_calls)(n.tag, n.labels, kids),
+                               out=term_out)
+        assert term_value == (None if value is EMPTY else value), text
+        assert text_calls == [(tag, (), ()) for tag in atoms] + [
+            c for c in term_calls if c[0] not in atoms], text
+        assert [v for v in text_out if v is not EMPTY] == term_out, text
+
+
+def _close_protocol_cases(shape, labels, step: int, prunings: int | None) -> list:
+    """Every step-th term of the small scope as text, and that many of its
+    prunings (all of them for None)."""
+    rng = random.Random(40)
+    cases = []
+    for t in _terms_in_scope(shape, labels)[::step]:
+        items = prune(t).items
+        cases.append((print_term(t), t))
+        cases += [(print_pruned(p), p) for p in (
+            items if prunings is None else rng.sample(items, prunings))]
+    return cases
+
+
+def _check_the_close_protocol_on_both_reads(monkeypatch, labels, step, prunings):
+    class Untokenizable:
+        def findall(self, text):
+            raise AssertionError("a text was read from the token pattern")
+
+    for shape in ShapeKind:
+        cases = _close_protocol_cases(shape, labels, step, prunings)
+        with monkeypatch.context() as m:  # the split read alone
+            m.setattr(shapes, "_TOKEN_RE", Untokenizable())
+            _check_the_close_protocol(cases, shape)
+        with monkeypatch.context() as m:  # the token pattern alone
+            m.setattr(shapes, "_split_tokens", lambda text: [")"])  # refused at once
+            _check_the_close_protocol(cases, shape)
+
+
+def test_the_text_parse_closes_as_postorder_does(monkeypatch):
+    # labels that _SMALL_LABELS holds and one it misses
+    _check_the_close_protocol_on_both_reads(monkeypatch, (0, -7, 1000), step=3, prunings=2)
+
+
+@pytest.mark.skipif(not os.environ.get("SEGMAX_FULL_SCOPE"),
+                    reason="about 2 s; set SEGMAX_FULL_SCOPE=1 to run it, as CI does")
+def test_the_text_parse_closes_as_postorder_does_over_the_full_scope(monkeypatch):
+    # every term in scope and every pruning of it, also at the 64-bit edges
+    _check_the_close_protocol_on_both_reads(
+        monkeypatch, (0, -7, 999, 1000, I64_MIN, I64_MAX), step=1, prunings=None)
 
 
 def test_parse_error_offset_points_at_fault():
